@@ -25,7 +25,6 @@ from .analysis import (
     lambda_max_prediction,
     measure_threshold,
     mvdr_optimum_sinr,
-    normalized_sinr,
     normalized_sinr_from_covariances,
     output_sinr,
     plr_beta,
@@ -34,22 +33,14 @@ from .analysis import (
 )
 from .core import (
     CovariancePair,
-    DataBlock,
     ProjectionBasis,
     SnapshotPair,
     basis_maximin,
     basis_mic,
     basis_papc,
-    beamform_components,
-    beamform_output,
     covariances_from_arrays,
-    estimate_covariances,
     make_basis,
-    project,
-    project_fft,
     project_stream,
-    rake_combine,
-    segment,
     solve_batch,
 )
 from .harness import (
@@ -78,7 +69,6 @@ from .scenario import (
     PathSpec,
     ScenarioConfig,
     SpreadingCode,
-    compound_steering,
     desired_path_power,
     generate_gold_codes,
     group_identical_delays,
@@ -96,7 +86,6 @@ __all__ = [
     "ConditionReport",
     "ConfigError",
     "CovariancePair",
-    "DataBlock",
     "ExperimentResult",
     "ExperimentSpec",
     "GevdResult",
@@ -113,14 +102,10 @@ __all__ = [
     "basis_maximin",
     "basis_mic",
     "basis_papc",
-    "beamform_components",
-    "beamform_output",
-    "compound_steering",
     "condition_check",
     "covariances_from_arrays",
     "default_spec",
     "desired_path_power",
-    "estimate_covariances",
     "estimate_gamma1",
     "gamma0",
     "generate_gold_codes",
@@ -133,20 +118,15 @@ __all__ = [
     "measure_threshold",
     "mvdr_optimum_sinr",
     "normalize_phase",
-    "normalized_sinr",
     "normalized_sinr_from_covariances",
     "output_sinr",
     "plr_beta",
     "power_iteration_step",
     "predicted_threshold",
-    "project",
-    "project_fft",
     "project_stream",
-    "rake_combine",
     "run",
     "run_preset",
     "scenario_hash",
-    "segment",
     "solve_batch",
     "steering_vector",
     "subspace_angle",

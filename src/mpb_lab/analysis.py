@@ -187,30 +187,6 @@ def lambda_max_prediction(gamma0_value: float, gamma1_value: float) -> float:
     return max(gamma0_value, gamma1_value) + 1.0
 
 
-def normalized_sinr(
-    y_soi: np.ndarray,
-    y_interference: np.ndarray,
-    y_noise: np.ndarray,
-    snr_linear: float,
-    num_elements: int,
-) -> float:
-    """Output SINR over the interference-free optimum L*SNR.
-
-    The three arguments are per-symbol beamformer outputs of the exact
-    signal/interference/noise components; expectations are sample means.
-    """
-    if snr_linear <= 0:
-        raise ValueError(f"snr_linear must be positive, got {snr_linear}")
-    signal = float(np.mean(np.abs(np.asarray(y_soi)) ** 2))
-    clutter = float(
-        np.mean(np.abs(np.asarray(y_interference)) ** 2)
-        + np.mean(np.abs(np.asarray(y_noise)) ** 2)
-    )
-    if clutter == 0.0:
-        raise ValueError("interference + noise output power is zero")
-    return (signal / clutter) / (num_elements * snr_linear)
-
-
 def normalized_sinr_from_covariances(
     weight: np.ndarray,
     soi_cov: np.ndarray,
@@ -219,9 +195,11 @@ def normalized_sinr_from_covariances(
     snr_linear: float,
     num_elements: int,
 ) -> float:
-    """Same ratio computed from component sample covariances.
+    """Output SINR over the interference-free optimum L*SNR.
 
-    Identical to normalized_sinr on stacked outputs because
+    Takes the weight and the signal-channel sample covariances of the
+    exact signal/interference/noise components. Identical to
+    oracles.normalized_sinr on the stacked beamformer outputs because
     E|w^H x|^2 = w^H Cov(x) w for zero-reference sample covariances.
     """
     if snr_linear <= 0:

@@ -20,20 +20,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .scenario import ChipStream, SpreadingCode
-
-
-@dataclass
-class DataBlock:
-    """One despreading window: samples[:, k*N+n0 : k*N+n0+N]."""
-
-    symbol_index: int
-    samples: np.ndarray  # (num_elements, code_length)
+from .scenario import SpreadingCode
 
 
 @dataclass
@@ -65,23 +56,6 @@ class CovariancePair:
     r_s: np.ndarray
     r_i: np.ndarray
     num_symbols: int
-
-
-def segment(stream: ChipStream, n0: int, k: int) -> DataBlock:
-    """Cut window k at chip offset n0 out of the stream.
-
-    n0 is the delay of the path the beamformer is synchronized to; k
-    counts whole windows from there.
-    """
-    n = stream.processing_gain
-    if not 0 <= n0 < n:
-        raise ValueError(f"window offset must lie in [0, {n}), got {n0}")
-    if k < 0 or k >= stream.num_blocks(n0):
-        raise ValueError(
-            f"symbol index {k} out of range [0, {stream.num_blocks(n0)})"
-        )
-    start = k * n + n0
-    return DataBlock(symbol_index=k, samples=stream.samples[:, start : start + n])
 
 
 def _unit_code(code: SpreadingCode) -> np.ndarray:
@@ -156,40 +130,6 @@ def make_basis(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def project(block: DataBlock, basis: ProjectionBasis) -> SnapshotPair:
-    """Project one window onto the signal and monitoring directions."""
-    samples = block.samples
-    if samples.shape[1] != basis.h_s.size:
-        raise ValueError(
-            f"window length {samples.shape[1]} does not match basis "
-            f"length {basis.h_s.size}"
-        )
-    x_s = samples @ basis.h_s.conj()
-    x_i = samples @ basis.h_i.conj()
-    return SnapshotPair(symbol_index=block.symbol_index, x_s=x_s, x_i=x_i)
-
-
-def project_fft(block: DataBlock, code: SpreadingCode) -> SnapshotPair:
-    """MIC projection of one window done as a code-matched FFT.
-
-    Multiplying the window by the chips and taking the length-N FFT
-    evaluates every remodulated-code correlation at once: bin 0 is the
-    signal channel and bins 1..N-1 are the monitoring channels. Equal to
-    project(block, basis_mic(code)) up to roundoff.
-    """
-    chips = np.asarray(code.chips, dtype=np.float64)
-    samples = block.samples
-    if samples.shape[1] != chips.size:
-        raise ValueError(
-            f"window length {samples.shape[1]} does not match code "
-            f"length {chips.size}"
-        )
-    spectrum = np.fft.fft(samples * chips[None, :], axis=1) / np.sqrt(chips.size)
-    return SnapshotPair(
-        symbol_index=block.symbol_index, x_s=spectrum[:, 0], x_i=spectrum[:, 1:]
-    )
-
-
 def project_stream(
     samples: np.ndarray, basis: ProjectionBasis, n0: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +137,11 @@ def project_stream(
 
     Returns (x_s, x_i) with shapes (L, K) and (L, K, channels); the MIC
     basis goes through the batched code-matched FFT, everything else
-    through the direct inner products.
+    through the direct inner products. Multiplying a window by the chips
+    and taking its length-N FFT evaluates every remodulated-code
+    correlation at once: bin 0 is the signal channel and bins 1..N-1 are
+    the monitoring channels. oracles.direct_projection is the
+    window-by-window reference for both routes.
     """
     n = basis.h_s.size
     if not 0 <= n0 < n:
@@ -238,15 +182,6 @@ def covariances_from_arrays(
     )
 
 
-def estimate_covariances(snapshots: Sequence[SnapshotPair]) -> CovariancePair:
-    """Average outer products over symbols (and monitoring channels)."""
-    if len(snapshots) == 0:
-        raise ValueError("need at least one snapshot pair")
-    x_s = np.stack([s.x_s for s in snapshots], axis=1)
-    x_i = np.stack([s.x_i for s in snapshots], axis=1)
-    return covariances_from_arrays(x_s, x_i)
-
-
 def solve_batch(pair: CovariancePair) -> np.ndarray:
     """Batch weight: dominant generalized eigenvector of (r_s, r_i).
 
@@ -256,39 +191,3 @@ def solve_batch(pair: CovariancePair) -> np.ndarray:
     result = linalg.hermitian_gevd(pair.r_s, pair.r_i)
     weight = result.eigenvectors[:, 0]
     return weight / np.linalg.norm(weight)
-
-
-def beamform_output(weight: np.ndarray, x_s: np.ndarray) -> complex:
-    """Array output for one symbol: w^H x_s."""
-    weight = np.asarray(weight)
-    x_s = np.asarray(x_s)
-    if weight.shape != x_s.shape:
-        raise ValueError(
-            f"weight shape {weight.shape} does not match snapshot {x_s.shape}"
-        )
-    return complex(np.vdot(weight, x_s))
-
-
-def beamform_components(
-    weight: np.ndarray,
-    soi_x_s: np.ndarray,
-    interference_x_s: np.ndarray,
-    noise_x_s: np.ndarray,
-) -> tuple[complex, complex, complex]:
-    """Per-component outputs (y_soi, y_interference, y_noise).
-
-    The three terms sum to beamform_output of the composite snapshot
-    because projection and beamforming are both linear.
-    """
-    return (
-        beamform_output(weight, soi_x_s),
-        beamform_output(weight, interference_x_s),
-        beamform_output(weight, noise_x_s),
-    )
-
-
-def rake_combine(outputs: Sequence[complex]) -> complex:
-    """Coherent sum of per-finger beamformer outputs."""
-    if len(outputs) == 0:
-        raise ValueError("rake_combine needs at least one finger output")
-    return complex(sum(outputs))

@@ -23,6 +23,7 @@ import hashlib
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -107,11 +108,18 @@ class ExperimentSpec:
     papc_chip_index: int = 0
     mu: float = 0.99
     delta_scale: float = 1e-3
-    pattern_snrs_db: list[float] = field(default_factory=lambda: [10.9, 40.9])
-    convergence_snrs_db: list[float] = field(
-        default_factory=lambda: [10.0, 20.0, 30.0]
-    )
     entry_interval: int = 50
+
+    def _unread_fields(self) -> set[str]:
+        """Fields this spec's preset never reads, given its schemes and scenario."""
+        unread = set(_UNREAD[self.preset])
+        if self.scenario is not None:
+            unread |= {"scenario_names", "inr_list_db"}
+        if "Maximin" not in self.schemes:
+            unread.add("monitor_freq")
+        if "PAPC" not in self.schemes:
+            unread.add("papc_chip_index")
+        return unread
 
     def validate(self) -> None:
         if self.preset not in PRESETS:
@@ -141,13 +149,23 @@ class ExperimentSpec:
                     f"unknown scenario name {name!r}; valid: "
                     f"{tuple(presets.SWEEP_SCENARIOS)}"
                 )
-        if self.preset == "identical_delay" and self.scenario is not None:
-            raise ConfigError(
-                "identical_delay runs its two built-in configurations and "
-                "does not accept a custom scenario"
-            )
         if self.entry_interval < 1:
             raise ConfigError(f"entry_interval must be >= 1, got {self.entry_interval}")
+        # nothing is silently ignored: a setting the preset never reads
+        # must keep its default, and a list may not outrun what is used
+        reference = _preset_spec(self.preset)
+        for name in sorted(self._unread_fields()):
+            if getattr(self, name) != getattr(reference, name):
+                raise ConfigError(
+                    f"{self.preset} does not read {name}; leave it at "
+                    f"{getattr(reference, name)!r}"
+                )
+        for name, limit in _LIST_LIMITS.get(self.preset, {}).items():
+            if len(getattr(self, name)) > limit:
+                raise ConfigError(
+                    f"{self.preset} reads only {limit} entry of {name}, "
+                    f"got {len(getattr(self, name))}"
+                )
         if self.scenario is not None:
             self.scenario.validate()
 
@@ -180,14 +198,40 @@ _PRESET_DEFAULTS: dict[str, dict] = {
     },
 }
 
+# Fields a preset never reads, whatever its schemes and scenario.
+_UNREAD: dict[str, tuple[str, ...]] = {
+    "threshold_sweep": ("mu", "delta_scale", "entry_interval"),
+    "eigencurve": ("scenario_names", "mu", "delta_scale", "entry_interval"),
+    "pattern": ("trials", "scenario_names", "mu", "delta_scale", "entry_interval"),
+    "convergence": ("scenario_names", "inr_list_db", "entry_interval"),
+    "tracking": ("schemes", "scenario_names", "inr_list_db"),
+    "identical_delay": (
+        "trials", "schemes", "scenario_names", "inr_list_db", "scenario",
+        "mu", "delta_scale", "entry_interval",
+    ),
+}
+
+# Lists of which a preset reads only the leading entries.
+_LIST_LIMITS: dict[str, dict[str, int]] = {
+    "eigencurve": {"schemes": 1, "inr_list_db": 1},
+    "pattern": {"inr_list_db": 1},
+    "tracking": {"snr_grid_db": 1},
+    "identical_delay": {"snr_grid_db": 1},
+}
+
+
+def _preset_spec(preset: str) -> ExperimentSpec:
+    spec = ExperimentSpec(preset=preset, output_dir=f"runs/{preset}")
+    for key, value in _PRESET_DEFAULTS[preset].items():
+        setattr(spec, key, list(value) if isinstance(value, list) else value)
+    return spec
+
 
 def default_spec(preset: str) -> ExperimentSpec:
     """Preset defaults: desk-scale sizes, all applicable schemes."""
     if preset not in PRESETS:
         raise ConfigError(f"preset must be one of {PRESETS}, got {preset!r}")
-    spec = ExperimentSpec(preset=preset, output_dir=f"runs/{preset}")
-    for key, value in _PRESET_DEFAULTS[preset].items():
-        setattr(spec, key, value)
+    spec = _preset_spec(preset)
     spec.validate()
     return spec
 
@@ -294,11 +338,12 @@ def _parse_jammers(entries, where: str):
 
 _SCENARIO_KEYS = {
     "num_elements", "spacing_wavelengths", "chip_rate_hz", "symbol_rate_hz",
-    "snr_db", "noise_power", "num_symbols", "desired", "mais", "jammers",
+    "snr_db", "noise_power", "desired", "mais", "jammers",
 }
 
 
 def _parse_scenario(section: dict, spec: ExperimentSpec) -> ScenarioConfig:
+    """Custom scenario; its symbol count is spec.symbols, applied per run."""
     if not isinstance(section, dict):
         raise ConfigError("scenario must be a mapping")
     _require_keys(section, _SCENARIO_KEYS, "scenario")
@@ -314,7 +359,7 @@ def _parse_scenario(section: dict, spec: ExperimentSpec) -> ScenarioConfig:
         ),
         chip_rate_hz=float(section.get("chip_rate_hz", presets.CHIP_RATE_HZ)),
         symbol_rate_hz=float(section.get("symbol_rate_hz", presets.SYMBOL_RATE_HZ)),
-        num_symbols=int(section.get("num_symbols", spec.symbols)),
+        num_symbols=spec.symbols,
         snr_db=float(section.get("snr_db", 0.0)),
         desired=desired,
         mais=_parse_paths(
@@ -335,8 +380,7 @@ def _parse_scenario(section: dict, spec: ExperimentSpec) -> ScenarioConfig:
 _TOP_KEYS = {
     "preset", "seed", "symbols", "trials", "schemes", "scenarios",
     "snr_grid_db", "inr_list_db", "output_dir", "scenario", "monitor_freq",
-    "papc_chip_index", "mu", "delta_scale", "pattern_snrs_db",
-    "convergence_snrs_db", "entry_interval",
+    "papc_chip_index", "mu", "delta_scale", "entry_interval",
 }
 
 
@@ -397,12 +441,13 @@ def load_config(path: str | Path) -> ExperimentSpec:
         spec.papc_chip_index = int(raw["papc_chip_index"])
     if "entry_interval" in raw:
         spec.entry_interval = int(raw["entry_interval"])
-    if "pattern_snrs_db" in raw:
-        spec.pattern_snrs_db = [float(v) for v in raw["pattern_snrs_db"]]
-    if "convergence_snrs_db" in raw:
-        spec.convergence_snrs_db = [float(v) for v in raw["convergence_snrs_db"]]
     if "scenario" in raw and raw["scenario"] is not None:
         spec.scenario = _parse_scenario(raw["scenario"], spec)
+    # a key the preset never reads is an error even at its default value
+    given = {"scenario_names" if key == "scenarios" else key for key in raw}
+    unread = given & spec._unread_fields()
+    if unread:
+        raise ConfigError(f"{spec.preset} does not read {sorted(unread)}")
     try:
         spec.validate()
     except ConfigError:
@@ -563,14 +608,39 @@ def _scheme_basis(spec: ExperimentSpec, scheme: str) -> ProjectionBasis:
     )
 
 
-def _reference_config(
-    builder: Callable[..., ScenarioConfig],
-    inr_db: float,
+def _scenario(
     spec: ExperimentSpec,
+    builder: Callable[..., ScenarioConfig] | None,
+    seed: int | tuple[int, ...],
+    **overrides,
+) -> tuple[ScenarioConfig, int]:
+    """One trial's scenario and the window offset of its first desired path.
+
+    The spec's custom scenario if it has one, else builder's built-in
+    one; either way with spec.symbols symbols, the given seed and the
+    overrides (snr_db and the like).
+    """
+    if spec.scenario is not None:
+        config = replace(
+            spec.scenario, num_symbols=spec.symbols, seed=seed, **overrides
+        )
+    else:
+        config = builder(num_symbols=spec.symbols, seed=seed, **overrides)
+    return config, config.desired[0].delay_chips if config.desired else 0
+
+
+def _cell(
+    spec: ExperimentSpec,
+    builder: Callable[..., ScenarioConfig] | None,
     seed: tuple[int, ...],
-) -> ScenarioConfig:
-    """Scenario at the 0 dB SNR reference point (alpha = 1)."""
-    return builder(inr_db, snr_db=0.0, num_symbols=spec.symbols, seed=seed)
+    **overrides,
+) -> tuple[ScenarioConfig, str, ChipStream, int]:
+    """Set up and synthesize one trial of a preset: the _scenario config,
+    its hash at the master seed (the same for every trial of a cell),
+    the stream, and the window offset."""
+    config, n0 = _scenario(spec, builder, seed, **overrides)
+    config_hash = scenario_hash(replace(config, seed=spec.seed))
+    return config, config_hash, synthesize(config), n0
 
 
 # ---------------------------------------------------------------------------
@@ -585,94 +655,92 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
     alphas = 10.0 ** (grid / 20.0)
     rows: list[dict] = []
     reports: list[ThresholdReport] = []
+    code = generate_gold_codes(1)[0]
+    bases = {scheme: _scheme_basis(spec, scheme) for scheme in spec.schemes}
 
+    # a custom scenario is one cell: it has no INR to sweep or label
     if spec.scenario is not None:
-        scenario_items = [("custom", None)]
+        cells = [(0, "custom", None, "")]
     else:
-        scenario_items = [(n, presets.SWEEP_SCENARIOS[n]) for n in spec.scenario_names]
+        cells = [
+            (s_idx, name, partial(presets.SWEEP_SCENARIOS[name], inr_db),
+             float(inr_db))
+            for s_idx, name in enumerate(spec.scenario_names)
+            for inr_db in spec.inr_list_db
+        ]
 
-    for s_idx, (scenario_name, builder) in enumerate(scenario_items):
-        for i_idx, inr_db in enumerate(spec.inr_list_db):
-            g_sum = {scheme: np.zeros(grid.size) for scheme in spec.schemes}
-            lam_sum = {scheme: np.zeros(grid.size) for scheme in spec.schemes}
-            gamma1_acc = {scheme: 0.0 for scheme in spec.schemes}
-            config_hash = ""
-            for trial in range(spec.trials):
-                # the INR index is deliberately absent: every INR level of a
-                # scenario reuses the same trial draws with rescaled powers,
-                # so threshold ladders reflect the power sweep alone
-                seed = (spec.seed, s_idx, trial)
-                if builder is None:
-                    config = replace(spec.scenario, seed=seed, snr_db=0.0)
-                else:
-                    config = _reference_config(builder, inr_db, spec, seed)
-                config_hash = scenario_hash(replace(config, seed=spec.seed))
-                stream = synthesize(config)
-                n0 = config.desired[0].delay_chips if config.desired else 0
-                snr_ref = config.snr_linear
-                for scheme in spec.schemes:
-                    basis = _scheme_basis(spec, scheme)
-                    grams = component_grams(stream, basis, n0)
-                    quiet = grams.covariance_pair(0.0)
-                    gamma1_acc[scheme] += float(
-                        hermitian_gevd(quiet.r_s, quiet.r_i).eigenvalues[0] - 1.0
-                    )
-                    for g_idx, alpha in enumerate(alphas):
-                        pair = grams.covariance_pair(alpha / math.sqrt(snr_ref))
-                        weight = solve_batch(pair)
-                        soi_cov, int_cov, noise_cov = grams.sinr_covariances(
-                            alpha / math.sqrt(snr_ref)
-                        )
-                        snr_linear = 10.0 ** (grid[g_idx] / 10.0)
-                        g_sum[scheme][g_idx] += normalized_sinr_from_covariances(
-                            weight, soi_cov, int_cov, noise_cov,
-                            snr_linear, config.geometry.num_elements,
-                        )
-                        lam_sum[scheme][g_idx] += float(
-                            hermitian_gevd(pair.r_s, pair.r_i).eigenvalues[0]
-                        )
-                del stream
-
-            n = config.processing_gain
-            l = config.geometry.num_elements
+    for s_idx, scenario_name, builder, inr_label in cells:
+        g_sum = {scheme: np.zeros(grid.size) for scheme in spec.schemes}
+        lam_sum = {scheme: np.zeros(grid.size) for scheme in spec.schemes}
+        gamma1_acc = {scheme: 0.0 for scheme in spec.schemes}
+        for trial in range(spec.trials):
+            # the INR is deliberately absent from the seed: every INR level
+            # of a scenario reuses the same trial draws with rescaled
+            # powers, so threshold ladders reflect the power sweep alone
+            config, config_hash, stream, n0 = _cell(
+                spec, builder, (spec.seed, s_idx, trial), snr_db=0.0
+            )
+            snr_ref = config.snr_linear
             for scheme in spec.schemes:
-                g_mean = g_sum[scheme] / spec.trials
-                gamma1_mean = gamma1_acc[scheme] / spec.trials
-                basis = _scheme_basis(spec, scheme)
-                code = generate_gold_codes(1)[0]
-                beta = plr_beta(basis, code)
-                theory_beta = threshold_beta(basis, code)
-                measured = measure_threshold(grid, g_mean)
-                predicted = predicted_threshold(gamma1_mean, theory_beta, n, l)
-                reports.append(
-                    ThresholdReport(
-                        beta=beta,
-                        gamma0_curve={
-                            float(s): gamma0(10.0 ** (s / 10.0), n, l, theory_beta)
-                            for s in grid
-                        },
-                        gamma1=gamma1_mean,
-                        predicted_threshold_db=predicted,
-                        measured_threshold_db=measured,
-                    )
+                grams = component_grams(stream, bases[scheme], n0)
+                quiet = grams.covariance_pair(0.0)
+                gamma1_acc[scheme] += float(
+                    hermitian_gevd(quiet.r_s, quiet.r_i).eigenvalues[0] - 1.0
                 )
-                for g_idx, snr_db in enumerate(grid):
-                    rows.append(
-                        {
-                            "scenario": scenario_name,
-                            "scheme": scheme,
-                            "inr_db": float(inr_db),
-                            "snr_db": float(snr_db),
-                            "g_linear": float(g_mean[g_idx]),
-                            "g_db": 10.0 * math.log10(max(g_mean[g_idx], 1e-30)),
-                            "lambda1": float(lam_sum[scheme][g_idx] / spec.trials),
-                            "gamma1": gamma1_mean,
-                            "beta": beta,
-                            "measured_threshold_db": measured,
-                            "predicted_threshold_db": predicted,
-                            "scenario_hash": config_hash,
-                        }
+                for g_idx, alpha in enumerate(alphas):
+                    pair = grams.covariance_pair(alpha / math.sqrt(snr_ref))
+                    weight = solve_batch(pair)
+                    soi_cov, int_cov, noise_cov = grams.sinr_covariances(
+                        alpha / math.sqrt(snr_ref)
                     )
+                    snr_linear = 10.0 ** (grid[g_idx] / 10.0)
+                    g_sum[scheme][g_idx] += normalized_sinr_from_covariances(
+                        weight, soi_cov, int_cov, noise_cov,
+                        snr_linear, config.geometry.num_elements,
+                    )
+                    lam_sum[scheme][g_idx] += float(
+                        hermitian_gevd(pair.r_s, pair.r_i).eigenvalues[0]
+                    )
+            del stream
+
+        n = config.processing_gain
+        l = config.geometry.num_elements
+        for scheme in spec.schemes:
+            g_mean = g_sum[scheme] / spec.trials
+            gamma1_mean = gamma1_acc[scheme] / spec.trials
+            beta = plr_beta(bases[scheme], code)
+            theory_beta = threshold_beta(bases[scheme], code)
+            measured = measure_threshold(grid, g_mean)
+            predicted = predicted_threshold(gamma1_mean, theory_beta, n, l)
+            reports.append(
+                ThresholdReport(
+                    beta=beta,
+                    gamma0_curve={
+                        float(s): gamma0(10.0 ** (s / 10.0), n, l, theory_beta)
+                        for s in grid
+                    },
+                    gamma1=gamma1_mean,
+                    predicted_threshold_db=predicted,
+                    measured_threshold_db=measured,
+                )
+            )
+            for g_idx, snr_db in enumerate(grid):
+                rows.append(
+                    {
+                        "scenario": scenario_name,
+                        "scheme": scheme,
+                        "inr_db": inr_label,
+                        "snr_db": float(snr_db),
+                        "g_linear": float(g_mean[g_idx]),
+                        "g_db": 10.0 * math.log10(max(g_mean[g_idx], 1e-30)),
+                        "lambda1": float(lam_sum[scheme][g_idx] / spec.trials),
+                        "gamma1": gamma1_mean,
+                        "beta": beta,
+                        "measured_threshold_db": measured,
+                        "predicted_threshold_db": predicted,
+                        "scenario_hash": config_hash,
+                    }
+                )
 
     metadata = _base_metadata(spec)
     return ExperimentResult(
@@ -686,26 +754,17 @@ def run_eigencurve(spec: ExperimentSpec) -> ExperimentResult:
     if spec.preset != "eigencurve":
         raise ConfigError("run_eigencurve requires preset=eigencurve")
     grid = np.asarray(spec.snr_grid_db, dtype=np.float64)
-    inr_db = spec.inr_list_db[0]
-    scheme = spec.schemes[0]
-    basis = _scheme_basis(spec, scheme)
+    basis = _scheme_basis(spec, spec.schemes[0])
     beta = threshold_beta(basis, generate_gold_codes(1)[0])
 
     lam1 = np.zeros(grid.size)
     lam2 = np.zeros(grid.size)
     gamma1_acc = 0.0
-    config_hash = ""
+    builder = partial(presets.five_tones_scenario, spec.inr_list_db[0])
     for trial in range(spec.trials):
-        seed = (spec.seed, 0, trial)
-        if spec.scenario is not None:
-            config = replace(spec.scenario, seed=seed, snr_db=0.0)
-        else:
-            config = _reference_config(
-                presets.five_tones_scenario, inr_db, spec, seed
-            )
-        config_hash = scenario_hash(replace(config, seed=spec.seed))
-        stream = synthesize(config)
-        n0 = config.desired[0].delay_chips if config.desired else 0
+        config, config_hash, stream, n0 = _cell(
+            spec, builder, (spec.seed, 0, trial), snr_db=0.0
+        )
         grams = component_grams(stream, basis, n0)
         quiet = grams.covariance_pair(0.0)
         gamma1_acc += float(
@@ -758,21 +817,15 @@ def run_pattern(spec: ExperimentSpec) -> ExperimentResult:
     inr_db = spec.inr_list_db[0]
     rows: list[dict] = []
     patterns: dict[str, list[PatternSample]] = {}
-    seed = (spec.seed, 0, 0)
-    if spec.scenario is not None:
-        config = replace(spec.scenario, seed=seed, snr_db=0.0)
-    else:
-        config = _reference_config(
-            presets.periodic_noise_scenario, inr_db, spec, seed
-        )
-    config_hash = scenario_hash(replace(config, seed=spec.seed))
-    stream = synthesize(config)
-    n0 = config.desired[0].delay_chips if config.desired else 0
+    builder = partial(presets.periodic_noise_scenario, inr_db)
+    config, config_hash, stream, n0 = _cell(
+        spec, builder, (spec.seed, 0, 0), snr_db=0.0
+    )
     snr_ref = config.snr_linear
     for scheme in spec.schemes:
         basis = _scheme_basis(spec, scheme)
         grams = component_grams(stream, basis, n0)
-        for snr_db in spec.pattern_snrs_db:
+        for snr_db in spec.snr_grid_db:
             alpha = 10.0 ** (snr_db / 20.0) / math.sqrt(snr_ref)
             weight = solve_batch(grams.covariance_pair(alpha))
             samples = array_pattern(weight, config.geometry, PATTERN_GRID_DEG)
@@ -785,7 +838,7 @@ def run_pattern(spec: ExperimentSpec) -> ExperimentResult:
                 {
                     "scheme": scheme,
                     "snr_db": float(snr_db),
-                    "inr_db": float(inr_db),
+                    "inr_db": "" if spec.scenario is not None else float(inr_db),
                     "peak_theta_deg": peak_theta,
                     "gain_at_0deg_db": _gain_at(samples, 0.0),
                     "gain_at_30deg_db": _gain_at(samples, 30.0),
@@ -825,15 +878,15 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
     rows: list[dict] = []
     metadata = _base_metadata(spec)
     eval_symbols = 10000
-    for s_idx, snr_db in enumerate(spec.convergence_snrs_db):
-        if spec.scenario is not None:
-            base = replace(spec.scenario, snr_db=snr_db)
-        else:
-            base = presets.convergence_scenario(
-                snr_db=snr_db, num_symbols=spec.symbols
-            )
-        config_hash = scenario_hash(replace(base, seed=spec.seed))
-        n0 = base.desired[0].delay_chips if base.desired else 0
+    code = generate_gold_codes(1)[0]
+    bases = {
+        scheme: None if scheme == "MIC" else _scheme_basis(spec, scheme)
+        for scheme in spec.schemes
+    }
+    for s_idx, snr_db in enumerate(spec.snr_grid_db):
+        base, n0 = _scenario(
+            spec, presets.convergence_scenario, spec.seed, snr_db=snr_db
+        )
         clutter = _clutter_covariance(
             base, n0, eval_symbols, (spec.seed, 7000 + s_idx)
         )
@@ -841,22 +894,26 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
         sig_power = base.noise_power * 10.0 ** (snr_db / 10.0)
         optimum = mvdr_optimum_sinr(sig_power, steer, clutter)
         delta = spec.delta_scale * base.noise_power
-        code = generate_gold_codes(1)[0]
-
-        for scheme in spec.schemes:
-            basis = None if scheme == "MIC" else _scheme_basis(spec, scheme)
-            sinr_sum = np.zeros(spec.symbols)
-            num_symbols = spec.symbols
-            for trial in range(spec.trials):
-                config = replace(base, seed=(spec.seed, s_idx, trial))
-                stream = synthesize(config)
+        sinr_sum = {scheme: np.zeros(spec.symbols) for scheme in spec.schemes}
+        num_symbols = spec.symbols
+        for trial in range(spec.trials):
+            # every scheme runs on the same stream of each trial
+            _, config_hash, stream, _ = _cell(
+                spec, presets.convergence_scenario, (spec.seed, s_idx, trial),
+                snr_db=snr_db,
+            )
+            for scheme in spec.schemes:
                 outputs = adaptive_mod.run(
-                    stream, code, n0, spec.mu, delta, basis=basis
+                    stream, code, n0, spec.mu, delta, basis=bases[scheme]
                 )
                 num_symbols = min(num_symbols, len(outputs))
                 for k, out in enumerate(outputs[:num_symbols]):
-                    sinr_sum[k] += output_sinr(out.w, sig_power, steer, clutter)
-            sinr_mean = sinr_sum[:num_symbols] / spec.trials
+                    sinr_sum[scheme][k] += output_sinr(
+                        out.w, sig_power, steer, clutter
+                    )
+
+        for scheme in spec.schemes:
+            sinr_mean = sinr_sum[scheme][:num_symbols] / spec.trials
             converged = _first_within_3db(sinr_mean, optimum)
             for k in range(num_symbols):
                 rows.append(
@@ -885,7 +942,7 @@ def _first_within_3db(sinr_mean: np.ndarray, optimum: float) -> int:
 
 
 def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
-    """Per-symbol SINR through staggered interferer entries.
+    """Per-symbol SINR of the MIC recursion through staggered interferer entries.
 
     Interferer i becomes active at symbol (i+1) * entry_interval. A
     control run with every interferer active from the start is included
@@ -894,69 +951,60 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
     if spec.preset != "tracking":
         raise ConfigError("run_tracking requires preset=tracking")
     snr_db = spec.snr_grid_db[0]
-    if spec.scenario is not None:
-        base = replace(
-            spec.scenario, snr_db=snr_db, num_symbols=spec.symbols,
-            track_interferer_streams=True,
-        )
-    else:
-        base = presets.tracking_scenario(snr_db=snr_db, num_symbols=spec.symbols)
-    base.validate()
-    config_hash = scenario_hash(replace(base, seed=spec.seed))
-    n0 = base.desired[0].delay_chips if base.desired else 0
+    overrides = {"snr_db": snr_db, "track_interferer_streams": True}
+    base, n0 = _scenario(spec, presets.tracking_scenario, spec.seed, **overrides)
     n = base.processing_gain
-    num_interferers = len(base.mais) + len(base.jammers)
+    num_mais = len(base.mais)
+    num_interferers = num_mais + len(base.jammers)
     entries = [(i + 1) * spec.entry_interval for i in range(num_interferers)]
 
     # per-segment clutter covariance and optimum (interferers join in order)
     steer = steering_vector(base.geometry, base.desired[0].doa_deg)
     sig_power = base.noise_power * 10.0 ** (snr_db / 10.0)
-    clutters = []
-    for active in range(num_interferers + 1):
-        seg_cfg = replace(
-            base,
-            mais=base.mais[: min(active, len(base.mais))],
-            jammers=base.jammers[: max(0, active - len(base.mais))],
+    clutters = [
+        _clutter_covariance(
+            replace(
+                base, mais=base.mais[:active],
+                jammers=base.jammers[: max(0, active - num_mais)],
+            ),
+            n0, 6000, (spec.seed, 8000 + active),
         )
-        clutters.append(
-            _clutter_covariance(seg_cfg, n0, 6000, (spec.seed, 8000 + active))
-        )
+        for active in range(num_interferers + 1)
+    ]
     optima = [mvdr_optimum_sinr(sig_power, steer, q) for q in clutters]
-
-    def active_count(symbol: int) -> int:
-        return sum(1 for e in entries if e <= symbol)
 
     delta = spec.delta_scale * base.noise_power
     code = generate_gold_codes(1)[0]
-    runs = {"staggered": entries, "control": [0] * num_interferers}
     rows: list[dict] = []
     metadata = _base_metadata(spec)
-    for run_name, run_entries in runs.items():
+    for r_idx, run_name in enumerate(("staggered", "control")):
+        run_entries = entries if run_name == "staggered" else [0] * num_interferers
         sinr_sum = np.zeros(spec.symbols)
         num_symbols = spec.symbols
         for trial in range(spec.trials):
-            config = replace(base, seed=(spec.seed, 1 if run_name == "control" else 0, trial))
-            stream = synthesize(config)
+            _, config_hash, stream, _ = _cell(
+                spec, presets.tracking_scenario, (spec.seed, r_idx, trial),
+                **overrides,
+            )
             masked = stream.soi + stream.noise
             for i, entry in enumerate(run_entries):
                 start = entry * n
                 if start < masked.shape[1]:
                     masked[:, start:] += stream.interferer_streams[i][:, start:]
-            masked_stream = replace(stream, samples=masked)
             outputs = adaptive_mod.run(
-                masked_stream, code, n0, spec.mu, delta
+                replace(stream, samples=masked), code, n0, spec.mu, delta
             )
             num_symbols = min(num_symbols, len(outputs))
             for k, out in enumerate(outputs[:num_symbols]):
-                active = active_count(k) if run_name == "staggered" else num_interferers
+                active = sum(1 for e in run_entries if e <= k)
                 sinr_sum[k] += output_sinr(out.w, sig_power, steer, clutters[active])
         sinr_mean = sinr_sum[:num_symbols] / spec.trials
         for k in range(num_symbols):
-            active = active_count(k) if run_name == "staggered" else num_interferers
+            active = sum(1 for e in run_entries if e <= k)
             rows.append(
                 {
                     "run": run_name,
-                    "scheme": spec.schemes[0],
+                    "scheme": "MIC",
                     "symbol": k,
                     "sinr_db": 10.0 * math.log10(max(sinr_mean[k], 1e-30)),
                     "active_interferers": active,
@@ -1002,11 +1050,10 @@ def run_identical_delay(spec: ExperimentSpec) -> ExperimentResult:
     basis = make_basis("MIC", code)
     for v_idx, identical in enumerate((False, True)):
         variant = "identical" if identical else "distinct"
-        config = presets.identical_delay_scenario(
-            identical, num_symbols=spec.symbols, seed=(spec.seed, v_idx)
+        config, config_hash, stream, _ = _cell(
+            spec, partial(presets.identical_delay_scenario, identical),
+            (spec.seed, v_idx), snr_db=spec.snr_grid_db[0],
         )
-        config_hash = scenario_hash(replace(config, seed=spec.seed))
-        stream = synthesize(config)
         groups = group_identical_delays(config.desired)
         for g_idx, group in enumerate(groups):
             n0 = config.desired[group[0]].delay_chips

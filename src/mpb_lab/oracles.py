@@ -110,22 +110,62 @@ def woodbury_drift(num_updates: int = 10000, seed: int = 1, size: int = 8) -> fl
     )
 
 
+def direct_projection(
+    samples: np.ndarray, basis: core.ProjectionBasis, n0: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Window-by-window inner-product projection of a raw stream.
+
+    The reference for core.project_stream: window k is samples[:, k*N +
+    n0 : (k+1)*N + n0], and its signal and monitoring snapshots are the
+    plain inner products with h_s and with each column of h_i. Same
+    shapes as project_stream, (L, K) and (L, K, channels).
+    """
+    n = basis.h_s.size
+    windows = [
+        samples[:, k * n + n0 : (k + 1) * n + n0]
+        for k in range((samples.shape[1] - n0) // n)
+    ]
+    x_s = np.stack([window @ basis.h_s.conj() for window in windows], axis=1)
+    x_i = np.stack([window @ basis.h_i.conj() for window in windows], axis=1)
+    return x_s, x_i
+
+
+def normalized_sinr(
+    y_soi: np.ndarray,
+    y_interference: np.ndarray,
+    y_noise: np.ndarray,
+    snr_linear: float,
+    num_elements: int,
+) -> float:
+    """Output SINR over L*SNR from per-symbol beamformer outputs.
+
+    The time-domain reference for analysis.normalized_sinr_from_covariances:
+    the three arguments are the outputs w^H x_s of the exact signal,
+    interference and noise components, and expectations are sample means.
+    """
+    if snr_linear <= 0:
+        raise ValueError(f"snr_linear must be positive, got {snr_linear}")
+    signal = float(np.mean(np.abs(np.asarray(y_soi)) ** 2))
+    clutter = float(
+        np.mean(np.abs(np.asarray(y_interference)) ** 2)
+        + np.mean(np.abs(np.asarray(y_noise)) ** 2)
+    )
+    if clutter == 0.0:
+        raise ValueError("interference + noise output power is zero")
+    return (signal / clutter) / (num_elements * snr_linear)
+
+
 def fft_projection_gap(seed: int = 2, num_elements: int = 8) -> float:
-    """Max elementwise gap between the direct and FFT projection routes."""
+    """Max elementwise gap between project_stream's MIC FFT route and
+    direct_projection, over four windows at a nonzero offset."""
     rng = np.random.default_rng(seed)
-    code = generate_gold_codes(1)[0]
-    basis = core.basis_mic(code)
-    samples = rng.standard_normal(
-        (num_elements, CODE_LENGTH)
-    ) + 1j * rng.standard_normal((num_elements, CODE_LENGTH))
-    block = core.DataBlock(symbol_index=0, samples=samples)
-    direct = core.project(block, basis)
-    fast = core.project_fft(block, code)
+    basis = core.basis_mic(generate_gold_codes(1)[0])
+    shape = (num_elements, 4 * CODE_LENGTH + 5)
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    direct = direct_projection(samples, basis, 5)
+    fast = core.project_stream(samples, basis, 5)
     return float(
-        max(
-            np.max(np.abs(direct.x_s - fast.x_s)),
-            np.max(np.abs(direct.x_i - fast.x_i)),
-        )
+        max(np.max(np.abs(d - f)) for d, f in zip(direct, fast))
     )
 
 

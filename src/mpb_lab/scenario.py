@@ -202,7 +202,7 @@ class ChipStream:
     """Synthesized chip-rate array data plus exact component bookkeeping.
 
     samples == soi + interference + noise holds elementwise exactly; the
-    per-path and per-interferer pieces sum to their aggregates in the
+    per-interferer streams, when tracked, sum to interference in the
     same order they were accumulated.
     """
 
@@ -210,8 +210,6 @@ class ChipStream:
     soi: np.ndarray
     interference: np.ndarray
     noise: np.ndarray
-    desired_path_streams: list[np.ndarray]
-    desired_path_waveforms: list[np.ndarray]
     interferer_waveforms: list[np.ndarray]
     interferer_labels: list[str]
     symbols: dict[int, np.ndarray]
@@ -221,21 +219,6 @@ class ChipStream:
     @property
     def num_elements(self) -> int:
         return int(self.samples.shape[0])
-
-    @property
-    def num_chips(self) -> int:
-        return int(self.samples.shape[1])
-
-    @property
-    def processing_gain(self) -> int:
-        return self.config.processing_gain
-
-    def num_blocks(self, n0: int) -> int:
-        """Number of whole despreading windows available at offset n0."""
-        n = self.processing_gain
-        if not 0 <= n0 < n:
-            raise ValueError(f"window offset must lie in [0, {n}), got {n0}")
-        return (self.num_chips - n0) // n
 
 
 # ---------------------------------------------------------------------------
@@ -315,22 +298,6 @@ def desired_path_power(config: ScenarioConfig, path: PathSpec) -> float:
     return path.power * config.noise_power * snr / n
 
 
-def compound_steering(
-    config: ScenarioConfig, paths: list[PathSpec]
-) -> np.ndarray:
-    """Amplitude-weighted sum of array responses for same-delay paths."""
-    if not paths:
-        raise ValueError("compound steering needs at least one path")
-    vec = np.zeros(config.geometry.num_elements, dtype=np.complex128)
-    for path in paths:
-        if path.user_index == 0:
-            power = desired_path_power(config, path)
-        else:
-            power = path.power
-        vec += math.sqrt(power) * steering_vector(config.geometry, path.doa_deg)
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # synthesis
 
@@ -384,17 +351,12 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
     }
 
     soi = np.zeros((num_elements, total), dtype=np.complex128)
-    desired_path_streams: list[np.ndarray] = []
-    desired_path_waveforms: list[np.ndarray] = []
     for path in config.desired:
         amplitude = math.sqrt(desired_path_power(config, path))
         wave = amplitude * _path_chip_sequence(
             symbols[0], codes[0].chips, path.delay_chips, total
         )
-        stream = np.outer(steering_vector(config.geometry, path.doa_deg), wave)
-        desired_path_waveforms.append(wave)
-        desired_path_streams.append(stream)
-        soi += stream
+        soi += np.outer(steering_vector(config.geometry, path.doa_deg), wave)
 
     interference = np.zeros((num_elements, total), dtype=np.complex128)
     interferer_waveforms: list[np.ndarray] = []
@@ -461,8 +423,6 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
         soi=soi,
         interference=interference,
         noise=noise,
-        desired_path_streams=desired_path_streams,
-        desired_path_waveforms=desired_path_waveforms,
         interferer_waveforms=interferer_waveforms,
         interferer_labels=interferer_labels,
         symbols=symbols,

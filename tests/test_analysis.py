@@ -23,7 +23,6 @@ from mpb_lab.analysis import (
     lambda_max_prediction,
     measure_threshold,
     mvdr_optimum_sinr,
-    normalized_sinr,
     normalized_sinr_from_covariances,
     output_sinr,
     plr_beta,
@@ -38,7 +37,7 @@ from mpb_lab.core import (
     project_stream,
 )
 from mpb_lab.linalg import hermitian_gevd
-from mpb_lab.oracles import maximin_leakage_closed_form
+from mpb_lab.oracles import maximin_leakage_closed_form, normalized_sinr
 from mpb_lab.presets import five_tones_scenario, periodic_noise_scenario
 from mpb_lab.scenario import (
     CODE_LENGTH,

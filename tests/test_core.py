@@ -1,9 +1,9 @@
 """Projection bases, despreading snapshots, and batch weight solving.
 
 Projection outputs are validated against hand-computed analytic forms
-(single-path despreading gains, matched-filter weights) and against a
-direct per-block reference loop; the FFT fast path is checked against
-the explicit inner-product route it replaces.
+(single-path despreading gains, matched-filter weights) and against the
+window-by-window inner-product reference in oracles.direct_projection;
+the FFT route is checked against that reference.
 """
 
 import math
@@ -13,23 +13,15 @@ import pytest
 
 from mpb_lab.core import (
     CovariancePair,
-    DataBlock,
-    SnapshotPair,
     basis_maximin,
     basis_mic,
     basis_papc,
-    beamform_components,
-    beamform_output,
     covariances_from_arrays,
-    estimate_covariances,
     make_basis,
-    project,
-    project_fft,
     project_stream,
-    rake_combine,
-    segment,
     solve_batch,
 )
+from mpb_lab.oracles import direct_projection, fft_projection_gap
 from mpb_lab.scenario import (
     CODE_LENGTH,
     ArrayGeometry,
@@ -57,34 +49,16 @@ def soi_only_config(snr_db=0.0, num_symbols=200, delay_chips=0, doa_deg=0.0,
 
 
 class TestSegment:
-    def test_window_is_stream_slice(self):
-        stream = synthesize(soi_only_config(num_symbols=5))
-        for k in range(5):
-            block = segment(stream, n0=0, k=k)
-            assert block.symbol_index == k
-            np.testing.assert_array_equal(
-                block.samples,
-                stream.samples[:, k * CODE_LENGTH : (k + 1) * CODE_LENGTH],
-            )
+    """Cutting a stream into despreading windows at a chip offset."""
 
-    def test_offset_shifts_window(self):
-        stream = synthesize(soi_only_config(num_symbols=4))
-        block = segment(stream, n0=4, k=1)
-        np.testing.assert_array_equal(
-            block.samples,
-            stream.samples[:, 4 + CODE_LENGTH : 4 + 2 * CODE_LENGTH],
-        )
-
-    def test_rejects_out_of_range_requests(self):
+    def test_rejects_out_of_range_requests(self, code0):
         stream = synthesize(soi_only_config(num_symbols=2))
-        with pytest.raises(ValueError, match="offset"):
-            segment(stream, n0=-1, k=0)
-        with pytest.raises(ValueError, match="offset"):
-            segment(stream, n0=CODE_LENGTH, k=0)
-        with pytest.raises(ValueError, match="out of range"):
-            segment(stream, n0=0, k=2)
-        with pytest.raises(ValueError, match="out of range"):
-            segment(stream, n0=1, k=1)  # offset eats the 2nd whole window
+        basis = basis_mic(code0)
+        for n0 in (-1, CODE_LENGTH):
+            with pytest.raises(ValueError, match="offset"):
+                project_stream(stream.samples, basis, n0)
+        x_s, _ = project_stream(stream.samples, basis, 1)
+        assert x_s.shape[1] == 1  # the offset eats the 2nd whole window
 
     def test_alignment_offset_recovers_despreading_gain(self, code0):
         # a path delayed by 3 chips despreads coherently only at n0 = 3
@@ -180,54 +154,38 @@ class TestProject:
     def test_papc_monitor_reads_raw_chip(self, rng, code0):
         samples = rng.standard_normal((4, CODE_LENGTH)) \
             + 1j * rng.standard_normal((4, CODE_LENGTH))
-        block = DataBlock(symbol_index=0, samples=samples)
-        snap = project(block, basis_papc(code0, chip_index=7))
-        np.testing.assert_allclose(snap.x_i[:, 0], samples[:, 7], atol=1e-14)
+        _, x_i = project_stream(samples, basis_papc(code0, chip_index=7), 0)
+        np.testing.assert_allclose(x_i[:, 0, 0], samples[:, 7], atol=1e-14)
 
     def test_soi_only_block_lands_in_signal_channel(self, code0):
         config = soi_only_config(snr_db=4.0, num_symbols=20)
         stream = synthesize(config)
         p0 = desired_path_power(config, config.desired[0])
         k = 4
-        block = DataBlock(
-            symbol_index=k,
-            samples=stream.soi[:, k * CODE_LENGTH : (k + 1) * CODE_LENGTH],
-        )
-        snap = project(block, basis_mic(code0))
+        x_s, x_i = project_stream(stream.soi, basis_mic(code0), 0)
         steer = steering_vector(config.geometry, 0.0)
         expected = math.sqrt(CODE_LENGTH * p0) * stream.symbols[0][k + 1] * steer
-        np.testing.assert_allclose(snap.x_s, expected, rtol=1e-10)
-        assert float(np.max(np.abs(snap.x_i))) <= 1e-9 * float(
-            np.max(np.abs(snap.x_s))
+        np.testing.assert_allclose(x_s[:, k], expected, rtol=1e-10)
+        assert float(np.max(np.abs(x_i[:, k]))) <= 1e-9 * float(
+            np.max(np.abs(x_s[:, k]))
         )
 
     def test_rejects_wrong_block_width(self, rng, code0):
-        block = DataBlock(0, rng.standard_normal((4, CODE_LENGTH - 1)))
-        with pytest.raises(ValueError, match="does not match"):
-            project(block, basis_mic(code0))
+        # a stream narrower than one code length holds no whole window
+        samples = rng.standard_normal((4, CODE_LENGTH - 1))
+        with pytest.raises(ValueError, match="too short"):
+            project_stream(samples, basis_mic(code0), 0)
 
-    def test_fft_route_matches_inner_products(self, code0):
-        basis = basis_mic(code0)
+    def test_fft_route_matches_inner_products(self):
         for seed in range(5):
-            rng = np.random.default_rng(seed)
-            samples = rng.standard_normal((6, CODE_LENGTH)) \
-                + 1j * rng.standard_normal((6, CODE_LENGTH))
-            block = DataBlock(0, samples)
-            direct = project(block, basis)
-            fast = project_fft(block, code0)
-            np.testing.assert_allclose(fast.x_s, direct.x_s, atol=1e-10)
-            np.testing.assert_allclose(fast.x_i, direct.x_i, atol=1e-10)
+            assert fft_projection_gap(seed=seed, num_elements=6) <= 1e-10
 
     def test_fft_route_zero_block(self, code0):
-        block = DataBlock(0, np.zeros((3, CODE_LENGTH), dtype=complex))
-        snap = project_fft(block, code0)
-        assert not snap.x_s.any()
-        assert not snap.x_i.any()
-
-    def test_fft_route_rejects_wrong_width(self, rng, code0):
-        block = DataBlock(0, rng.standard_normal((3, CODE_LENGTH + 1)))
-        with pytest.raises(ValueError, match="does not match"):
-            project_fft(block, code0)
+        x_s, x_i = project_stream(
+            np.zeros((3, CODE_LENGTH), dtype=complex), basis_mic(code0), 0
+        )
+        assert not x_s.any()
+        assert not x_i.any()
 
     @pytest.mark.parametrize("scheme", ["PAPC", "Maximin", "MIC"])
     def test_project_stream_matches_block_loop(self, scheme, rng, code0):
@@ -238,17 +196,15 @@ class TestProject:
         x_s, x_i = project_stream(samples, basis, n0)
         assert x_s.shape == (5, 8)
         assert x_i.shape == (5, 8, basis.num_channels)
-        for k in range(8):
-            start = n0 + k * CODE_LENGTH
-            block = DataBlock(k, samples[:, start : start + CODE_LENGTH])
-            snap = project(block, basis)
-            np.testing.assert_allclose(x_s[:, k], snap.x_s, atol=1e-10)
-            np.testing.assert_allclose(x_i[:, k, :], snap.x_i, atol=1e-10)
+        ref_s, ref_i = direct_projection(samples, basis, n0)
+        np.testing.assert_allclose(x_s, ref_s, atol=1e-10)
+        np.testing.assert_allclose(x_i, ref_i, atol=1e-10)
 
     def test_project_stream_rejects_short_stream(self, rng, code0):
-        samples = rng.standard_normal((4, CODE_LENGTH - 1))
+        # one code length plus two chips, but the offset eats the window
+        samples = rng.standard_normal((4, CODE_LENGTH + 2))
         with pytest.raises(ValueError, match="too short"):
-            project_stream(samples, basis_mic(code0), 0)
+            project_stream(samples, basis_mic(code0), 3)
 
 
 class TestCovariances:
@@ -264,19 +220,6 @@ class TestCovariances:
         np.testing.assert_allclose(pair.r_i, expected_ri, atol=1e-12)
         assert pair.num_symbols == 1
 
-    def test_estimate_matches_array_route(self, rng):
-        x_s = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
-        x_i = rng.standard_normal((4, 9, 3)) + 1j * rng.standard_normal((4, 9, 3))
-        snaps = [
-            SnapshotPair(symbol_index=k, x_s=x_s[:, k], x_i=x_i[:, k, :])
-            for k in range(9)
-        ]
-        a = covariances_from_arrays(x_s, x_i)
-        b = estimate_covariances(snaps)
-        np.testing.assert_allclose(a.r_s, b.r_s, atol=1e-12)
-        np.testing.assert_allclose(a.r_i, b.r_i, atol=1e-12)
-        assert a.num_symbols == b.num_symbols == 9
-
     def test_hermitian_outputs(self, rng):
         x_s = rng.standard_normal((5, 50)) + 1j * rng.standard_normal((5, 50))
         x_i = rng.standard_normal((5, 50, 2)) \
@@ -287,7 +230,7 @@ class TestCovariances:
 
     def test_rejects_empty_and_mismatched(self, rng):
         with pytest.raises(ValueError, match="at least one"):
-            estimate_covariances([])
+            covariances_from_arrays(np.zeros((4, 0)), np.zeros((4, 0, 2)))
         x_s = rng.standard_normal((4, 5))
         x_i = rng.standard_normal((3, 5, 2))
         with pytest.raises(ValueError, match="inconsistent"):
@@ -365,52 +308,3 @@ class TestSolveBatch:
             )
             residual = r_s @ weight - rayleigh * (r_i @ weight)
             assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(r_s)
-
-
-class TestBeamformOutput:
-    def test_inner_product_per_symbol(self, rng):
-        weight = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        x_s = rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10))
-        for k in range(10):
-            out = beamform_output(weight, x_s[:, k])
-            assert out == pytest.approx(complex(np.vdot(weight, x_s[:, k])),
-                                        abs=1e-13)
-
-    def test_orthogonal_weight_silences_source(self):
-        geom = ArrayGeometry(num_elements=4)
-        steer = steering_vector(geom, 0.0)
-        weight = np.array([1.0, -1.0, 1.0, -1.0], dtype=complex) / 2.0
-        assert abs(np.vdot(weight, steer)) <= 1e-12
-        assert abs(beamform_output(weight, steer)) <= 1e-12
-
-    def test_components_sum_to_total(self, rng):
-        weight = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        soi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        interference = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        noise = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        y_soi, y_int, y_noise = beamform_components(
-            weight, soi, interference, noise
-        )
-        total = beamform_output(weight, soi + interference + noise)
-        assert y_soi + y_int + y_noise == pytest.approx(total, abs=1e-12)
-
-    def test_shape_mismatch_raises(self, rng):
-        with pytest.raises(ValueError, match="does not match"):
-            beamform_output(rng.standard_normal(3), rng.standard_normal(4))
-
-
-class TestRakeCombine:
-    def test_single_finger_identity(self):
-        assert rake_combine([1.5 - 2.0j]) == pytest.approx(1.5 - 2.0j)
-
-    def test_coherent_fingers_add(self):
-        y = 0.7 + 0.4j
-        assert rake_combine([y, y]) == pytest.approx(2.0 * y)
-
-    def test_antiphase_fingers_cancel(self):
-        y = 0.7 + 0.4j
-        assert rake_combine([y, -y]) == pytest.approx(0.0)
-
-    def test_empty_finger_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            rake_combine([])

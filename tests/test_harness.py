@@ -7,12 +7,14 @@ reproducibility.
 """
 
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mpb_lab import cli
+from mpb_lab import cli, harness
 from mpb_lab.core import covariances_from_arrays, make_basis, project_stream
 from mpb_lab.harness import (
     ConfigError,
@@ -54,6 +56,33 @@ class TestDefaultSpec:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError, match="preset"):
             default_spec("warp_drive")
+
+    @pytest.mark.parametrize("preset", harness.PRESETS)
+    def test_every_preset_default_validates(self, preset):
+        default_spec(preset).validate()
+
+    @pytest.mark.parametrize(
+        "preset, field, value",
+        [
+            ("tracking", "schemes", ["PAPC"]),  # ran MIC, labelled PAPC
+            ("eigencurve", "schemes", ["MIC", "PAPC"]),
+            ("eigencurve", "inr_list_db", [10.0, 20.0]),
+            ("identical_delay", "schemes", ["PAPC"]),
+            ("identical_delay", "inr_list_db", [20.0]),
+            ("identical_delay", "trials", 3),
+            ("identical_delay", "snr_grid_db", [10.0, 15.0]),
+            ("pattern", "trials", 2),
+            ("convergence", "inr_list_db", [20.0]),
+            ("tracking", "snr_grid_db", [10.0, 20.0]),
+            ("threshold_sweep", "mu", 0.9),
+            ("eigencurve", "monitor_freq", 0.25),  # MIC has no tone monitor
+        ],
+    )
+    def test_settings_a_preset_ignores_are_rejected(self, preset, field, value):
+        spec = default_spec(preset)
+        setattr(spec, field, value)
+        with pytest.raises(ConfigError, match=field):
+            spec.validate()
 
     def test_spec_validation_catches_bad_fields(self):
         spec = default_spec("threshold_sweep")
@@ -156,6 +185,25 @@ class TestLoadConfig:
         assert scenario.desired[0].delay_chips == 2
         assert scenario.mais[0].power == pytest.approx(10.0)
         assert scenario.jammers[0].tone_offset_hz == pytest.approx(1e5)
+
+    @pytest.mark.parametrize("key", ["inr_list_db: [10]", "scenarios: [five_tones]"])
+    def test_custom_scenario_rejects_named_scenario_keys(self, tmp_path, key):
+        text = (
+            "preset: threshold_sweep\n"
+            f"{key}\n"
+            "scenario:\n"
+            "  jammers:\n"
+            "    - {kind: tone, doa_deg: 40, inr_db: 20, tone_offset_hz: 1e5}\n"
+        )
+        with pytest.raises(ConfigError, match="does not read"):
+            load_config(write_config(tmp_path, text))
+
+    def test_readme_yaml_blocks_load(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```yaml\n(.*?)```", readme, flags=re.DOTALL)
+        assert blocks
+        for idx, block in enumerate(blocks):
+            load_config(write_config(tmp_path, block, name=f"readme{idx}.yaml"))
 
     def test_interferer_power_and_inr_exclusive(self, tmp_path):
         text = (
@@ -277,6 +325,17 @@ class TestRunners:
         second = run_threshold_sweep(tiny_sweep_spec())
         assert first.rows == second.rows
 
+    def test_custom_sweep_is_one_unlabelled_cell(self):
+        spec = tiny_sweep_spec(
+            inr_list_db=default_spec("threshold_sweep").inr_list_db,
+            scenario_names=default_spec("threshold_sweep").scenario_names,
+            scenario=five_tones_scenario(20.0, snr_db=0.0, num_symbols=400),
+        )
+        result = run_preset(spec)
+        assert len(result.rows) == len(spec.snr_grid_db)
+        assert {row["scenario"] for row in result.rows} == {"custom"}
+        assert {row["inr_db"] for row in result.rows} == {""}
+
     def test_eigencurve_smoke(self):
         spec = default_spec("eigencurve")
         spec.symbols = 400
@@ -296,7 +355,7 @@ class TestRunners:
         expected = {
             f"{scheme}_snr{snr:g}dB"
             for scheme in spec.schemes
-            for snr in spec.pattern_snrs_db
+            for snr in spec.snr_grid_db
         }
         assert set(result.patterns) == expected
         for samples in result.patterns.values():
@@ -309,7 +368,7 @@ class TestRunners:
         spec = default_spec("convergence")
         spec.symbols = 40
         spec.trials = 2
-        spec.convergence_snrs_db = [20.0]
+        spec.snr_grid_db = [20.0]
         result = run_convergence(spec)
         for scheme in spec.schemes:
             key = f"convergence_symbols_{scheme}_snr20"
@@ -428,6 +487,36 @@ class TestCli:
         assert "wrote" in captured
         assert (out_dir / "results.csv").exists()
         assert (out_dir / "meta.txt").exists()
+
+    @pytest.mark.parametrize(
+        "preset", ["threshold_sweep", "eigencurve", "pattern", "convergence"]
+    )
+    def test_symbols_override_reaches_custom_scenario(
+        self, tmp_path, monkeypatch, preset
+    ):
+        seen = set()
+
+        def spy(config):
+            seen.add(config.num_symbols)
+            return synthesize(config)
+
+        monkeypatch.setattr(harness, "synthesize", spy)
+        grid = "[20]" if preset == "convergence" else "[10, 20]"
+        trials = "" if preset == "pattern" else "trials: 1\n"
+        config = write_config(
+            tmp_path,
+            f"preset: {preset}\nsymbols: 500\n{trials}schemes: [MIC]\n"
+            f"snr_grid_db: {grid}\nscenario:\n  jammers:\n"
+            "    - {kind: tone, doa_deg: 40, inr_db: 20, tone_offset_hz: 1e5}\n",
+        )
+        out_dir = tmp_path / "run"
+        rc = cli.main(
+            [preset, "--config", str(config), "--symbols", "40",
+             "--out", str(out_dir)]
+        )
+        assert rc == 0
+        assert "symbols: 40" in (out_dir / "meta.txt").read_text()
+        assert 40 in seen and 500 not in seen
 
     def test_cli_overrides_win(self, tmp_path, capsys):
         config = write_config(
