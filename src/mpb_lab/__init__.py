@@ -34,7 +34,6 @@ from .analysis import (
 from .core import (
     CovariancePair,
     ProjectionBasis,
-    SnapshotPair,
     basis_maximin,
     basis_mic,
     basis_papc,
@@ -95,7 +94,6 @@ __all__ = [
     "ProjectionBasis",
     "ScenarioConfig",
     "SingularMatrixError",
-    "SnapshotPair",
     "SpreadingCode",
     "ThresholdReport",
     "array_pattern",

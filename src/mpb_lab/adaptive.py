@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .core import ProjectionBasis, SnapshotPair, basis_mic, project_stream
+from .core import ProjectionBasis, basis_mic, project_stream
 from .scenario import ChipStream, SpreadingCode
 
 
@@ -80,19 +80,20 @@ def init(num_elements: int, mu: float, delta: float) -> AdaptiveState:
 
 
 def update_symbol(
-    state: AdaptiveState, snap: SnapshotPair
+    state: AdaptiveState, x_s: np.ndarray, x_i: np.ndarray
 ) -> tuple[AdaptiveState, AdaptiveOutput]:
-    """Advance the state by one symbol and emit the array output.
+    """Advance the state by one symbol's snapshots and emit the array output.
 
-    The snapshot must carry at least one monitoring channel; with the
+    x_s is the (L,) signal snapshot and x_i the (L, r) monitoring
+    snapshots, with at least one monitoring channel; with the
     full code-orthogonal basis r = N-1 this is the per-symbol recursion
     of the multi-channel scheme, and with a single channel it reduces to
     classic exponentially weighted RLS on that channel.
 
     A non-finite snapshot raises without touching the state.
     """
-    x_s = np.asarray(snap.x_s, dtype=np.complex128)
-    x_i = np.asarray(snap.x_i, dtype=np.complex128)
+    x_s = np.asarray(x_s, dtype=np.complex128)
+    x_i = np.asarray(x_i, dtype=np.complex128)
     if x_s.shape != (state.num_elements,):
         raise ValueError(
             f"snapshot dimension {x_s.shape} does not match state "
@@ -160,7 +161,6 @@ def run(
     state = init(stream.num_elements, mu, delta)
     outputs: list[AdaptiveOutput] = []
     for k in range(num_symbols):
-        snap = SnapshotPair(symbol_index=k, x_s=x_s[:, k], x_i=x_i[:, k, :])
-        state, out = update_symbol(state, snap)
+        state, out = update_symbol(state, x_s[:, k], x_i[:, k, :])
         outputs.append(out)
     return outputs

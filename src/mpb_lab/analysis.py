@@ -15,12 +15,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import linalg
 from .core import (
-    CovariancePair,
     ProjectionBasis,
     covariances_from_arrays,
     project_stream,
+    solve_batch,
 )
 from .scenario import (
     ArrayGeometry,
@@ -160,8 +159,7 @@ def estimate_gamma1(
     stream = synthesize(quiet)
     n0 = config.desired[0].delay_chips if config.desired else 0
     x_s, x_i = project_stream(stream.samples, basis, n0)
-    pair = covariances_from_arrays(x_s, x_i)
-    return float(linalg.hermitian_gevd(pair.r_s, pair.r_i).eigenvalues[0] - 1.0)
+    return solve_batch(covariances_from_arrays(x_s, x_i))[0] - 1.0
 
 
 def predicted_threshold(gamma1: float, beta: float, n: int, l: int) -> float:

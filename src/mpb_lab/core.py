@@ -41,15 +41,6 @@ class ProjectionBasis:
 
 
 @dataclass
-class SnapshotPair:
-    """Per-symbol projected snapshots."""
-
-    symbol_index: int
-    x_s: np.ndarray  # (num_elements,)
-    x_i: np.ndarray  # (num_elements, num_channels)
-
-
-@dataclass
 class CovariancePair:
     """Sample covariances of the signal and monitoring channels."""
 
@@ -135,13 +126,11 @@ def project_stream(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project every whole window of a raw stream at offset n0.
 
-    Returns (x_s, x_i) with shapes (L, K) and (L, K, channels); the MIC
-    basis goes through the batched code-matched FFT, everything else
-    through the direct inner products. Multiplying a window by the chips
-    and taking its length-N FFT evaluates every remodulated-code
-    correlation at once: bin 0 is the signal channel and bins 1..N-1 are
-    the monitoring channels. oracles.direct_projection is the
-    window-by-window reference for both routes.
+    Returns (x_s, x_i) with shapes (L, K) and (L, K, channels), both
+    C-contiguous: one matrix product of the (L, K, N) window view with
+    the conjugated basis, the same for every scheme.
+    oracles.direct_projection is the window-by-window reference and
+    oracles.fft_projection the code-matched FFT twin for MIC.
     """
     n = basis.h_s.size
     if not 0 <= n0 < n:
@@ -152,13 +141,18 @@ def project_stream(
     windows = samples[:, n0 : n0 + num_blocks * n].reshape(
         samples.shape[0], num_blocks, n
     )
-    if basis.scheme == "MIC":
-        chips = np.sqrt(float(n)) * basis.h_s.real
-        spectrum = np.fft.fft(windows * chips[None, None, :], axis=2) / np.sqrt(n)
-        return spectrum[:, :, 0], spectrum[:, :, 1:]
-    x_s = windows @ basis.h_s.conj()
-    x_i = np.einsum("lkn,nr->lkr", windows, basis.h_i.conj())
-    return x_s, x_i
+    return windows @ basis.h_s.conj(), windows @ basis.h_i.conj()
+
+
+def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sample cross-Gram of two snapshot stacks of equal shape.
+
+    Both stacks are (L, ...) with the same trailing axes; every trailing
+    index is one snapshot, so the result is the L x L mean of a_k b_k^H
+    over them. Not symmetrized: a cross-Gram need not be Hermitian.
+    """
+    a = a.reshape(len(a), -1)
+    return (a @ b.reshape(len(b), -1).conj().T) / a.shape[1]
 
 
 def covariances_from_arrays(
@@ -169,25 +163,24 @@ def covariances_from_arrays(
         raise ValueError(
             f"snapshot stacks have inconsistent shapes {x_s.shape} / {x_i.shape}"
         )
-    num_symbols = x_s.shape[1]
-    channels = x_i.shape[2]
-    if num_symbols < 1 or channels < 1:
+    if x_s.shape[1] < 1 or x_i.shape[2] < 1:
         raise ValueError("need at least one snapshot and one channel")
-    r_s = (x_s @ x_s.conj().T) / num_symbols
-    r_i = np.einsum("lkr,mkr->lm", x_i, x_i.conj()) / (num_symbols * channels)
+    r_s = gram(x_s, x_s)
+    r_i = gram(x_i, x_i)
     return CovariancePair(
         r_s=0.5 * (r_s + r_s.conj().T),
         r_i=0.5 * (r_i + r_i.conj().T),
-        num_symbols=num_symbols,
+        num_symbols=x_s.shape[1],
     )
 
 
-def solve_batch(pair: CovariancePair) -> np.ndarray:
-    """Batch weight: dominant generalized eigenvector of (r_s, r_i).
+def solve_batch(pair: CovariancePair) -> tuple[float, np.ndarray]:
+    """Batch solution of the pair (r_s, r_i): its largest generalized
+    eigenvalue and the dominant generalized eigenvector.
 
-    Returned with unit Euclidean norm and the standard phase convention
-    (first significant component real positive).
+    The weight is returned with unit Euclidean norm and the standard
+    phase convention (first significant component real positive).
     """
     result = linalg.hermitian_gevd(pair.r_s, pair.r_i)
     weight = result.eigenvectors[:, 0]
-    return weight / np.linalg.norm(weight)
+    return float(result.eigenvalues[0]), weight / np.linalg.norm(weight)

@@ -10,10 +10,11 @@ seed that produced it, and results.csv content is a pure function of
 The sweep-style presets exploit that every synthesized stream is an
 exact sum of a unit-reference desired component, an interference
 component and a noise component, and that only the desired amplitude
-changes across the SNR grid: pairwise component Grams are accumulated
-once per (scenario, INR, trial) and the covariance pair for any SNR is
-assembled algebraically. This matches per-SNR re-estimation to roundoff
-and is verified against the direct path in the test suite.
+changes across the SNR grid: the block Gram of the three components is
+accumulated once per (scenario, INR, trial) and the covariance pair for
+any SNR is assembled from it algebraically. This matches per-SNR
+re-estimation to roundoff and is verified against the direct path in
+the test suite.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .core import (
     CovariancePair,
     ProjectionBasis,
     covariances_from_arrays,
+    gram,
     make_basis,
     project_stream,
     solve_batch,
@@ -166,6 +168,13 @@ class ExperimentSpec:
                     f"{self.preset} reads only {limit} entry of {name}, "
                     f"got {len(getattr(self, name))}"
                 )
+        # the knobs' ranges are the ones the basis and solver set-up check
+        try:
+            for scheme in self.schemes:
+                _scheme_basis(self, scheme)
+            adaptive_mod.init(1, self.mu, self.delta_scale)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.scenario is not None:
             self.scenario.validate()
 
@@ -531,73 +540,66 @@ def _format_cell(value) -> str:
 # ---------------------------------------------------------------------------
 # component-Gram fast path
 
-_COMPONENTS = ("soi", "interference", "noise")
-
 
 @dataclass
 class SchemeGrams:
-    """Pairwise component Grams of the projected snapshots of one basis.
+    """Block Grams of the projected [soi; interference; noise] snapshots
+    of one basis: s_gram over the signal channel, i_gram over the
+    monitoring channels, each 3L x 3L with block (a, b) the cross-Gram
+    of components a and b.
 
     Assembling with amplitude alpha reproduces the covariance pair the
     direct estimator would compute on a stream whose desired component
     is alpha times the reference stream's.
     """
 
-    basis: ProjectionBasis
     num_symbols: int
-    s_grams: dict[tuple[str, str], np.ndarray]
-    i_grams: dict[tuple[str, str], np.ndarray]
-
-    def _assemble(self, grams, alpha: float) -> np.ndarray:
-        coef = {"soi": alpha, "interference": 1.0, "noise": 1.0}
-        total = None
-        for (a, b), gram in grams.items():
-            term = coef[a] * coef[b] * gram
-            if a != b:
-                term = term + term.conj().T
-            total = term if total is None else total + term
-        return 0.5 * (total + total.conj().T)
+    s_gram: np.ndarray
+    i_gram: np.ndarray
 
     def covariance_pair(self, alpha: float) -> CovariancePair:
+        """C G C^T for both Grams, with C = [alpha I, I, I]."""
+        eye = np.eye(len(self.s_gram) // 3)
+        mix = np.hstack((alpha * eye, eye, eye))
+        r_s = mix @ self.s_gram @ mix.T
+        r_i = mix @ self.i_gram @ mix.T
         return CovariancePair(
-            r_s=self._assemble(self.s_grams, alpha),
-            r_i=self._assemble(self.i_grams, alpha),
+            r_s=0.5 * (r_s + r_s.conj().T),
+            r_i=0.5 * (r_i + r_i.conj().T),
             num_symbols=self.num_symbols,
         )
 
     def sinr_covariances(
         self, alpha: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Signal-channel component covariances (soi scaled, interference, noise)."""
-        return (
-            alpha**2 * self.s_grams[("soi", "soi")],
-            self.s_grams[("interference", "interference")],
-            self.s_grams[("noise", "noise")],
-        )
+        """Signal-channel component covariances (soi scaled, interference, noise):
+        the diagonal blocks of s_gram."""
+        l = len(self.s_gram) // 3
+        soi, interference, noise = (self.s_gram[k : k + l, k : k + l]
+                                    for k in range(0, 3 * l, l))
+        return alpha**2 * soi, interference, noise
 
 
 def component_grams(
     stream: ChipStream, basis: ProjectionBasis, n0: int
 ) -> SchemeGrams:
-    """Project each component stream once and accumulate pairwise Grams."""
-    projected = {}
-    for name in _COMPONENTS:
-        projected[name] = project_stream(getattr(stream, name), basis, n0)
-    num_symbols = projected["soi"][0].shape[1]
-    channels = basis.num_channels
-    s_grams: dict[tuple[str, str], np.ndarray] = {}
-    i_grams: dict[tuple[str, str], np.ndarray] = {}
-    for i, a in enumerate(_COMPONENTS):
-        for b in _COMPONENTS[i:]:
-            xs_a, xi_a = projected[a]
-            xs_b, xi_b = projected[b]
-            s_grams[(a, b)] = (xs_a @ xs_b.conj().T) / num_symbols
-            i_grams[(a, b)] = np.einsum(
-                "lkr,mkr->lm", xi_a, xi_b.conj()
-            ) / (num_symbols * channels)
-    return SchemeGrams(
-        basis=basis, num_symbols=num_symbols, s_grams=s_grams, i_grams=i_grams
-    )
+    """Project each component stream once and fill the block Grams pair
+    by pair (no stacked copy of the three projections)."""
+    projected = [
+        project_stream(component, basis, n0)
+        for component in (stream.soi, stream.interference, stream.noise)
+    ]
+    l = stream.num_elements
+    blocks = [slice(k * l, (k + 1) * l) for k in range(3)]
+    s_gram = np.empty((3 * l, 3 * l), dtype=np.complex128)
+    i_gram = np.empty((3 * l, 3 * l), dtype=np.complex128)
+    for a in range(3):
+        for b in range(a, 3):
+            for out, side in ((s_gram, 0), (i_gram, 1)):
+                block = gram(projected[a][side], projected[b][side])
+                out[blocks[a], blocks[b]] = block
+                out[blocks[b], blocks[a]] = block.conj().T
+    return SchemeGrams(projected[0][0].shape[1], s_gram, i_gram)
 
 
 def _scheme_basis(spec: ExperimentSpec, scheme: str) -> ProjectionBasis:
@@ -683,13 +685,11 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
             snr_ref = config.snr_linear
             for scheme in spec.schemes:
                 grams = component_grams(stream, bases[scheme], n0)
-                quiet = grams.covariance_pair(0.0)
-                gamma1_acc[scheme] += float(
-                    hermitian_gevd(quiet.r_s, quiet.r_i).eigenvalues[0] - 1.0
-                )
+                gamma1_acc[scheme] += solve_batch(grams.covariance_pair(0.0))[0] - 1.0
                 for g_idx, alpha in enumerate(alphas):
-                    pair = grams.covariance_pair(alpha / math.sqrt(snr_ref))
-                    weight = solve_batch(pair)
+                    lam1, weight = solve_batch(
+                        grams.covariance_pair(alpha / math.sqrt(snr_ref))
+                    )
                     soi_cov, int_cov, noise_cov = grams.sinr_covariances(
                         alpha / math.sqrt(snr_ref)
                     )
@@ -698,9 +698,7 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
                         weight, soi_cov, int_cov, noise_cov,
                         snr_linear, config.geometry.num_elements,
                     )
-                    lam_sum[scheme][g_idx] += float(
-                        hermitian_gevd(pair.r_s, pair.r_i).eigenvalues[0]
-                    )
+                    lam_sum[scheme][g_idx] += lam1
             del stream
 
         n = config.processing_gain
@@ -766,10 +764,7 @@ def run_eigencurve(spec: ExperimentSpec) -> ExperimentResult:
             spec, builder, (spec.seed, 0, trial), snr_db=0.0
         )
         grams = component_grams(stream, basis, n0)
-        quiet = grams.covariance_pair(0.0)
-        gamma1_acc += float(
-            hermitian_gevd(quiet.r_s, quiet.r_i).eigenvalues[0] - 1.0
-        )
+        gamma1_acc += solve_batch(grams.covariance_pair(0.0))[0] - 1.0
         snr_ref = config.snr_linear
         for g_idx, snr_db in enumerate(grid):
             alpha = 10.0 ** (snr_db / 20.0) / math.sqrt(snr_ref)
@@ -827,7 +822,7 @@ def run_pattern(spec: ExperimentSpec) -> ExperimentResult:
         grams = component_grams(stream, basis, n0)
         for snr_db in spec.snr_grid_db:
             alpha = 10.0 ** (snr_db / 20.0) / math.sqrt(snr_ref)
-            weight = solve_batch(grams.covariance_pair(alpha))
+            _, weight = solve_batch(grams.covariance_pair(alpha))
             samples = array_pattern(weight, config.geometry, PATTERN_GRID_DEG)
             name = f"{scheme}_snr{snr_db:g}dB"
             patterns[name] = samples
@@ -867,7 +862,7 @@ def _clutter_covariance(
     code = generate_gold_codes(1)[0]
     basis = make_basis("MIC", code)
     x_s, _ = project_stream(stream.samples, basis, n0)
-    cov = (x_s @ x_s.conj().T) / x_s.shape[1]
+    cov = gram(x_s, x_s)
     return 0.5 * (cov + cov.conj().T)
 
 
@@ -1058,8 +1053,7 @@ def run_identical_delay(spec: ExperimentSpec) -> ExperimentResult:
         for g_idx, group in enumerate(groups):
             n0 = config.desired[group[0]].delay_chips
             x_s, x_i = project_stream(stream.samples, basis, n0)
-            pair = covariances_from_arrays(x_s, x_i)
-            weight = solve_batch(pair)
+            _, weight = solve_batch(covariances_from_arrays(x_s, x_i))
             samples = array_pattern(weight, config.geometry, PATTERN_GRID_DEG)
             name = (
                 f"{variant}" if len(groups) == 1 else f"{variant}_path{g_idx + 1}"

@@ -61,20 +61,12 @@ def normalize_phase(vectors: np.ndarray) -> np.ndarray:
     stable when leading entries are exact zeros plus roundoff dust.
     """
     fixed = np.array(vectors, dtype=np.complex128, copy=True)
-    if fixed.ndim == 1:
-        fixed = fixed[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    for j in range(fixed.shape[1]):
-        col = fixed[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        lead = col[np.flatnonzero(mags > 1e-8 * top)[0]]
-        fixed[:, j] = col * np.exp(-1j * np.angle(lead))
-    return fixed[:, 0] if squeeze else fixed
+    columns = fixed.reshape(len(fixed), -1)  # a view; 1-D input is one column
+    mags = np.abs(columns)
+    # a zero column has lead 0 and angle 0, so it is left unchanged
+    lead = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    columns *= np.exp(-1j * np.angle(columns[lead, np.arange(columns.shape[1])]))
+    return fixed
 
 
 def hermitian_gevd(a: np.ndarray, b: np.ndarray) -> GevdResult:

@@ -275,7 +275,7 @@ def test_criterion_06_recursion_reaches_batch_solution(code0, announce):
     stream = synthesize(config)
     outputs = adaptive.run(stream, code0, 0, mu=0.999, delta=1e-3)
     x_s, x_i = project_stream(stream.samples, basis_mic(code0), 0)
-    batch_weight = solve_batch(covariances_from_arrays(x_s, x_i))
+    _, batch_weight = solve_batch(covariances_from_arrays(x_s, x_i))
     angle = subspace_angle(outputs[-1].w, batch_weight)
     ok = angle <= 0.05
     announce(

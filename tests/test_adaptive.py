@@ -11,7 +11,6 @@ import pytest
 
 from mpb_lab import adaptive
 from mpb_lab.core import (
-    SnapshotPair,
     basis_mic,
     basis_papc,
     covariances_from_arrays,
@@ -23,12 +22,13 @@ from mpb_lab.presets import convergence_scenario
 from mpb_lab.scenario import synthesize
 
 
-def random_snapshot(rng, num_elements=6, channels=3, symbol_index=0):
+def random_snapshot(rng, num_elements=6, channels=3):
+    """One symbol's (x_s, x_i) snapshots."""
     x_s = rng.standard_normal(num_elements) \
         + 1j * rng.standard_normal(num_elements)
     x_i = rng.standard_normal((num_elements, channels)) \
         + 1j * rng.standard_normal((num_elements, channels))
-    return SnapshotPair(symbol_index=symbol_index, x_s=x_s, x_i=x_i)
+    return x_s, x_i
 
 
 class TestInit:
@@ -56,10 +56,10 @@ class TestInit:
 class TestUpdateSymbol:
     def test_output_uses_pre_update_weight(self, rng):
         state = adaptive.init(6, mu=0.95, delta=1e-2)
-        snap = random_snapshot(rng)
+        x_s, x_i = random_snapshot(rng)
         # fresh state has w = e1, so the first output is just x_s[0]
-        _, out = adaptive.update_symbol(state, snap)
-        assert out.y_o == pytest.approx(complex(snap.x_s[0]), abs=1e-12)
+        _, out = adaptive.update_symbol(state, x_s, x_i)
+        assert out.y_o == pytest.approx(complex(x_s[0]), abs=1e-12)
         assert not np.array_equal(out.w, np.eye(6)[0])
 
     def test_zero_monitor_symbols_scale_inverse_once(self):
@@ -67,14 +67,11 @@ class TestUpdateSymbol:
         # applied exactly once per symbol: P -> P / mu
         mu = 0.9
         state = adaptive.init(4, mu=mu, delta=1.0)
-        snap = SnapshotPair(
-            symbol_index=0,
-            x_s=np.zeros(4, dtype=complex),
-            x_i=np.zeros((4, 5), dtype=complex),
-        )
-        adaptive.update_symbol(state, snap)
+        x_s = np.zeros(4, dtype=complex)
+        x_i = np.zeros((4, 5), dtype=complex)
+        adaptive.update_symbol(state, x_s, x_i)
         np.testing.assert_allclose(state.p, np.eye(4) / mu, atol=1e-12)
-        adaptive.update_symbol(state, snap)
+        adaptive.update_symbol(state, x_s, x_i)
         np.testing.assert_allclose(state.p, np.eye(4) / mu**2, atol=1e-12)
 
     def test_inverse_tracks_dense_accumulation(self, rng):
@@ -83,9 +80,9 @@ class TestUpdateSymbol:
         state = adaptive.init(num_elements, mu, delta)
         dense = delta * np.eye(num_elements, dtype=complex)
         for k in range(200):
-            snap = random_snapshot(rng, num_elements, channels, k)
-            adaptive.update_symbol(state, snap)
-            x_hat = snap.x_i / np.sqrt(channels)
+            x_s, x_i = random_snapshot(rng, num_elements, channels)
+            adaptive.update_symbol(state, x_s, x_i)
+            x_hat = x_i / np.sqrt(channels)
             dense = mu * dense + x_hat @ x_hat.conj().T
             np.testing.assert_allclose(
                 state.p, np.linalg.inv(dense), atol=1e-8, rtol=1e-8
@@ -96,28 +93,28 @@ class TestUpdateSymbol:
         state = adaptive.init(5, mu, delta)
         dense = delta * np.eye(5, dtype=complex)
         for k in range(50):
-            snap = random_snapshot(rng, 5, 2, k)
-            adaptive.update_symbol(state, snap)
-            dense = mu * dense + np.outer(snap.x_s, snap.x_s.conj())
+            x_s, x_i = random_snapshot(rng, 5, 2)
+            adaptive.update_symbol(state, x_s, x_i)
+            dense = mu * dense + np.outer(x_s, x_s.conj())
             np.testing.assert_allclose(state.r_s, dense, atol=1e-10)
 
     def test_asymmetry_diagnostic_stays_tiny(self, rng):
         state = adaptive.init(6, mu=0.98, delta=1e-3)
         worst = 0.0
         for k in range(500):
-            _, out = adaptive.update_symbol(state, random_snapshot(rng, 6, 4, k))
+            _, out = adaptive.update_symbol(state, *random_snapshot(rng, 6, 4))
             worst = max(worst, out.p_asymmetry)
         assert worst <= 1e-10
 
     def test_non_finite_snapshot_leaves_state_untouched(self, rng):
         state = adaptive.init(4, mu=0.95, delta=1e-2)
-        adaptive.update_symbol(state, random_snapshot(rng, 4, 2, 0))
+        adaptive.update_symbol(state, *random_snapshot(rng, 4, 2))
         before = (state.r_s.copy(), state.p.copy(), state.w.copy(),
                   state.symbol_count)
-        bad = random_snapshot(rng, 4, 2, 1)
-        bad.x_i[2, 1] = np.nan
+        x_s, x_i = random_snapshot(rng, 4, 2)
+        x_i[2, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            adaptive.update_symbol(state, bad)
+            adaptive.update_symbol(state, x_s, x_i)
         np.testing.assert_array_equal(state.r_s, before[0])
         np.testing.assert_array_equal(state.p, before[1])
         np.testing.assert_array_equal(state.w, before[2])
@@ -126,16 +123,15 @@ class TestUpdateSymbol:
     def test_shape_validation(self, rng):
         state = adaptive.init(4, mu=0.95, delta=1e-2)
         with pytest.raises(ValueError, match="does not match"):
-            adaptive.update_symbol(state, random_snapshot(rng, 5, 2))
-        bad = SnapshotPair(0, np.zeros(4, dtype=complex),
-                           np.zeros((4, 0), dtype=complex))
+            adaptive.update_symbol(state, *random_snapshot(rng, 5, 2))
         with pytest.raises(ValueError, match="invalid shape"):
-            adaptive.update_symbol(state, bad)
+            adaptive.update_symbol(state, np.zeros(4, dtype=complex),
+                                   np.zeros((4, 0), dtype=complex))
 
     def test_symbol_count_and_output_index(self, rng):
         state = adaptive.init(4, mu=0.95, delta=1e-2)
         for k in range(5):
-            _, out = adaptive.update_symbol(state, random_snapshot(rng, 4, 2, k))
+            _, out = adaptive.update_symbol(state, *random_snapshot(rng, 4, 2))
             assert out.symbol_index == k
         assert state.symbol_count == 5
 
@@ -185,6 +181,6 @@ class TestRun:
         stream = synthesize(config)
         outputs = adaptive.run(stream, code0, 0, mu=0.999, delta=1e-3)
         x_s, x_i = project_stream(stream.samples, basis_mic(code0), 0)
-        batch_weight = solve_batch(covariances_from_arrays(x_s, x_i))
+        _, batch_weight = solve_batch(covariances_from_arrays(x_s, x_i))
         angle = subspace_angle(outputs[-1].w, batch_weight)
         assert angle <= 0.05

@@ -1,9 +1,9 @@
 """Projection bases, despreading snapshots, and batch weight solving.
 
 Projection outputs are validated against hand-computed analytic forms
-(single-path despreading gains, matched-filter weights) and against the
-window-by-window inner-product reference in oracles.direct_projection;
-the FFT route is checked against that reference.
+(single-path despreading gains, matched-filter weights), against the
+window-by-window inner-product reference in oracles.direct_projection
+and, for MIC, against the code-matched FFT route in oracles.
 """
 
 import math
@@ -21,6 +21,7 @@ from mpb_lab.core import (
     project_stream,
     solve_batch,
 )
+from mpb_lab.linalg import hermitian_gevd
 from mpb_lab.oracles import direct_projection, fft_projection_gap
 from mpb_lab.scenario import (
     CODE_LENGTH,
@@ -180,9 +181,10 @@ class TestProject:
         for seed in range(5):
             assert fft_projection_gap(seed=seed, num_elements=6) <= 1e-10
 
-    def test_fft_route_zero_block(self, code0):
+    @pytest.mark.parametrize("scheme", ["PAPC", "Maximin", "MIC"])
+    def test_project_stream_zero_block(self, scheme, code0):
         x_s, x_i = project_stream(
-            np.zeros((3, CODE_LENGTH), dtype=complex), basis_mic(code0), 0
+            np.zeros((3, CODE_LENGTH), dtype=complex), make_basis(scheme, code0), 0
         )
         assert not x_s.any()
         assert not x_i.any()
@@ -273,7 +275,7 @@ class TestSolveBatch:
         steer = steering_vector(ArrayGeometry(num_elements=6), 20.0)
         r_s = 4.0 * np.outer(steer, steer.conj()) + np.eye(6)
         r_i = np.eye(6)
-        weight = solve_batch(CovariancePair(r_s, r_i, num_symbols=100))
+        _, weight = solve_batch(CovariancePair(r_s, r_i, num_symbols=100))
         expected = steer / np.linalg.norm(steer)
         np.testing.assert_allclose(weight, expected, atol=1e-10)
         rayleigh = float(
@@ -289,7 +291,7 @@ class TestSolveBatch:
         r_s = 2.0 * np.outer(soi, soi.conj()) \
             + 50.0 * np.outer(jam, jam.conj()) + np.eye(8)
         r_i = 50.0 * np.outer(jam, jam.conj()) + np.eye(8)
-        weight = solve_batch(CovariancePair(r_s, r_i, 100))
+        _, weight = solve_batch(CovariancePair(r_s, r_i, 100))
         soi_gain = abs(np.vdot(weight, soi)) ** 2
         jam_gain = abs(np.vdot(weight, jam)) ** 2
         assert soi_gain > 100.0 * jam_gain
@@ -300,7 +302,9 @@ class TestSolveBatch:
             b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
             r_s = a @ a.conj().T + np.eye(6)
             r_i = b @ b.conj().T + np.eye(6)
-            weight = solve_batch(CovariancePair(r_s, r_i, 100))
+            lam1, weight = solve_batch(CovariancePair(r_s, r_i, 100))
+            # lambda1 is the pencil's largest eigenvalue, from the same GEVD
+            assert lam1 == hermitian_gevd(r_s, r_i).eigenvalues[0]
             assert np.linalg.norm(weight) == pytest.approx(1.0, abs=1e-12)
             rayleigh = complex(
                 (weight.conj() @ r_s @ weight)

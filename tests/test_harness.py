@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpb_lab import cli, harness
+from mpb_lab import cli, harness, linalg
 from mpb_lab.core import covariances_from_arrays, make_basis, project_stream
 from mpb_lab.harness import (
     ConfigError,
@@ -320,6 +320,24 @@ class TestRunners:
         result = run_preset(tiny_sweep_spec())
         assert result.preset == "threshold_sweep"
 
+    def test_sweep_solves_one_gevd_per_grid_point(self, monkeypatch):
+        # one GEVD per grid point (solve_batch's, which also gives lambda1)
+        # plus one for the gamma1 quiet pair, per trial and scheme
+        calls = []
+        original = linalg.hermitian_gevd
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(linalg, "hermitian_gevd", counting)
+        monkeypatch.setattr(harness, "hermitian_gevd", counting)
+        spec = tiny_sweep_spec(schemes=["MIC", "PAPC"])
+        run_threshold_sweep(spec)
+        assert len(calls) == (
+            spec.trials * len(spec.schemes) * (len(spec.snr_grid_db) + 1)
+        )
+
     def test_deterministic_rows(self):
         first = run_threshold_sweep(tiny_sweep_spec())
         second = run_threshold_sweep(tiny_sweep_spec())
@@ -457,6 +475,23 @@ class TestCli:
 
     def test_validate_bad_config(self, tmp_path, capsys):
         path = write_config(tmp_path, "preset: eigencurve\nwarp: 1\n")
+        assert cli.main(["validate", "--config", str(path)]) == 1
+        assert "INVALID" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "preset: threshold_sweep\nschemes: [PAPC]\npapc_chip_index: 40\n",
+            "preset: threshold_sweep\nschemes: [Maximin]\nmonitor_freq: 2.0\n",
+            "preset: tracking\nmu: 1.5\n",
+            "preset: convergence\ndelta_scale: -1\n",
+        ],
+        ids=["papc_chip_index", "monitor_freq", "mu", "delta_scale"],
+    )
+    def test_validate_rejects_out_of_range_knobs(self, tmp_path, capsys, text):
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError):
+            load_config(path)
         assert cli.main(["validate", "--config", str(path)]) == 1
         assert "INVALID" in capsys.readouterr().err
 

@@ -159,6 +159,23 @@ class TestNormalizePhase:
         col = np.zeros(3, dtype=complex)
         np.testing.assert_array_equal(normalize_phase(col), col)
 
+    def test_matrix_columns_normalized_one_by_one(self, rng):
+        vectors = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        vectors[:, 1] = 0.0
+        vectors[0, 2] = 1e-20
+        fixed = normalize_phase(vectors)
+        for j in range(vectors.shape[1]):
+            col = vectors[:, j]
+            np.testing.assert_array_equal(fixed[:, j], normalize_phase(col))
+            # reference: rotate by the first entry above 1e-8 of the peak
+            mags = np.abs(col)
+            expected = col
+            if mags.max() > 0.0:
+                lead = col[np.flatnonzero(mags > 1e-8 * mags.max())[0]]
+                expected = col * np.exp(-1j * np.angle(lead))
+            np.testing.assert_array_equal(fixed[:, j], expected)
+        np.testing.assert_array_equal(fixed[:, 1], 0.0)
+
 
 class TestRankOneInverseUpdate:
     def test_zero_vector_scales_inverse(self, rng):

@@ -2,6 +2,8 @@
 
 Usage:
     python3 tools/preset_digests.py > digests.txt
+    python3 tools/preset_digests.py --keep DIR
+    python3 tools/preset_digests.py --compare DIR_A DIR_B
 
 Each preset runs once at a fixed size far below desk scale (a few
 seconds in all) and the script prints one line per CSV it wrote:
@@ -11,18 +13,27 @@ byte-identical at this spec, which is the evidence a change that must
 not move any published number has to show. The package is imported
 from the ``src/`` directory next to this script, so each checkout
 measures its own code.
+
+A digest mismatch cannot tell roundoff from a real change. ``--keep DIR``
+also writes the CSVs to DIR/<preset>/; ``--compare DIR_A DIR_B`` then
+reads two such directories (no preset is run) and prints, per CSV,
+``preset file changed_cells worst_rel_gap column``, where a cell counts
+as changed when its text differs and the gap is |a - b| / max(|a|, |b|).
+It exits with status 1 when a CSV is missing on one side or a header, a
+row count or a non-numeric cell differs.
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
 import hashlib
+import math
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from mpb_lab import harness  # noqa: E402
 
 SIZES: dict[str, dict[str, int]] = {
     "threshold_sweep": {"symbols": 400, "trials": 2},
@@ -34,17 +45,109 @@ SIZES: dict[str, dict[str, int]] = {
 }
 
 
-def main() -> int:
+def run_presets(root: Path) -> None:
+    """Run every preset at its small spec, writing into root/<preset>/."""
+    from mpb_lab import harness
+
+    for preset, sizes in SIZES.items():
+        spec = harness.default_spec(preset)
+        for key, value in sizes.items():
+            setattr(spec, key, value)
+        out = root / preset
+        harness.write_result(harness.run_preset(spec), out)
+        for path in sorted(out.glob("*.csv")):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{preset} {path.name} {digest}")
+
+
+def _rows(path: Path) -> tuple[list[list[str]], list[str], list[list[str]]]:
+    """(comment lines as [key, value], header, data rows) of one CSV."""
+    comments, table = [], []
+    with path.open(newline="") as handle:
+        for line in handle:
+            if line.startswith("#"):
+                comments.append(line[1:].strip().split("=", 1))
+            else:
+                table.append(line)
+    header, *rows = list(csv.reader(table))
+    return comments, header, rows
+
+
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def compare_csv(path_a: Path, path_b: Path) -> tuple[int, float, str, list[str]]:
+    """(changed cells, worst relative gap, its column, structural problems)."""
+    comments_a, header_a, rows_a = _rows(path_a)
+    comments_b, header_b, rows_b = _rows(path_b)
+    if header_a != header_b:
+        return 0, 0.0, "", [f"header differs: {header_a} vs {header_b}"]
+    if len(rows_a) != len(rows_b) or len(comments_a) != len(comments_b):
+        return 0, 0.0, "", [f"row count differs: {len(rows_a)} vs {len(rows_b)}"]
+    cells = [
+        (f"# {ca[0]}", a, b)
+        for ca, cb in zip(comments_a, comments_b)
+        for a, b in zip(ca, cb)
+    ]
+    for row_a, row_b in zip(rows_a, rows_b):
+        if len(row_a) != len(row_b):
+            return 0, 0.0, "", ["row width differs"]
+        cells += list(zip(header_a, row_a, row_b))
+    changed, worst, where, texts = 0, 0.0, "", []
+    for column, a, b in cells:
+        if a == b:
+            continue
+        changed += 1
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            texts.append(f"{column}: {a!r} vs {b!r}")
+            continue
+        gap = abs(x - y) / max(abs(x), abs(y))
+        if math.isnan(gap):  # inf against inf of the other sign
+            gap = math.inf
+        if gap > worst or not where:
+            worst, where = gap, column
+    problems = (
+        [f"{len(texts)} non-numeric cell(s) differ, first {texts[0]}"] if texts else []
+    )
+    return changed, worst, where, problems
+
+
+def compare_dirs(dir_a: Path, dir_b: Path) -> int:
+    names_a = {p.relative_to(dir_a) for p in dir_a.glob("*/*.csv")}
+    names_b = {p.relative_to(dir_b) for p in dir_b.glob("*/*.csv")}
+    status = 0
+    for name in sorted(names_a ^ names_b):
+        print(f"{name.parent} {name.name} missing on one side")
+        status = 1
+    for name in sorted(names_a & names_b):
+        changed, worst, where, problems = compare_csv(dir_a / name, dir_b / name)
+        print(f"{name.parent} {name.name} {changed} {worst:.3g} {where or '-'}")
+        for problem in problems:
+            print(f"  {problem}")
+            status = 1
+    return status
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--keep", metavar="DIR", type=Path,
+                       help="also write the CSVs to DIR/<preset>/")
+    group.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
+                       type=Path, help="compare two --keep directories")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare_dirs(*args.compare)
+    if args.keep:
+        run_presets(args.keep)
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
-        for preset, sizes in SIZES.items():
-            spec = harness.default_spec(preset)
-            for key, value in sizes.items():
-                setattr(spec, key, value)
-            out = Path(tmp) / preset
-            harness.write_result(harness.run_preset(spec), out)
-            for path in sorted(out.glob("*.csv")):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{preset} {path.name} {digest}")
+        run_presets(Path(tmp))
     return 0
 
 
