@@ -6,14 +6,14 @@ The library splits into six layers:
 - scenario: Gold codes, array geometry, synthetic chip-rate streams
 - core: projection bases (PAPC / Maximin / MIC), covariance pairs,
   batch weight solving
-- adaptive: the per-symbol recursive solver (shared by MIC and
-  PAPC-RLS)
+- adaptive: the per-symbol recursive solver, all trials at once
+  (shared by MIC and PAPC-RLS)
 - analysis: leakage / threshold theory, SINR metrics, beam patterns,
   applicability checks
 - harness + cli: experiment presets, config files, CSV emission
 """
 
-from .adaptive import AdaptiveOutput, AdaptiveState, init, run, update_symbol
+from .adaptive import AdaptiveOutput, run
 from .analysis import (
     ConditionReport,
     PatternSample,
@@ -53,12 +53,8 @@ from .harness import (
     write_result,
 )
 from .linalg import (
-    GevdResult,
     SingularMatrixError,
     hermitian_gevd,
-    normalize_phase,
-    power_iteration_step,
-    rank_one_inverse_update,
     subspace_angle,
 )
 from .scenario import (
@@ -79,7 +75,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveOutput",
-    "AdaptiveState",
     "ArrayGeometry",
     "ChipStream",
     "ConditionReport",
@@ -87,7 +82,6 @@ __all__ = [
     "CovariancePair",
     "ExperimentResult",
     "ExperimentSpec",
-    "GevdResult",
     "JammerSpec",
     "PathSpec",
     "PatternSample",
@@ -109,17 +103,14 @@ __all__ = [
     "generate_gold_codes",
     "group_identical_delays",
     "hermitian_gevd",
-    "init",
     "lambda_max_prediction",
     "load_config",
     "make_basis",
     "measure_threshold",
     "mvdr_optimum_sinr",
-    "normalize_phase",
     "normalized_sinr_from_covariances",
     "output_sinr",
     "plr_beta",
-    "power_iteration_step",
     "predicted_threshold",
     "project_stream",
     "run",
@@ -130,6 +121,5 @@ __all__ = [
     "subspace_angle",
     "synthesize",
     "threshold_beta",
-    "update_symbol",
     "write_result",
 ]

@@ -15,6 +15,10 @@ Per symbol k the update is
 so the forgetting factor is applied exactly once per symbol on each
 covariance, and the emitted output always uses the weight held before
 the update (the weight that the data of symbol k could not influence).
+
+Every array carries a leading trial axis: independent Monte-Carlo
+trials advance together, one symbol at a time, and a single trial is
+the same code with T = 1.
 """
 
 from __future__ import annotations
@@ -25,142 +29,114 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .core import ProjectionBasis, basis_mic, project_stream
-from .scenario import ChipStream, SpreadingCode
 
 
 @dataclass
 class AdaptiveState:
-    """Single-owner mutable solver state for one beamformer instance."""
+    """Single-owner mutable solver state of T trials: r_s and p are
+    (T, L, L), w is (T, L)."""
 
     r_s: np.ndarray
     p: np.ndarray
     w: np.ndarray
     mu: float
-    delta: float
     symbol_count: int = 0
-
-    @property
-    def num_elements(self) -> int:
-        return int(self.w.size)
 
 
 @dataclass
 class AdaptiveOutput:
-    """Per-symbol emission: array output plus diagnostics.
+    """Per-trial, per-symbol emissions of a run over K symbols.
 
-    w is the weight after this symbol's update; p_asymmetry is the
-    relative Hermitian-symmetry error of the inverse matrix measured
-    just before the per-symbol re-symmetrization.
+    y_o is (T, K); w is (T, K, L) with w[:, k] the weight after symbol
+    k's update; p_asymmetry is (T, K), the relative Hermitian-symmetry
+    error of the inverse matrix measured just before each per-symbol
+    re-symmetrization.
     """
 
-    symbol_index: int
-    y_o: complex
+    y_o: np.ndarray
     w: np.ndarray
-    p_asymmetry: float
+    p_asymmetry: np.ndarray
 
 
-def init(num_elements: int, mu: float, delta: float) -> AdaptiveState:
+def init(num_trials: int, num_elements: int, mu: float, delta: float) -> AdaptiveState:
     """Fresh state: R_S = delta I, P = I/delta, w = first basis vector."""
-    if num_elements < 1:
-        raise ValueError(f"num_elements must be >= 1, got {num_elements}")
+    if num_trials < 1 or num_elements < 1:
+        raise ValueError(
+            f"num_trials and num_elements must be >= 1, got {num_trials}, {num_elements}"
+        )
     if not 0.0 < mu < 1.0:
         raise ValueError(f"forgetting factor must lie in (0, 1), got {mu}")
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    w = np.zeros(num_elements, dtype=np.complex128)
-    w[0] = 1.0
-    return AdaptiveState(
-        r_s=delta * np.eye(num_elements, dtype=np.complex128),
-        p=(1.0 / delta) * np.eye(num_elements, dtype=np.complex128),
-        w=w,
-        mu=mu,
-        delta=delta,
-    )
+    eye = np.broadcast_to(np.eye(num_elements, dtype=np.complex128),
+                          (num_trials, num_elements, num_elements))
+    w = np.zeros((num_trials, num_elements), dtype=np.complex128)
+    w[:, 0] = 1.0
+    return AdaptiveState(r_s=delta * eye, p=(1.0 / delta) * eye, w=w, mu=mu)
 
 
 def update_symbol(
     state: AdaptiveState, x_s: np.ndarray, x_i: np.ndarray
-) -> tuple[AdaptiveState, AdaptiveOutput]:
-    """Advance the state by one symbol's snapshots and emit the array output.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance all T trials by one symbol's snapshots.
 
-    x_s is the (L,) signal snapshot and x_i the (L, r) monitoring
-    snapshots, with at least one monitoring channel; with the
-    full code-orthogonal basis r = N-1 this is the per-symbol recursion
-    of the multi-channel scheme, and with a single channel it reduces to
-    classic exponentially weighted RLS on that channel.
-
-    A non-finite snapshot raises without touching the state.
+    x_s is the (T, L) signal snapshot and x_i the (T, L, r) monitoring
+    snapshots; with the full code-orthogonal basis r = N-1 this is the
+    per-symbol recursion of the multi-channel scheme, and with a single
+    channel it reduces to classic exponentially weighted RLS on that
+    channel. Returns the (T,) array outputs and P asymmetries. The
+    snapshots are taken as given: run checks them before any symbol.
     """
-    x_s = np.asarray(x_s, dtype=np.complex128)
-    x_i = np.asarray(x_i, dtype=np.complex128)
-    if x_s.shape != (state.num_elements,):
-        raise ValueError(
-            f"snapshot dimension {x_s.shape} does not match state "
-            f"({state.num_elements},)"
-        )
-    if x_i.ndim != 2 or x_i.shape[0] != state.num_elements or x_i.shape[1] < 1:
-        raise ValueError(f"monitoring snapshot has invalid shape {x_i.shape}")
-    finite = (
-        np.all(np.isfinite(x_s.real)) and np.all(np.isfinite(x_s.imag))
-        and np.all(np.isfinite(x_i.real)) and np.all(np.isfinite(x_i.imag))
-    )
-    if not finite:
-        raise ValueError("snapshot contains non-finite entries; state unchanged")
+    y_o = (state.w[:, None, :].conj() @ x_s[:, :, None])[:, 0, 0]
 
-    y_o = complex(np.vdot(state.w, x_s))
+    r_s = state.mu * state.r_s + x_s[:, :, None] * x_s[:, None, :].conj()
 
-    r_s = state.mu * state.r_s + np.outer(x_s, x_s.conj())
-
-    channels = x_i.shape[1]
+    channels = x_i.shape[-1]
     scale = 1.0 / math.sqrt(channels)
     p = state.p
     for t in range(channels):
         mu_t = state.mu if t == 0 else 1.0
-        _, p = linalg.rank_one_inverse_update(p, x_i[:, t] * scale, mu_t)
+        _, p = linalg.rank_one_inverse_update(p, x_i[..., t] * scale, mu_t)
 
-    asym = float(np.max(np.abs(p - p.conj().T)) / max(np.max(np.abs(p)), 1e-300))
-    p = 0.5 * (p + p.conj().T)
+    p_h = p.conj().swapaxes(-1, -2)
+    asym = np.max(np.abs(p - p_h), axis=(-2, -1)) / np.maximum(
+        np.max(np.abs(p), axis=(-2, -1)), 1e-300
+    )
+    p = 0.5 * (p + p_h)
 
-    w = linalg.power_iteration_step(p, r_s, state.w)
-
+    state.w = linalg.power_iteration_step(p, r_s, state.w)
     state.r_s = r_s
     state.p = p
-    state.w = w
     state.symbol_count += 1
-    return state, AdaptiveOutput(
-        symbol_index=state.symbol_count - 1,
-        y_o=y_o,
-        w=w.copy(),
-        p_asymmetry=asym,
-    )
+    return y_o, asym
 
 
-def run(
-    stream: ChipStream,
-    code: SpreadingCode,
-    n0: int,
-    mu: float,
-    delta: float,
-    basis: ProjectionBasis | None = None,
-    max_symbols: int | None = None,
-) -> list[AdaptiveOutput]:
-    """Drive the recursion over every whole symbol window of a stream.
+def run(x_s: np.ndarray, x_i: np.ndarray, mu: float, delta: float) -> AdaptiveOutput:
+    """Drive the recursion over every symbol of T trials' projected snapshots.
 
-    With basis omitted the full code-orthogonal monitoring basis is used
-    (the multi-channel scheme); passing an explicit basis runs the same
-    recursion on its channels, which is how the single-channel RLS
-    variant is realized.
+    x_s is (T, L, K) and x_i is (T, L, K, r), the per-trial outputs of
+    core.project_stream stacked on a leading trial axis; the monitoring
+    channels of x_i choose the scheme (all N-1 code-orthogonal channels
+    for MIC, one channel for single-channel RLS). Shapes and finiteness
+    are checked before any symbol is processed.
     """
-    if basis is None:
-        basis = basis_mic(code)
-    x_s, x_i = project_stream(stream.samples, basis, n0)
-    num_symbols = x_s.shape[1]
-    if max_symbols is not None:
-        num_symbols = min(num_symbols, max_symbols)
-    state = init(stream.num_elements, mu, delta)
-    outputs: list[AdaptiveOutput] = []
-    for k in range(num_symbols):
-        state, out = update_symbol(state, x_s[:, k], x_i[:, k, :])
-        outputs.append(out)
-    return outputs
+    x_s = np.asarray(x_s, dtype=np.complex128)
+    x_i = np.asarray(x_i, dtype=np.complex128)
+    if x_s.ndim != 3 or x_i.ndim != 4 or x_i.shape[:3] != x_s.shape:
+        raise ValueError(
+            f"snapshot stacks have inconsistent shapes {x_s.shape} / {x_i.shape}"
+        )
+    if x_s.shape[2] < 1 or x_i.shape[3] < 1:
+        raise ValueError(f"need at least one symbol and one channel, got {x_i.shape}")
+    if not all(np.all(np.isfinite(part)) for x in (x_s, x_i) for part in (x.real, x.imag)):
+        raise ValueError("snapshots contain non-finite entries")
+
+    trials, elements, symbols = x_s.shape
+    state = init(trials, elements, mu, delta)
+    y_o = np.empty((trials, symbols), dtype=np.complex128)
+    w = np.empty((trials, symbols, elements), dtype=np.complex128)
+    asym = np.empty((trials, symbols))
+    for k in range(symbols):
+        y_o[:, k], asym[:, k] = update_symbol(state, x_s[:, :, k], x_i[:, :, k, :])
+        w[:, k] = state.w
+    return AdaptiveOutput(y_o=y_o, w=w, p_asymmetry=asym)

@@ -218,17 +218,22 @@ def output_sinr(
     despread_signal_power: float,
     steering: np.ndarray,
     clutter_cov: np.ndarray,
-) -> float:
+) -> float | np.ndarray:
     """Deterministic output SINR of a fixed weight.
 
     despread_signal_power is the post-despreading per-element signal
     power (N*P0 for a single path); clutter_cov is the covariance of the
     interference-plus-noise part of the despread signal-channel snapshot.
+    weight is (..., L) and clutter_cov (..., L, L); their leading axes
+    broadcast, and the result has that broadcast shape (a float for one
+    weight and one covariance).
     """
     w = np.asarray(weight, dtype=np.complex128)
-    num = despread_signal_power * abs(np.vdot(w, steering)) ** 2
-    den = float(np.real(np.vdot(w, clutter_cov @ w)))
-    if den <= 0.0:
+    a = np.asarray(steering, dtype=np.complex128)
+    q = np.asarray(clutter_cov, dtype=np.complex128)
+    num = despread_signal_power * np.abs(w.conj() @ a) ** 2
+    den = np.real(w[..., None, :].conj() @ (q @ w[..., None]))[..., 0, 0]
+    if np.any(den <= 0.0):
         raise ValueError("clutter covariance is not positive along the weight")
     return num / den
 

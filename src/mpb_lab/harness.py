@@ -172,7 +172,7 @@ class ExperimentSpec:
         try:
             for scheme in self.schemes:
                 _scheme_basis(self, scheme)
-            adaptive_mod.init(1, self.mu, self.delta_scale)
+            adaptive_mod.init(1, 1, self.mu, self.delta_scale)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.scenario is not None:
@@ -859,11 +859,24 @@ def _clutter_covariance(
     quiet = replace(config.signal_free(), num_symbols=num_symbols, seed=seed,
                     track_interferer_streams=False)
     stream = synthesize(quiet)
-    code = generate_gold_codes(1)[0]
-    basis = make_basis("MIC", code)
+    # every basis shares the signal channel h_s; PAPC's monitor is one channel
+    basis = make_basis("PAPC", generate_gold_codes(1)[0])
     x_s, _ = project_stream(stream.samples, basis, n0)
     cov = gram(x_s, x_s)
     return 0.5 * (cov + cov.conj().T)
+
+
+def _stack_trial(
+    stacks: list[np.ndarray] | None, trial: int, trials: int,
+    projected: tuple[np.ndarray, np.ndarray],
+) -> list[np.ndarray]:
+    """Store one trial's projected (x_s, x_i) at index trial of the
+    (T, ...) stacks, allocating them when stacks is None."""
+    if stacks is None:
+        stacks = [np.empty((trials, *x.shape), dtype=x.dtype) for x in projected]
+    for stack, x in zip(stacks, projected):
+        stack[trial] = x
+    return stacks
 
 
 def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
@@ -873,11 +886,7 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
     rows: list[dict] = []
     metadata = _base_metadata(spec)
     eval_symbols = 10000
-    code = generate_gold_codes(1)[0]
-    bases = {
-        scheme: None if scheme == "MIC" else _scheme_basis(spec, scheme)
-        for scheme in spec.schemes
-    }
+    bases = {scheme: _scheme_basis(spec, scheme) for scheme in spec.schemes}
     for s_idx, snr_db in enumerate(spec.snr_grid_db):
         base, n0 = _scenario(
             spec, presets.convergence_scenario, spec.seed, snr_db=snr_db
@@ -889,28 +898,25 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
         sig_power = base.noise_power * 10.0 ** (snr_db / 10.0)
         optimum = mvdr_optimum_sinr(sig_power, steer, clutter)
         delta = spec.delta_scale * base.noise_power
-        sinr_sum = {scheme: np.zeros(spec.symbols) for scheme in spec.schemes}
-        num_symbols = spec.symbols
+        # every scheme runs on the same stream of each trial
+        stacks: dict[str, list[np.ndarray]] = {}
         for trial in range(spec.trials):
-            # every scheme runs on the same stream of each trial
             _, config_hash, stream, _ = _cell(
                 spec, presets.convergence_scenario, (spec.seed, s_idx, trial),
                 snr_db=snr_db,
             )
-            for scheme in spec.schemes:
-                outputs = adaptive_mod.run(
-                    stream, code, n0, spec.mu, delta, basis=bases[scheme]
+            for scheme, basis in bases.items():
+                stacks[scheme] = _stack_trial(
+                    stacks.get(scheme), trial, spec.trials,
+                    project_stream(stream.samples, basis, n0),
                 )
-                num_symbols = min(num_symbols, len(outputs))
-                for k, out in enumerate(outputs[:num_symbols]):
-                    sinr_sum[scheme][k] += output_sinr(
-                        out.w, sig_power, steer, clutter
-                    )
 
         for scheme in spec.schemes:
-            sinr_mean = sinr_sum[scheme][:num_symbols] / spec.trials
+            out = adaptive_mod.run(*stacks.pop(scheme), spec.mu, delta)
+            sinr = output_sinr(out.w, sig_power, steer, clutter)
+            sinr_mean = np.mean(sinr, axis=0)
             converged = _first_within_3db(sinr_mean, optimum)
-            for k in range(num_symbols):
+            for k in range(sinr_mean.size):
                 rows.append(
                     {
                         "scheme": scheme,
@@ -956,7 +962,7 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
     # per-segment clutter covariance and optimum (interferers join in order)
     steer = steering_vector(base.geometry, base.desired[0].doa_deg)
     sig_power = base.noise_power * 10.0 ** (snr_db / 10.0)
-    clutters = [
+    clutters = np.stack([
         _clutter_covariance(
             replace(
                 base, mais=base.mais[:active],
@@ -965,17 +971,16 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
             n0, 6000, (spec.seed, 8000 + active),
         )
         for active in range(num_interferers + 1)
-    ]
+    ])
     optima = [mvdr_optimum_sinr(sig_power, steer, q) for q in clutters]
 
     delta = spec.delta_scale * base.noise_power
-    code = generate_gold_codes(1)[0]
+    basis = make_basis("MIC", generate_gold_codes(1)[0])
     rows: list[dict] = []
     metadata = _base_metadata(spec)
     for r_idx, run_name in enumerate(("staggered", "control")):
         run_entries = entries if run_name == "staggered" else [0] * num_interferers
-        sinr_sum = np.zeros(spec.symbols)
-        num_symbols = spec.symbols
+        stacks = None  # the previous run's stacks go before this run's are built
         for trial in range(spec.trials):
             _, config_hash, stream, _ = _cell(
                 spec, presets.tracking_scenario, (spec.seed, r_idx, trial),
@@ -986,24 +991,23 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
                 start = entry * n
                 if start < masked.shape[1]:
                     masked[:, start:] += stream.interferer_streams[i][:, start:]
-            outputs = adaptive_mod.run(
-                replace(stream, samples=masked), code, n0, spec.mu, delta
+            stacks = _stack_trial(
+                stacks, trial, spec.trials, project_stream(masked, basis, n0)
             )
-            num_symbols = min(num_symbols, len(outputs))
-            for k, out in enumerate(outputs[:num_symbols]):
-                active = sum(1 for e in run_entries if e <= k)
-                sinr_sum[k] += output_sinr(out.w, sig_power, steer, clutters[active])
-        sinr_mean = sinr_sum[:num_symbols] / spec.trials
+        out = adaptive_mod.run(*stacks, spec.mu, delta)
+        num_symbols = out.w.shape[1]
+        active = [sum(1 for e in run_entries if e <= k) for k in range(num_symbols)]
+        sinr = output_sinr(out.w, sig_power, steer, clutters[active])
+        sinr_mean = np.mean(sinr, axis=0)
         for k in range(num_symbols):
-            active = sum(1 for e in run_entries if e <= k)
             rows.append(
                 {
                     "run": run_name,
                     "scheme": "MIC",
                     "symbol": k,
                     "sinr_db": 10.0 * math.log10(max(sinr_mean[k], 1e-30)),
-                    "active_interferers": active,
-                    "optimum_sinr_db": 10.0 * math.log10(optima[active]),
+                    "active_interferers": active[k],
+                    "optimum_sinr_db": 10.0 * math.log10(optima[active[k]]),
                     "scenario_hash": config_hash,
                 }
             )

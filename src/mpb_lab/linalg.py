@@ -118,37 +118,42 @@ def rank_one_inverse_update(
 
     which is the matrix inversion lemma applied to the forgetting-factor
     update, so p_next = (mu R + x x^H)^-1 without ever forming R.
+    p is (..., L, L) and x is (..., L): leading axes are independent
+    problems (one per trial) stepped together.
     """
     p = np.asarray(p, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {p.shape}")
-    if x.shape != (p.shape[0],):
+    if p.ndim < 2 or p.shape[-1] != p.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {p.shape}")
+    if x.shape != p.shape[:-1]:
         raise ValueError(f"vector shape {x.shape} does not match matrix {p.shape}")
     if not np.isfinite(mu) or mu <= 0.0:
         raise ValueError(f"forgetting factor must be positive, got {mu}")
     if not (np.all(np.isfinite(x.real)) and np.all(np.isfinite(x.imag))):
         raise ValueError("update vector contains non-finite entries")
 
-    px = p @ x
+    px = (p @ x[..., None])[..., 0]
     # x^H P x is real for Hermitian P; drop the roundoff imaginary part.
-    quad = float(np.real(np.vdot(x, px)))
+    quad = np.real(x[..., None, :].conj() @ px[..., None])[..., 0]
     gain = (px / mu) / (1.0 + quad / mu)
-    p_next = (p - np.outer(gain, px.conj())) / mu
+    p_next = (p - gain[..., :, None] * px[..., None, :].conj()) / mu
     return gain, p_next
 
 
 def power_iteration_step(
     p: np.ndarray, r_s: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
-    """One unnormalized power-iteration step w_next = P R_S (w / ||w||)."""
+    """One unnormalized power-iteration step w_next = P R_S (w / ||w||).
+
+    p and r_s are (..., L, L) and w is (..., L), one step per leading index.
+    """
     p = np.asarray(p, dtype=np.complex128)
     r_s = np.asarray(r_s, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
-    norm = np.linalg.norm(w)
-    if norm == 0.0 or not np.isfinite(norm):
+    norm = np.linalg.norm(w, axis=-1, keepdims=True)
+    if np.any(norm == 0.0) or not np.all(np.isfinite(norm)):
         raise ValueError("weight vector must be nonzero and finite")
-    return p @ (r_s @ (w / norm))
+    return (p @ (r_s @ (w / norm)[..., None]))[..., 0]
 
 
 def subspace_angle(u: np.ndarray, v: np.ndarray) -> float:

@@ -273,10 +273,10 @@ def test_criterion_05_numerical_oracles(announce):
 def test_criterion_06_recursion_reaches_batch_solution(code0, announce):
     config = convergence_scenario(snr_db=20.0, num_symbols=500, seed=0)
     stream = synthesize(config)
-    outputs = adaptive.run(stream, code0, 0, mu=0.999, delta=1e-3)
     x_s, x_i = project_stream(stream.samples, basis_mic(code0), 0)
+    out = adaptive.run(x_s[None], x_i[None], mu=0.999, delta=1e-3)
     _, batch_weight = solve_batch(covariances_from_arrays(x_s, x_i))
-    angle = subspace_angle(outputs[-1].w, batch_weight)
+    angle = subspace_angle(out.w[0, -1], batch_weight)
     ok = angle <= 0.05
     announce(
         6, ok,

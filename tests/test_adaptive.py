@@ -1,9 +1,9 @@
 """Recursive beamformer state machine.
 
 The inverse-matrix recursion is checked symbol by symbol against a
-dense accumulate-and-invert reference, and the steady-state weight is
-checked against the batch generalized-eigenvector solution on the same
-data.
+dense accumulate-and-invert reference, stacked trials are checked
+against single-trial runs, and the steady-state weight is checked
+against the batch generalized-eigenvector solution on the same data.
 """
 
 import numpy as np
@@ -22,165 +22,183 @@ from mpb_lab.presets import convergence_scenario
 from mpb_lab.scenario import synthesize
 
 
-def random_snapshot(rng, num_elements=6, channels=3):
-    """One symbol's (x_s, x_i) snapshots."""
-    x_s = rng.standard_normal(num_elements) \
-        + 1j * rng.standard_normal(num_elements)
-    x_i = rng.standard_normal((num_elements, channels)) \
-        + 1j * rng.standard_normal((num_elements, channels))
+def random_snapshot(rng, num_trials=2, num_elements=6, channels=3):
+    """One symbol's (x_s, x_i) snapshots of every trial."""
+    x_s = rng.standard_normal((num_trials, num_elements)) \
+        + 1j * rng.standard_normal((num_trials, num_elements))
+    x_i = rng.standard_normal((num_trials, num_elements, channels)) \
+        + 1j * rng.standard_normal((num_trials, num_elements, channels))
     return x_s, x_i
+
+
+def random_stream(rng, num_trials, num_elements, num_symbols, channels):
+    """(T, L, K) and (T, L, K, r) snapshot stacks for adaptive.run."""
+    shapes = ((num_trials, num_elements, num_symbols),
+              (num_trials, num_elements, num_symbols, channels))
+    return tuple(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                 for shape in shapes)
+
+
+def projected(code, num_symbols, seed=4, basis=None):
+    """One trial's convergence-scenario snapshots, with a trial axis of 1."""
+    stream = synthesize(convergence_scenario(snr_db=20.0, num_symbols=num_symbols,
+                                             seed=seed))
+    x_s, x_i = project_stream(stream.samples, basis or basis_mic(code), 0)
+    return x_s[None], x_i[None]
 
 
 class TestInit:
     def test_initial_state_values(self):
-        state = adaptive.init(8, mu=0.99, delta=1e-3)
-        np.testing.assert_allclose(state.r_s, 1e-3 * np.eye(8), atol=1e-18)
-        np.testing.assert_allclose(state.p, 1e3 * np.eye(8), atol=1e-9)
-        expected_w = np.zeros(8, dtype=complex)
-        expected_w[0] = 1.0
+        state = adaptive.init(3, 8, mu=0.99, delta=1e-3)
+        eye = np.broadcast_to(np.eye(8), (3, 8, 8))
+        np.testing.assert_allclose(state.r_s, 1e-3 * eye, atol=1e-18)
+        np.testing.assert_allclose(state.p, 1e3 * eye, atol=1e-9)
+        expected_w = np.zeros((3, 8), dtype=complex)
+        expected_w[:, 0] = 1.0
         np.testing.assert_array_equal(state.w, expected_w)
-        np.testing.assert_allclose(state.r_s @ state.p, np.eye(8), atol=1e-12)
+        np.testing.assert_allclose(state.r_s @ state.p, eye, atol=1e-12)
         assert state.symbol_count == 0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="num_elements"):
-            adaptive.init(0, mu=0.99, delta=1e-3)
+            adaptive.init(1, 0, mu=0.99, delta=1e-3)
+        with pytest.raises(ValueError, match="num_trials"):
+            adaptive.init(0, 4, mu=0.99, delta=1e-3)
         with pytest.raises(ValueError, match="forgetting factor"):
-            adaptive.init(4, mu=1.0, delta=1e-3)
+            adaptive.init(1, 4, mu=1.0, delta=1e-3)
         with pytest.raises(ValueError, match="forgetting factor"):
-            adaptive.init(4, mu=0.0, delta=1e-3)
+            adaptive.init(1, 4, mu=0.0, delta=1e-3)
         with pytest.raises(ValueError, match="delta"):
-            adaptive.init(4, mu=0.99, delta=0.0)
+            adaptive.init(1, 4, mu=0.99, delta=0.0)
 
 
 class TestUpdateSymbol:
     def test_output_uses_pre_update_weight(self, rng):
-        state = adaptive.init(6, mu=0.95, delta=1e-2)
+        state = adaptive.init(2, 6, mu=0.95, delta=1e-2)
         x_s, x_i = random_snapshot(rng)
-        # fresh state has w = e1, so the first output is just x_s[0]
-        _, out = adaptive.update_symbol(state, x_s, x_i)
-        assert out.y_o == pytest.approx(complex(x_s[0]), abs=1e-12)
-        assert not np.array_equal(out.w, np.eye(6)[0])
+        # fresh state has w = e1, so the first output is just x_s[:, 0]
+        y_o, _ = adaptive.update_symbol(state, x_s, x_i)
+        np.testing.assert_allclose(y_o, x_s[:, 0], atol=1e-12)
+        assert not np.array_equal(state.w[0], np.eye(6)[0])
 
     def test_zero_monitor_symbols_scale_inverse_once(self):
         # all-zero monitoring snapshots leave only the forgetting factor,
         # applied exactly once per symbol: P -> P / mu
         mu = 0.9
-        state = adaptive.init(4, mu=mu, delta=1.0)
-        x_s = np.zeros(4, dtype=complex)
-        x_i = np.zeros((4, 5), dtype=complex)
+        state = adaptive.init(2, 4, mu=mu, delta=1.0)
+        x_s = np.zeros((2, 4), dtype=complex)
+        x_i = np.zeros((2, 4, 5), dtype=complex)
+        eye = np.broadcast_to(np.eye(4), (2, 4, 4))
         adaptive.update_symbol(state, x_s, x_i)
-        np.testing.assert_allclose(state.p, np.eye(4) / mu, atol=1e-12)
+        np.testing.assert_allclose(state.p, eye / mu, atol=1e-12)
         adaptive.update_symbol(state, x_s, x_i)
-        np.testing.assert_allclose(state.p, np.eye(4) / mu**2, atol=1e-12)
+        np.testing.assert_allclose(state.p, eye / mu**2, atol=1e-12)
 
     def test_inverse_tracks_dense_accumulation(self, rng):
         mu, delta = 0.97, 1e-2
-        num_elements, channels = 6, 3
-        state = adaptive.init(num_elements, mu, delta)
-        dense = delta * np.eye(num_elements, dtype=complex)
+        trials, num_elements, channels = 3, 6, 3
+        state = adaptive.init(trials, num_elements, mu, delta)
+        dense = delta * np.broadcast_to(np.eye(num_elements, dtype=complex),
+                                        (trials, num_elements, num_elements))
         for k in range(200):
-            x_s, x_i = random_snapshot(rng, num_elements, channels)
+            x_s, x_i = random_snapshot(rng, trials, num_elements, channels)
             adaptive.update_symbol(state, x_s, x_i)
             x_hat = x_i / np.sqrt(channels)
-            dense = mu * dense + x_hat @ x_hat.conj().T
+            dense = mu * dense + x_hat @ x_hat.conj().swapaxes(-1, -2)
             np.testing.assert_allclose(
                 state.p, np.linalg.inv(dense), atol=1e-8, rtol=1e-8
             )
 
     def test_signal_covariance_recursion(self, rng):
         mu, delta = 0.9, 1e-3
-        state = adaptive.init(5, mu, delta)
-        dense = delta * np.eye(5, dtype=complex)
+        state = adaptive.init(2, 5, mu, delta)
+        dense = delta * np.broadcast_to(np.eye(5, dtype=complex), (2, 5, 5))
         for k in range(50):
-            x_s, x_i = random_snapshot(rng, 5, 2)
+            x_s, x_i = random_snapshot(rng, 2, 5, 2)
             adaptive.update_symbol(state, x_s, x_i)
-            dense = mu * dense + np.outer(x_s, x_s.conj())
+            dense = mu * dense + x_s[:, :, None] * x_s[:, None, :].conj()
             np.testing.assert_allclose(state.r_s, dense, atol=1e-10)
 
     def test_asymmetry_diagnostic_stays_tiny(self, rng):
-        state = adaptive.init(6, mu=0.98, delta=1e-3)
-        worst = 0.0
-        for k in range(500):
-            _, out = adaptive.update_symbol(state, *random_snapshot(rng, 6, 4))
-            worst = max(worst, out.p_asymmetry)
-        assert worst <= 1e-10
+        out = adaptive.run(*random_stream(rng, 3, 6, 500, 4), mu=0.98, delta=1e-3)
+        assert out.p_asymmetry.shape == (3, 500)
+        assert np.max(out.p_asymmetry) <= 1e-10
 
-    def test_non_finite_snapshot_leaves_state_untouched(self, rng):
-        state = adaptive.init(4, mu=0.95, delta=1e-2)
-        adaptive.update_symbol(state, *random_snapshot(rng, 4, 2))
-        before = (state.r_s.copy(), state.p.copy(), state.w.copy(),
-                  state.symbol_count)
-        x_s, x_i = random_snapshot(rng, 4, 2)
-        x_i[2, 1] = np.nan
+    def test_non_finite_snapshot_leaves_state_untouched(self, rng, monkeypatch):
+        # run checks every snapshot before the first symbol is processed
+        steps = []
+        monkeypatch.setattr(adaptive, "update_symbol",
+                            lambda *args: steps.append(args))
+        x_s = np.ones((2, 4, 10), dtype=complex)
+        x_i = np.ones((2, 4, 10, 2), dtype=complex)
+        x_i[1, 2, 9, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            adaptive.update_symbol(state, x_s, x_i)
-        np.testing.assert_array_equal(state.r_s, before[0])
-        np.testing.assert_array_equal(state.p, before[1])
-        np.testing.assert_array_equal(state.w, before[2])
-        assert state.symbol_count == before[3]
+            adaptive.run(x_s, x_i, mu=0.95, delta=1e-2)
+        x_i[1, 2, 9, 1] = 1.0
+        x_s[0, 0, 9] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            adaptive.run(x_s, x_i, mu=0.95, delta=1e-2)
+        assert steps == []
 
-    def test_shape_validation(self, rng):
-        state = adaptive.init(4, mu=0.95, delta=1e-2)
-        with pytest.raises(ValueError, match="does not match"):
-            adaptive.update_symbol(state, *random_snapshot(rng, 5, 2))
-        with pytest.raises(ValueError, match="invalid shape"):
-            adaptive.update_symbol(state, np.zeros(4, dtype=complex),
-                                   np.zeros((4, 0), dtype=complex))
+    def test_shape_validation(self):
+        x_s = np.zeros((2, 4, 10), dtype=complex)
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            adaptive.run(x_s, np.zeros((2, 5, 10, 2), dtype=complex), 0.95, 1e-2)
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            adaptive.run(x_s[0], np.zeros((4, 10, 2), dtype=complex), 0.95, 1e-2)
+        with pytest.raises(ValueError, match="one channel"):
+            adaptive.run(x_s, np.zeros((2, 4, 10, 0), dtype=complex), 0.95, 1e-2)
+        with pytest.raises(ValueError, match="one symbol"):
+            adaptive.run(x_s[:, :, :0], np.zeros((2, 4, 0, 2), dtype=complex),
+                         0.95, 1e-2)
 
     def test_symbol_count_and_output_index(self, rng):
-        state = adaptive.init(4, mu=0.95, delta=1e-2)
+        x_s, x_i = random_stream(rng, 3, 4, 5, 2)
+        out = adaptive.run(x_s, x_i, mu=0.95, delta=1e-2)
+        assert out.y_o.shape == out.p_asymmetry.shape == (3, 5)
+        assert out.w.shape == (3, 5, 4)
+        state = adaptive.init(3, 4, mu=0.95, delta=1e-2)
         for k in range(5):
-            _, out = adaptive.update_symbol(state, *random_snapshot(rng, 4, 2))
-            assert out.symbol_index == k
+            y_o, _ = adaptive.update_symbol(state, x_s[:, :, k], x_i[:, :, k])
+            np.testing.assert_array_equal(y_o, out.y_o[:, k])
         assert state.symbol_count == 5
 
 
 class TestRun:
     def test_deterministic(self, code0):
-        stream = synthesize(convergence_scenario(snr_db=20.0, num_symbols=60,
-                                                 seed=4))
-        a = adaptive.run(stream, code0, 0, mu=0.99, delta=1e-3)
-        b = adaptive.run(stream, code0, 0, mu=0.99, delta=1e-3)
-        assert len(a) == len(b) == 60
-        for out_a, out_b in zip(a, b):
-            assert out_a.y_o == out_b.y_o
-            np.testing.assert_array_equal(out_a.w, out_b.w)
+        x_s, x_i = projected(code0, 60)
+        a = adaptive.run(x_s, x_i, mu=0.99, delta=1e-3)
+        b = adaptive.run(x_s, x_i, mu=0.99, delta=1e-3)
+        assert a.y_o.shape == (1, 60)
+        np.testing.assert_array_equal(a.y_o, b.y_o)
+        np.testing.assert_array_equal(a.w, b.w)
 
-    def test_max_symbols_truncates(self, code0):
-        stream = synthesize(convergence_scenario(snr_db=20.0, num_symbols=60,
-                                                 seed=4))
-        outputs = adaptive.run(stream, code0, 0, mu=0.99, delta=1e-3,
-                               max_symbols=25)
-        assert len(outputs) == 25
+    def test_stacked_trials_equal_single_trial_runs(self, code0):
+        singles = [projected(code0, 40, seed=seed) for seed in range(4)]
+        stacked = adaptive.run(
+            np.concatenate([x_s for x_s, _ in singles]),
+            np.concatenate([x_i for _, x_i in singles]),
+            mu=0.99, delta=1e-3,
+        )
+        for t, (x_s, x_i) in enumerate(singles):
+            single = adaptive.run(x_s, x_i, mu=0.99, delta=1e-3)
+            np.testing.assert_array_equal(stacked.y_o[t], single.y_o[0])
+            np.testing.assert_array_equal(stacked.w[t], single.w[0])
+            np.testing.assert_array_equal(stacked.p_asymmetry[t],
+                                          single.p_asymmetry[0])
 
     def test_explicit_single_channel_basis(self, code0):
-        stream = synthesize(convergence_scenario(snr_db=20.0, num_symbols=40,
-                                                 seed=4))
-        outputs = adaptive.run(
-            stream, code0, 0, mu=0.99, delta=1e-3,
-            basis=basis_papc(code0, chip_index=0),
-        )
-        assert len(outputs) == 40
-        assert all(np.isfinite(out.y_o) for out in outputs)
-
-    def test_default_basis_is_full_monitoring_set(self, code0):
-        # spot check: default run equals an explicit full-basis run
-        stream = synthesize(convergence_scenario(snr_db=20.0, num_symbols=30,
-                                                 seed=4))
-        default = adaptive.run(stream, code0, 0, mu=0.99, delta=1e-3)
-        explicit = adaptive.run(stream, code0, 0, mu=0.99, delta=1e-3,
-                                basis=basis_mic(code0))
-        for out_d, out_e in zip(default, explicit):
-            assert out_d.y_o == pytest.approx(out_e.y_o, abs=1e-9)
+        x_s, x_i = projected(code0, 40, basis=basis_papc(code0, chip_index=0))
+        assert x_i.shape[-1] == 1
+        out = adaptive.run(x_s, x_i, mu=0.99, delta=1e-3)
+        assert out.y_o.shape == (1, 40)
+        assert np.all(np.isfinite(out.y_o)) and np.all(np.isfinite(out.w))
 
     def test_converges_to_batch_weight(self, code0):
         # with mu near one the recursion must land on the batch
         # generalized-eigenvector solution of the same data
-        config = convergence_scenario(snr_db=20.0, num_symbols=500, seed=0)
-        stream = synthesize(config)
-        outputs = adaptive.run(stream, code0, 0, mu=0.999, delta=1e-3)
-        x_s, x_i = project_stream(stream.samples, basis_mic(code0), 0)
-        _, batch_weight = solve_batch(covariances_from_arrays(x_s, x_i))
-        angle = subspace_angle(outputs[-1].w, batch_weight)
+        x_s, x_i = projected(code0, 500, seed=0)
+        out = adaptive.run(x_s, x_i, mu=0.999, delta=1e-3)
+        _, batch_weight = solve_batch(covariances_from_arrays(x_s[0], x_i[0]))
+        angle = subspace_angle(out.w[0, -1], batch_weight)
         assert angle <= 0.05

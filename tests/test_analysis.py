@@ -328,6 +328,23 @@ class TestOutputSinr:
         with pytest.raises(ValueError, match="positive"):
             output_sinr(weight, 1.0, steering, clutter)
 
+    def test_stacked_weights_equal_per_weight_calls(self, rng):
+        geom = ArrayGeometry(num_elements=5)
+        steering = steering_vector(geom, 10.0)
+        base = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+        clutters = base @ base.conj().swapaxes(-1, -2) + 0.5 * np.eye(5)
+        weights = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
+        # (2, 3) weights against one covariance, and against one per column
+        shared = output_sinr(weights, 2.0, steering, clutters[0])
+        per_column = output_sinr(weights, 2.0, steering, clutters)
+        assert shared.shape == per_column.shape == (2, 3)
+        for t in range(2):
+            for k in range(3):
+                for value, clutter in ((shared, clutters[0]), (per_column, clutters[k])):
+                    assert value[t, k] == pytest.approx(
+                        output_sinr(weights[t, k], 2.0, steering, clutter), rel=1e-13
+                    )
+
 
 class TestArrayPattern:
     def test_matched_weight_peaks_at_steering_direction(self):

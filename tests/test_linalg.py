@@ -223,6 +223,18 @@ class TestRankOneInverseUpdate:
         with pytest.raises(ValueError, match="non-finite"):
             rank_one_inverse_update(p, bad, 0.9)
 
+    def test_leading_axis_equals_per_slice_calls(self, rng):
+        p = np.stack([np.linalg.inv(random_hermitian_pd(rng, 5)) for _ in range(4)])
+        x = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        gains, p_next = rank_one_inverse_update(p, x, 0.95)
+        assert gains.shape == (4, 5) and p_next.shape == (4, 5, 5)
+        for t in range(4):
+            gain, p_t = rank_one_inverse_update(p[t], x[t], 0.95)
+            np.testing.assert_array_equal(gains[t], gain)
+            np.testing.assert_array_equal(p_next[t], p_t)
+        with pytest.raises(ValueError, match="does not match"):
+            rank_one_inverse_update(p, x[:3], 0.95)
+
 
 class TestPowerIterationStep:
     def test_identity_matrices_normalize(self, rng):
@@ -254,6 +266,18 @@ class TestPowerIterationStep:
     def test_rejects_zero_weight(self):
         with pytest.raises(ValueError, match="nonzero"):
             power_iteration_step(np.eye(3), np.eye(3), np.zeros(3))
+
+    def test_leading_axis_equals_per_slice_calls(self, rng):
+        p = np.stack([random_hermitian_pd(rng, 4) for _ in range(3)])
+        r_s = np.stack([random_hermitian_pd(rng, 4) for _ in range(3)])
+        w = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        out = power_iteration_step(p, r_s, w)
+        assert out.shape == (3, 4)
+        for t in range(3):
+            np.testing.assert_array_equal(out[t], power_iteration_step(p[t], r_s[t], w[t]))
+        w[1] = 0.0
+        with pytest.raises(ValueError, match="nonzero"):
+            power_iteration_step(p, r_s, w)
 
 
 class TestSubspaceAngle:
