@@ -47,9 +47,10 @@ class AdaptiveState:
 class AdaptiveOutput:
     """Per-trial, per-symbol emissions of a run over K symbols.
 
-    y_o is (T, K); w is (T, K, L) with w[:, k] the weight after symbol
-    k's update; p_asymmetry is (T, K), the relative Hermitian-symmetry
-    error of the inverse matrix measured just before each per-symbol
+    y_o is (T, K); w is (T, K, L) with w[:, k] the weight held before
+    symbol k, the one that produced y_o[:, k] (e1 at k = 0);
+    p_asymmetry is (T, K), the relative Hermitian-symmetry error of the
+    inverse matrix measured just before each per-symbol
     re-symmetrization.
     """
 
@@ -128,7 +129,7 @@ def run(x_s: np.ndarray, x_i: np.ndarray, mu: float, delta: float) -> AdaptiveOu
         )
     if x_s.shape[2] < 1 or x_i.shape[3] < 1:
         raise ValueError(f"need at least one symbol and one channel, got {x_i.shape}")
-    if not all(np.all(np.isfinite(part)) for x in (x_s, x_i) for part in (x.real, x.imag)):
+    if not (np.all(np.isfinite(x_s)) and np.all(np.isfinite(x_i))):
         raise ValueError("snapshots contain non-finite entries")
 
     trials, elements, symbols = x_s.shape
@@ -137,6 +138,6 @@ def run(x_s: np.ndarray, x_i: np.ndarray, mu: float, delta: float) -> AdaptiveOu
     w = np.empty((trials, symbols, elements), dtype=np.complex128)
     asym = np.empty((trials, symbols))
     for k in range(symbols):
-        y_o[:, k], asym[:, k] = update_symbol(state, x_s[:, :, k], x_i[:, :, k, :])
         w[:, k] = state.w
+        y_o[:, k], asym[:, k] = update_symbol(state, x_s[:, :, k], x_i[:, :, k, :])
     return AdaptiveOutput(y_o=y_o, w=w, p_asymmetry=asym)

@@ -173,6 +173,13 @@ class TestRun:
         np.testing.assert_array_equal(a.y_o, b.y_o)
         np.testing.assert_array_equal(a.w, b.w)
 
+    def test_weight_is_the_one_that_produced_the_output(self, rng):
+        x_s, x_i = random_stream(rng, 2, 4, 6, 3)
+        out = adaptive.run(x_s, x_i, mu=0.95, delta=1e-2)
+        np.testing.assert_array_equal(out.w[:, 0], np.broadcast_to(np.eye(4)[0], (2, 4)))
+        produced = np.einsum("tkl,tlk->tk", out.w.conj(), x_s)
+        np.testing.assert_allclose(out.y_o, produced, rtol=1e-12)
+
     def test_stacked_trials_equal_single_trial_runs(self, code0):
         singles = [projected(code0, 40, seed=seed) for seed in range(4)]
         stacked = adaptive.run(

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from mpb_lab import cli, harness, linalg
+from mpb_lab.analysis import output_sinr
 from mpb_lab.core import covariances_from_arrays, make_basis, project_stream
 from mpb_lab.harness import (
     ConfigError,
@@ -407,6 +408,35 @@ class TestRunners:
         assert recovery_keys
         runs = {row["run"] for row in result.rows}
         assert runs == {"staggered", "control"}
+
+    @pytest.mark.parametrize("preset", ["convergence", "tracking"])
+    def test_symbol_zero_scores_the_initial_weight(self, preset, monkeypatch):
+        # every trial's symbol-0 output comes from the initial weight e1,
+        # so its SINR is output_sinr(e1) against the clutter of that cell
+        # (the covariances the runner hands to mvdr_optimum_sinr, in order)
+        seen = []
+        optimum = harness.mvdr_optimum_sinr
+
+        def recording(power, steering, clutter):
+            seen.append((power, steering, clutter))
+            return optimum(power, steering, clutter)
+
+        monkeypatch.setattr(harness, "mvdr_optimum_sinr", recording)
+        spec = default_spec(preset)
+        spec.trials = 2
+        if preset == "convergence":
+            spec.symbols, spec.snr_grid_db = 40, [20.0]
+            result = run_convergence(spec)
+        else:
+            spec.symbols, spec.entry_interval = 120, 40
+            result = run_tracking(spec)
+        first = [row for row in result.rows if row["symbol"] == 0]
+        assert len(first) == 2  # two schemes, or the two tracking runs
+        for row in first:
+            power, steering, clutter = seen[row.get("active_interferers", 0)]
+            e1 = np.eye(len(steering))[0]
+            expected = np.mean([output_sinr(e1, power, steering, clutter)] * spec.trials)
+            assert row["sinr_db"] == pytest.approx(10.0 * math.log10(expected), abs=1e-9)
 
     def test_identical_delay_smoke(self):
         spec = default_spec("identical_delay")
