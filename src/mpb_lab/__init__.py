@@ -20,7 +20,6 @@ from .analysis import (
     ThresholdReport,
     array_pattern,
     condition_check,
-    estimate_gamma1,
     gamma0,
     lambda_max_prediction,
     measure_threshold,
@@ -64,7 +63,6 @@ from .scenario import (
     PathSpec,
     ScenarioConfig,
     SpreadingCode,
-    desired_path_power,
     generate_gold_codes,
     group_identical_delays,
     steering_vector,
@@ -97,8 +95,6 @@ __all__ = [
     "condition_check",
     "covariances_from_arrays",
     "default_spec",
-    "desired_path_power",
-    "estimate_gamma1",
     "gamma0",
     "generate_gold_codes",
     "group_identical_delays",

@@ -40,7 +40,6 @@ class AdaptiveState:
     p: np.ndarray
     w: np.ndarray
     mu: float
-    symbol_count: int = 0
 
 
 @dataclass
@@ -108,7 +107,6 @@ def update_symbol(
     state.w = linalg.power_iteration_step(p, r_s, state.w)
     state.r_s = r_s
     state.p = p
-    state.symbol_count += 1
     return y_o, asym
 
 

@@ -11,23 +11,12 @@ measured G-vs-SNR curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ProjectionBasis,
-    covariances_from_arrays,
-    project_stream,
-    solve_batch,
-)
-from .scenario import (
-    ArrayGeometry,
-    ScenarioConfig,
-    SpreadingCode,
-    steering_vector,
-    synthesize,
-)
+from .core import ProjectionBasis
+from .scenario import ArrayGeometry, SpreadingCode, steering_vector
 
 # A curve whose peak exceeds its high-SNR tail by more than this factor
 # (about 2 dB) rose and then collapsed instead of levelling off, so it
@@ -138,28 +127,6 @@ def gamma0(snr_linear: float, n: int, l: int, beta: float) -> float:
     if not 0 <= beta <= n:
         raise ValueError(f"beta must lie in [0, {n}], got {beta}")
     return l * (n - beta) * snr_linear / (l * beta * snr_linear + n)
-
-
-def estimate_gamma1(
-    config: ScenarioConfig, basis: ProjectionBasis, num_symbols: int
-) -> float:
-    """Interference-driven eigenvalue candidate, from a signal-free run.
-
-    Synthesizes the scenario with the desired user's power forced to
-    zero, estimates the covariance pair of the projected snapshots and
-    returns its dominant generalized eigenvalue minus one.
-    """
-    l = config.geometry.num_elements
-    if num_symbols * basis.num_channels < 10 * l:
-        raise ValueError(
-            f"need num_symbols * channels >= {10 * l} for a usable "
-            f"estimate, got {num_symbols * basis.num_channels}"
-        )
-    quiet = replace(config.signal_free(), num_symbols=num_symbols)
-    stream = synthesize(quiet)
-    n0 = config.desired[0].delay_chips if config.desired else 0
-    x_s, x_i = project_stream(stream.samples, basis, n0)
-    return solve_batch(covariances_from_arrays(x_s, x_i))[0] - 1.0
 
 
 def predicted_threshold(gamma1: float, beta: float, n: int, l: int) -> float:

@@ -18,6 +18,7 @@ itself scaled to unit norm.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,7 +47,6 @@ class CovariancePair:
 
     r_s: np.ndarray
     r_i: np.ndarray
-    num_symbols: int
 
 
 def _unit_code(code: SpreadingCode) -> np.ndarray:
@@ -145,14 +145,16 @@ def project_stream(
 
 
 def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sample cross-Gram of two snapshot stacks of equal shape.
+    """Sample cross-Gram of two snapshot stacks with equal trailing axes.
 
-    Both stacks are (L, ...) with the same trailing axes; every trailing
-    index is one snapshot, so the result is the L x L mean of a_k b_k^H
-    over them. Not symmetrized: a cross-Gram need not be Hermitian.
+    The stacks are (M, ...) and (M', ...) with the same trailing axes;
+    every trailing index is one snapshot, so the result is the M x M'
+    mean of a_k b_k^H over them (M or M' may be 0). Not symmetrized: a
+    cross-Gram need not be Hermitian.
     """
-    a = a.reshape(len(a), -1)
-    return (a @ b.reshape(len(b), -1).conj().T) / a.shape[1]
+    snapshots = math.prod(a.shape[1:])
+    a = a.reshape(len(a), snapshots)
+    return (a @ b.reshape(len(b), snapshots).conj().T) / snapshots
 
 
 def covariances_from_arrays(
@@ -170,7 +172,6 @@ def covariances_from_arrays(
     return CovariancePair(
         r_s=0.5 * (r_s + r_s.conj().T),
         r_i=0.5 * (r_i + r_i.conj().T),
-        num_symbols=x_s.shape[1],
     )
 
 

@@ -7,14 +7,19 @@ scenario hash so any row is traceable to the exact configuration and
 seed that produced it, and results.csv content is a pure function of
 (config, seed) so reruns are byte-identical.
 
-The sweep-style presets exploit that every synthesized stream is an
-exact sum of a unit-reference desired component, an interference
-component and a noise component, and that only the desired amplitude
-changes across the SNR grid: the block Gram of the three components is
-accumulated once per (scenario, INR, trial) and the covariance pair for
-any SNR is assembled from it algebraically. This matches per-SNR
-re-estimation to roundoff and is verified against the direct path in
-the test suite.
+Every synthesized stream is an exact sum of a unit-reference desired
+component, an interference component and a noise component, the first
+two held as steering matrices times waveform rows. component_grams is
+the one covariance route: it projects only the waveform rows and the
+noise, and forms block (a, b) of the components' Gram as A_a G_ab A_b^H,
+with G_ab the cross-Gram of the projected rows and A = I for noise. The
+sweep-style presets build it once per (scenario, INR, trial) and, since
+only the desired amplitude changes across the SNR grid, assemble the
+covariance pair for any SNR from it algebraically; the clutter
+covariances of the recursive presets are the same assembly at zero
+desired amplitude. This matches direct estimation on the summed stream
+(ChipStream.samples, built only where a preset needs raw snapshots) to
+roundoff, as the test suite verifies.
 """
 
 from __future__ import annotations
@@ -553,7 +558,6 @@ class SchemeGrams:
     is alpha times the reference stream's.
     """
 
-    num_symbols: int
     s_gram: np.ndarray
     i_gram: np.ndarray
 
@@ -566,7 +570,6 @@ class SchemeGrams:
         return CovariancePair(
             r_s=0.5 * (r_s + r_s.conj().T),
             r_i=0.5 * (r_i + r_i.conj().T),
-            num_symbols=self.num_symbols,
         )
 
     def sinr_covariances(
@@ -583,23 +586,32 @@ class SchemeGrams:
 def component_grams(
     stream: ChipStream, basis: ProjectionBasis, n0: int
 ) -> SchemeGrams:
-    """Project each component stream once and fill the block Grams pair
-    by pair (no stacked copy of the three projections)."""
-    projected = [
-        project_stream(component, basis, n0)
-        for component in (stream.soi, stream.interference, stream.noise)
-    ]
+    """Block Grams of the soi, interference and noise components.
+
+    Each component is a steering matrix A times waveform rows Y (noise
+    is A = I times itself), so its projection is A P(Y) and block (a, b)
+    is A_a gram(P(Y_a), P(Y_b)) A_b^H: only the waveform rows are
+    projected, never an element-by-chip copy of a component.
+    """
     l = stream.num_elements
+    components = [
+        (steering, project_stream(waveforms, basis, n0))
+        for steering, waveforms in (
+            (stream.soi_steering, stream.soi_waveforms),
+            (stream.steering, stream.waveforms),
+            (np.eye(l), stream.noise),
+        )
+    ]
     blocks = [slice(k * l, (k + 1) * l) for k in range(3)]
     s_gram = np.empty((3 * l, 3 * l), dtype=np.complex128)
     i_gram = np.empty((3 * l, 3 * l), dtype=np.complex128)
-    for a in range(3):
-        for b in range(a, 3):
+    for a, (steer_a, proj_a) in enumerate(components):
+        for b, (steer_b, proj_b) in enumerate(components[a:], start=a):
             for out, side in ((s_gram, 0), (i_gram, 1)):
-                block = gram(projected[a][side], projected[b][side])
+                block = steer_a @ gram(proj_a[side], proj_b[side]) @ steer_b.conj().T
                 out[blocks[a], blocks[b]] = block
                 out[blocks[b], blocks[a]] = block.conj().T
-    return SchemeGrams(projected[0][0].shape[1], s_gram, i_gram)
+    return SchemeGrams(s_gram, i_gram)
 
 
 def _scheme_basis(spec: ExperimentSpec, scheme: str) -> ProjectionBasis:
@@ -856,14 +868,20 @@ def _clutter_covariance(
     config: ScenarioConfig, n0: int, num_symbols: int, seed: tuple[int, ...]
 ) -> np.ndarray:
     """Signal-channel interference+noise covariance from a quiet long run."""
-    quiet = replace(config.signal_free(), num_symbols=num_symbols, seed=seed,
-                    track_interferer_streams=False)
-    stream = synthesize(quiet)
+    quiet = synthesize(
+        replace(config.signal_free(), num_symbols=num_symbols, seed=seed)
+    )
     # every basis shares the signal channel h_s; PAPC's monitor is one channel
     basis = make_basis("PAPC", generate_gold_codes(1)[0])
-    x_s, _ = project_stream(stream.samples, basis, n0)
-    cov = gram(x_s, x_s)
-    return 0.5 * (cov + cov.conj().T)
+    return component_grams(quiet, basis, n0).covariance_pair(0.0).r_s
+
+
+def _staggered(stream: ChipStream, entries: list[int]) -> np.ndarray:
+    """The stream's samples with interferer i silent before chip entries[i]."""
+    waveforms = stream.waveforms.copy()
+    for row, entry in zip(waveforms, entries):
+        row[:entry] = 0.0
+    return replace(stream, waveforms=waveforms).samples
 
 
 def _stack_trial(
@@ -905,10 +923,11 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
                 spec, presets.convergence_scenario, (spec.seed, s_idx, trial),
                 snr_db=snr_db,
             )
+            received = stream.samples
             for scheme, basis in bases.items():
                 stacks[scheme] = _stack_trial(
                     stacks.get(scheme), trial, spec.trials,
-                    project_stream(stream.samples, basis, n0),
+                    project_stream(received, basis, n0),
                 )
 
         for scheme in spec.schemes:
@@ -952,8 +971,7 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
     if spec.preset != "tracking":
         raise ConfigError("run_tracking requires preset=tracking")
     snr_db = spec.snr_grid_db[0]
-    overrides = {"snr_db": snr_db, "track_interferer_streams": True}
-    base, n0 = _scenario(spec, presets.tracking_scenario, spec.seed, **overrides)
+    base, n0 = _scenario(spec, presets.tracking_scenario, spec.seed, snr_db=snr_db)
     n = base.processing_gain
     num_mais = len(base.mais)
     num_interferers = num_mais + len(base.jammers)
@@ -984,15 +1002,11 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
         for trial in range(spec.trials):
             _, config_hash, stream, _ = _cell(
                 spec, presets.tracking_scenario, (spec.seed, r_idx, trial),
-                **overrides,
+                snr_db=snr_db,
             )
-            masked = stream.soi + stream.noise
-            for i, entry in enumerate(run_entries):
-                start = entry * n
-                if start < masked.shape[1]:
-                    masked[:, start:] += stream.interferer_streams[i][:, start:]
+            received = _staggered(stream, [entry * n for entry in run_entries])
             stacks = _stack_trial(
-                stacks, trial, spec.trials, project_stream(masked, basis, n0)
+                stacks, trial, spec.trials, project_stream(received, basis, n0)
             )
         out = adaptive_mod.run(*stacks, spec.mu, delta)
         num_symbols = out.w.shape[1]
@@ -1054,9 +1068,10 @@ def run_identical_delay(spec: ExperimentSpec) -> ExperimentResult:
             (spec.seed, v_idx), snr_db=spec.snr_grid_db[0],
         )
         groups = group_identical_delays(config.desired)
+        received = stream.samples
         for g_idx, group in enumerate(groups):
             n0 = config.desired[group[0]].delay_chips
-            x_s, x_i = project_stream(stream.samples, basis, n0)
+            x_s, x_i = project_stream(received, basis, n0)
             _, weight = solve_batch(covariances_from_arrays(x_s, x_i))
             samples = array_pattern(weight, config.geometry, PATTERN_GRID_DEG)
             name = (
@@ -1079,7 +1094,7 @@ def run_identical_delay(spec: ExperimentSpec) -> ExperimentResult:
                     "scenario_hash": config_hash,
                 }
             )
-        del stream
+        del stream, received
     return ExperimentResult(
         preset=spec.preset, rows=rows, patterns=patterns, metadata=metadata
     )

@@ -10,11 +10,18 @@ The CLI `oracle` subcommand prints them all.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from . import core, linalg
-from .scenario import CODE_LENGTH, generate_gold_codes, gold_family_bits
+from .scenario import (
+    CODE_LENGTH,
+    ScenarioConfig,
+    generate_gold_codes,
+    gold_family_bits,
+    synthesize,
+)
 
 
 def gold_correlation_levels() -> tuple[list[int], list[int]]:
@@ -210,6 +217,29 @@ def mic_leakage() -> float:
 
     code = generate_gold_codes(1)[0]
     return plr_beta(core.basis_mic(code), code)
+
+
+def estimate_gamma1(
+    config: ScenarioConfig, basis: core.ProjectionBasis, num_symbols: int
+) -> float:
+    """Interference-driven eigenvalue candidate, from a signal-free run.
+
+    The direct-estimation reference for the gamma1 the sweep runners
+    read off their component Grams: synthesizes the scenario with the
+    desired user's power forced to zero, estimates the covariance pair
+    of the projected raw stream and returns its dominant generalized
+    eigenvalue minus one.
+    """
+    l = config.geometry.num_elements
+    if num_symbols * basis.num_channels < 10 * l:
+        raise ValueError(
+            f"need num_symbols * channels >= {10 * l} for a usable "
+            f"estimate, got {num_symbols * basis.num_channels}"
+        )
+    quiet = replace(config.signal_free(), num_symbols=num_symbols)
+    n0 = config.desired[0].delay_chips if config.desired else 0
+    x_s, x_i = core.project_stream(synthesize(quiet).samples, basis, n0)
+    return core.solve_batch(core.covariances_from_arrays(x_s, x_i))[0] - 1.0
 
 
 def run_all() -> dict[str, object]:

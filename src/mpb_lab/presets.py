@@ -114,7 +114,6 @@ def convergence_scenario(
     snr_db: float = 20.0,
     num_symbols: int = 100,
     seed: Seed = 0,
-    track_interferer_streams: bool = False,
 ) -> ScenarioConfig:
     """Ten elements, desired user at 20 degrees, seven strong equal-power
     interfering users (INR 40 dB) plus a broadband BPSK jammer at 60
@@ -129,7 +128,6 @@ def convergence_scenario(
     jammers = [JammerSpec(kind="bpsk_broadband", doa_deg=60.0, inr_db=40.0)]
     cfg = _base(10, snr_db, num_symbols, seed, mais=mais, jammers=jammers)
     cfg.desired = [PathSpec(user_index=0, doa_deg=20.0, delay_chips=0, power=1.0)]
-    cfg.track_interferer_streams = track_interferer_streams
     return cfg
 
 
@@ -137,13 +135,10 @@ def tracking_scenario(
     snr_db: float = 20.0,
     num_symbols: int = 450,
     seed: Seed = 0,
-    track_interferer_streams: bool = True,
 ) -> ScenarioConfig:
     """Same geometry and interferer directions as the convergence study,
     with interferer powers quoted against the desired user: the first
     two are 8 dB stronger than the desired path, the rest 40 dB.
-    Per-interferer streams are tracked by default so entries can be
-    staggered.
     """
     soi_power = 10.0 ** (snr_db / 10.0) / PROCESSING_GAIN
     relative_db = (8.0, 8.0, 40.0, 40.0, 40.0, 40.0, 40.0)
@@ -158,7 +153,6 @@ def tracking_scenario(
     ]
     cfg = _base(10, snr_db, num_symbols, seed, mais=mais)
     cfg.desired = [PathSpec(user_index=0, doa_deg=20.0, delay_chips=0, power=1.0)]
-    cfg.track_interferer_streams = track_interferer_streams
     return cfg
 
 

@@ -4,6 +4,9 @@ The stream model is chip-rate sampling after the receive filter: every
 additive term (desired-user paths, other users' paths, jammers, noise)
 is generated separately and recorded, so experiments can form exact
 signal/interference/noise decompositions of anything computed downstream.
+Every path and jammer is a rank-one term a(theta) s(t) and is kept as
+its steering vector and waveform; only receiver noise is stored as a
+full element-by-chip array.
 
 Conventions used throughout:
   * spreading codes are real +-1 chips of length 31 (degree-5 Gold family),
@@ -133,7 +136,6 @@ class ScenarioConfig:
     jammers: list[JammerSpec] = field(default_factory=list)
     noise_power: float = 1.0
     seed: int | tuple[int, ...] = 0
-    track_interferer_streams: bool = False
 
     @property
     def processing_gain(self) -> int:
@@ -199,26 +201,34 @@ class ScenarioConfig:
 
 @dataclass
 class ChipStream:
-    """Synthesized chip-rate array data plus exact component bookkeeping.
+    """Synthesized chip-rate array data as its exact components.
 
-    samples == soi + interference + noise holds elementwise exactly; the
-    per-interferer streams, when tracked, sum to interference in the
-    same order they were accumulated.
+    The desired signal is soi_steering (L, P) times soi_waveforms
+    (P, chips), one row per desired path; the interference is steering
+    (L, D) times waveforms (D, chips), one row per interferer, the
+    interfering paths first and then the jammers, in config order. Only
+    noise is an (L, chips) array.
     """
 
-    samples: np.ndarray
-    soi: np.ndarray
-    interference: np.ndarray
+    soi_steering: np.ndarray
+    soi_waveforms: np.ndarray
+    steering: np.ndarray
+    waveforms: np.ndarray
     noise: np.ndarray
-    interferer_waveforms: list[np.ndarray]
-    interferer_labels: list[str]
     symbols: dict[int, np.ndarray]
     config: ScenarioConfig
-    interferer_streams: list[np.ndarray] | None = None
 
     @property
     def num_elements(self) -> int:
-        return int(self.samples.shape[0])
+        return int(self.noise.shape[0])
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The received (L, chips) stream, built anew on every access."""
+        out = self.steering @ self.waveforms
+        out += self.soi_steering @ self.soi_waveforms
+        out += self.noise
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -350,51 +360,35 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
         for u in user_indices
     }
 
-    soi = np.zeros((num_elements, total), dtype=np.complex128)
-    for path in config.desired:
-        amplitude = math.sqrt(desired_path_power(config, path))
-        wave = amplitude * _path_chip_sequence(
+    def steering(paths) -> np.ndarray:
+        """(L, len(paths)) matrix of the paths' array responses."""
+        out = np.empty((num_elements, len(paths)), dtype=np.complex128)
+        for column, path in zip(out.T, paths):
+            column[:] = steering_vector(config.geometry, path.doa_deg)
+        return out
+
+    waveforms = np.empty((len(config.mais) + len(config.jammers), total),
+                         dtype=np.complex128)
+    soi_waveforms = np.empty((len(config.desired), total), dtype=np.complex128)
+    for row, path in zip(soi_waveforms, config.desired):
+        row[:] = math.sqrt(desired_path_power(config, path)) * _path_chip_sequence(
             symbols[0], codes[0].chips, path.delay_chips, total
         )
-        soi += np.outer(steering_vector(config.geometry, path.doa_deg), wave)
-
-    interference = np.zeros((num_elements, total), dtype=np.complex128)
-    interferer_waveforms: list[np.ndarray] = []
-    interferer_labels: list[str] = []
-    interferer_streams: list[np.ndarray] | None = (
-        [] if config.track_interferer_streams else None
-    )
-
-    def add_interferer(wave: np.ndarray, doa_deg: float, label: str) -> None:
-        nonlocal interference
-        stream = np.outer(steering_vector(config.geometry, doa_deg), wave)
-        interference += stream
-        interferer_waveforms.append(wave)
-        interferer_labels.append(label)
-        if interferer_streams is not None:
-            interferer_streams.append(stream)
-
-    for idx, path in enumerate(config.mais):
-        amplitude = math.sqrt(path.power)
-        wave = amplitude * _path_chip_sequence(
+    for row, path in zip(waveforms, config.mais):
+        row[:] = math.sqrt(path.power) * _path_chip_sequence(
             symbols[path.user_index], codes[path.user_index].chips,
             path.delay_chips, total,
         )
-        add_interferer(
-            wave.astype(np.complex128), path.doa_deg,
-            f"mai[{idx}] user{path.user_index} {path.doa_deg:g}deg",
-        )
 
-    for idx, jam in enumerate(config.jammers):
+    for row, jam in zip(waveforms[len(config.mais):], config.jammers):
         amplitude = math.sqrt(config.noise_power * 10.0 ** (jam.inr_db / 10.0))
         if jam.kind == "tone":
             freq = jam.tone_offset_hz / config.chip_rate_hz
             phase = rng.uniform(0.0, 2.0 * np.pi)
             ticks = np.arange(total)
-            wave = amplitude * np.exp(1j * (2.0 * np.pi * freq * ticks + phase))
+            row[:] = amplitude * np.exp(1j * (2.0 * np.pi * freq * ticks + phase))
         elif jam.kind == "bpsk_broadband":
-            wave = amplitude * (rng.integers(0, 2, size=total) * 2.0 - 1.0)
-            wave = wave.astype(np.complex128)
+            row[:] = amplitude * (rng.integers(0, 2, size=total) * 2.0 - 1.0)
         else:  # periodic_white_noise
             period = jam.period_chips if jam.period_chips is not None else n
             # waveform_seed pins the repeated period itself, making the
@@ -408,24 +402,19 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
             # exact unit RMS per period keeps the INR calibration tight
             seg /= np.sqrt(np.mean(np.abs(seg) ** 2))
             reps = -(-total // period)
-            wave = amplitude * np.tile(seg, reps)[:total]
-        add_interferer(wave, jam.doa_deg, f"jammer[{idx}] {jam.kind} {jam.doa_deg:g}deg")
+            row[:] = amplitude * np.tile(seg, reps)[:total]
 
     sigma = math.sqrt(config.noise_power / 2.0)
     noise = sigma * (
         rng.standard_normal((num_elements, total))
         + 1j * rng.standard_normal((num_elements, total))
     )
-
-    samples = soi + interference + noise
     return ChipStream(
-        samples=samples,
-        soi=soi,
-        interference=interference,
+        soi_steering=steering(config.desired),
+        soi_waveforms=soi_waveforms,
+        steering=steering([*config.mais, *config.jammers]),
+        waveforms=waveforms,
         noise=noise,
-        interferer_waveforms=interferer_waveforms,
-        interferer_labels=interferer_labels,
         symbols=symbols,
         config=config,
-        interferer_streams=interferer_streams,
     )

@@ -57,7 +57,6 @@ class TestInit:
         expected_w[:, 0] = 1.0
         np.testing.assert_array_equal(state.w, expected_w)
         np.testing.assert_allclose(state.r_s @ state.p, eye, atol=1e-12)
-        assert state.symbol_count == 0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="num_elements"):
@@ -161,7 +160,6 @@ class TestUpdateSymbol:
         for k in range(5):
             y_o, _ = adaptive.update_symbol(state, x_s[:, :, k], x_i[:, :, k])
             np.testing.assert_array_equal(y_o, out.y_o[:, k])
-        assert state.symbol_count == 5
 
 
 class TestRun:

@@ -18,7 +18,6 @@ from mpb_lab.analysis import (
     ConditionReport,
     array_pattern,
     condition_check,
-    estimate_gamma1,
     gamma0,
     lambda_max_prediction,
     measure_threshold,
@@ -37,7 +36,11 @@ from mpb_lab.core import (
     project_stream,
 )
 from mpb_lab.linalg import hermitian_gevd
-from mpb_lab.oracles import maximin_leakage_closed_form, normalized_sinr
+from mpb_lab.oracles import (
+    estimate_gamma1,
+    maximin_leakage_closed_form,
+    normalized_sinr,
+)
 from mpb_lab.presets import five_tones_scenario, periodic_noise_scenario
 from mpb_lab.scenario import (
     CODE_LENGTH,
@@ -290,7 +293,7 @@ class TestNormalizedSinr:
         config = plain_config(num_symbols=10000, snr_db=snr_db)
         stream = synthesize(config)
         basis = basis_mic(code0)
-        soi_s, _ = project_stream(stream.soi, basis, 0)
+        soi_s, _ = project_stream(stream.soi_steering @ stream.soi_waveforms, basis, 0)
         noise_s, _ = project_stream(stream.noise, basis, 0)
         weight = steering_vector(config.geometry, 0.0) / math.sqrt(8)
         y_soi = weight.conj() @ soi_s
@@ -412,9 +415,7 @@ class TestConditionCheck:
         # interferers exceed the reach of any rank-one monitor
         config = periodic_noise_scenario(10.0, num_symbols=10, seed=3)
         stream = synthesize(config)
-        waveforms = np.stack(
-            [wave[:N] for wave in stream.interferer_waveforms], axis=1
-        )
+        waveforms = stream.waveforms[:, :N].T
         papc = basis_papc(code0)
         report = condition_check(papc, waveforms, papc.h_s)
         assert not report.principle1  # chip monitor overlaps the code

@@ -36,7 +36,7 @@ from mpb_lab.scenario import (
 
 def soi_only_config(snr_db=0.0, num_symbols=200, delay_chips=0, doa_deg=0.0,
                     seed=3):
-    """Desired path only; the clean component lives in stream.soi."""
+    """Desired path only; the clean component is A_s Y_s of the stream."""
     return ScenarioConfig(
         geometry=ArrayGeometry(num_elements=8),
         chip_rate_hz=3.1e6,
@@ -67,9 +67,10 @@ class TestSegment:
         stream = synthesize(config)
         p0 = desired_path_power(config, config.desired[0])
         basis = basis_mic(code0)
+        soi = stream.soi_steering @ stream.soi_waveforms
 
-        x_aligned, _ = project_stream(stream.soi, basis, 3)
-        x_misaligned, _ = project_stream(stream.soi, basis, 0)
+        x_aligned, _ = project_stream(soi, basis, 3)
+        x_misaligned, _ = project_stream(soi, basis, 0)
         aligned = float(np.mean(np.abs(x_aligned) ** 2))
         misaligned = float(np.mean(np.abs(x_misaligned) ** 2))
         assert aligned == pytest.approx(CODE_LENGTH * p0, rel=1e-10)
@@ -163,7 +164,8 @@ class TestProject:
         stream = synthesize(config)
         p0 = desired_path_power(config, config.desired[0])
         k = 4
-        x_s, x_i = project_stream(stream.soi, basis_mic(code0), 0)
+        soi = stream.soi_steering @ stream.soi_waveforms
+        x_s, x_i = project_stream(soi, basis_mic(code0), 0)
         steer = steering_vector(config.geometry, 0.0)
         expected = math.sqrt(CODE_LENGTH * p0) * stream.symbols[0][k + 1] * steer
         np.testing.assert_allclose(x_s[:, k], expected, rtol=1e-10)
@@ -220,7 +222,6 @@ class TestCovariances:
             np.outer(x_i[:, t], x_i[:, t].conj()) for t in range(2)
         ) / 2.0
         np.testing.assert_allclose(pair.r_i, expected_ri, atol=1e-12)
-        assert pair.num_symbols == 1
 
     def test_hermitian_outputs(self, rng):
         x_s = rng.standard_normal((5, 50)) + 1j * rng.standard_normal((5, 50))
@@ -275,7 +276,7 @@ class TestSolveBatch:
         steer = steering_vector(ArrayGeometry(num_elements=6), 20.0)
         r_s = 4.0 * np.outer(steer, steer.conj()) + np.eye(6)
         r_i = np.eye(6)
-        _, weight = solve_batch(CovariancePair(r_s, r_i, num_symbols=100))
+        _, weight = solve_batch(CovariancePair(r_s, r_i))
         expected = steer / np.linalg.norm(steer)
         np.testing.assert_allclose(weight, expected, atol=1e-10)
         rayleigh = float(
@@ -291,7 +292,7 @@ class TestSolveBatch:
         r_s = 2.0 * np.outer(soi, soi.conj()) \
             + 50.0 * np.outer(jam, jam.conj()) + np.eye(8)
         r_i = 50.0 * np.outer(jam, jam.conj()) + np.eye(8)
-        _, weight = solve_batch(CovariancePair(r_s, r_i, 100))
+        _, weight = solve_batch(CovariancePair(r_s, r_i))
         soi_gain = abs(np.vdot(weight, soi)) ** 2
         jam_gain = abs(np.vdot(weight, jam)) ** 2
         assert soi_gain > 100.0 * jam_gain
@@ -302,7 +303,7 @@ class TestSolveBatch:
             b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
             r_s = a @ a.conj().T + np.eye(6)
             r_i = b @ b.conj().T + np.eye(6)
-            lam1, weight = solve_batch(CovariancePair(r_s, r_i, 100))
+            lam1, weight = solve_batch(CovariancePair(r_s, r_i))
             # lambda1 is the pencil's largest eigenvalue, from the same GEVD
             assert lam1 == hermitian_gevd(r_s, r_i).eigenvalues[0]
             assert np.linalg.norm(weight) == pytest.approx(1.0, abs=1e-12)

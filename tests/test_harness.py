@@ -34,7 +34,7 @@ from mpb_lab.harness import (
     scenario_hash,
     write_result,
 )
-from mpb_lab.presets import five_tones_scenario
+from mpb_lab.presets import five_tones_scenario, tracking_scenario
 from mpb_lab.scenario import generate_gold_codes, synthesize
 
 
@@ -273,8 +273,8 @@ class TestGramFastPath:
         alpha = 10.0 ** (snr_db / 20.0)
         soi_cov, int_cov, noise_cov = grams.sinr_covariances(alpha)
         stream = synthesize(replace(reference, snr_db=snr_db))
-        for cov, component in ((soi_cov, stream.soi),
-                               (int_cov, stream.interference),
+        for cov, component in ((soi_cov, stream.soi_steering @ stream.soi_waveforms),
+                               (int_cov, stream.steering @ stream.waveforms),
                                (noise_cov, stream.noise)):
             x_s, _ = project_stream(component, basis, 0)
             direct = (x_s @ x_s.conj().T) / x_s.shape[1]
@@ -437,6 +437,53 @@ class TestRunners:
             e1 = np.eye(len(steering))[0]
             expected = np.mean([output_sinr(e1, power, steering, clutter)] * spec.trials)
             assert row["sinr_db"] == pytest.approx(10.0 * math.log10(expected), abs=1e-9)
+
+    def test_interferer_free_custom_scenario(self):
+        # no interferer at all: the interference component has zero
+        # waveform rows, and its Gram blocks are zero-row contractions
+        scenario = replace(five_tones_scenario(10.0, num_symbols=400), jammers=[])
+        assert not scenario.mais
+        for preset in ("threshold_sweep", "pattern"):
+            spec = default_spec(preset)
+            spec.symbols = 400
+            spec.trials = 1
+            spec.scenario = scenario
+            result = run_preset(spec)
+            assert result.rows
+            for row in result.rows:
+                # a threshold may be +-inf by definition; nothing else may
+                values = [value for key, value in row.items()
+                          if isinstance(value, float) and "threshold" not in key]
+                assert values and np.all(np.isfinite(values)), row
+            for samples in result.patterns.values():
+                assert np.all(np.isfinite([s.gain_db for s in samples]))
+
+    def test_staggered_input_matches_per_interferer_accumulation(self):
+        # tracking's input: interferer i is absent before its entry chip
+        # and fully present from it on. The reference accumulates each
+        # interferer's own element-by-chip stream onto soi + noise from
+        # its entry on; the last two entries lie at or past the stream's end.
+        config = tracking_scenario(num_symbols=12, seed=(5, 0, 0))
+        stream = synthesize(config)
+        total = stream.noise.shape[1]
+        entries = [(i + 1) * 2 * config.processing_gain
+                   for i in range(len(stream.waveforms))]
+        assert entries[-2] == total and entries[-1] > total
+        staggered = harness._staggered(stream, entries)
+        reference = stream.soi_steering @ stream.soi_waveforms + stream.noise
+        streams = [np.outer(stream.steering[:, i], wave)
+                   for i, wave in enumerate(stream.waveforms)]
+        for start, interferer in zip(entries, streams):
+            reference[:, start:] += interferer[:, start:]
+        tol = 1e-12 * np.max(np.abs(reference))
+        np.testing.assert_allclose(staggered, reference, rtol=0, atol=tol)
+        for i, (start, interferer) in enumerate(zip(entries, streams)):
+            never = [*entries[:i], total, *entries[i + 1:]]
+            alone = staggered - harness._staggered(stream, never)
+            np.testing.assert_allclose(alone[:, :start], 0.0, rtol=0, atol=tol)
+            np.testing.assert_allclose(
+                alone[:, start:], interferer[:, start:], rtol=0, atol=tol
+            )
 
     def test_identical_delay_smoke(self):
         spec = default_spec("identical_delay")

@@ -144,8 +144,13 @@ class TestSynthesize:
         stream = synthesize(make_config(jammers=[
             JammerSpec(kind="tone", doa_deg=25.0, inr_db=10.0, tone_offset_hz=1e5)
         ]))
+        assert stream.soi_steering.shape == (8, 1)
+        assert stream.steering.shape == (8, 1)
         np.testing.assert_array_equal(
-            stream.samples, stream.soi + stream.interference + stream.noise
+            stream.samples,
+            stream.soi_steering @ stream.soi_waveforms
+            + stream.steering @ stream.waveforms
+            + stream.noise,
         )
 
     def test_seed_reproducibility_bit_identical(self):
@@ -167,9 +172,10 @@ class TestSynthesize:
         stream = synthesize(config)
         p0 = desired_path_power(config, config.desired[0])
         sym = stream.symbols[0]  # index 0 holds the k = -1 lead-in symbol
+        soi = stream.soi_steering @ stream.soi_waveforms
         n = CODE_LENGTH
         for k in (0, 3, 49):
-            window = stream.soi[:, k * n : (k + 1) * n]
+            window = soi[:, k * n : (k + 1) * n]
             expected = math.sqrt(p0) * sym[k + 1] * code0.chips
             # broadside path: every element carries the same waveform
             for l in range(config.geometry.num_elements):
@@ -184,7 +190,7 @@ class TestSynthesize:
         p0 = desired_path_power(config, config.desired[0])
         sym = stream.symbols[0]
         # first three chips belong to the tail of the k = -1 symbol
-        head = stream.soi[0, :3]
+        head = (stream.soi_steering @ stream.soi_waveforms)[0, :3]
         expected = math.sqrt(p0) * sym[0] * code0.chips[-3:]
         np.testing.assert_allclose(head, expected, rtol=1e-12)
 
@@ -202,7 +208,7 @@ class TestSynthesize:
             JammerSpec(kind="tone", doa_deg=25.0, inr_db=13.0, tone_offset_hz=2e5)
         ])
         stream = synthesize(config)
-        wave = stream.interferer_waveforms[0]
+        wave = stream.waveforms[0]
         np.testing.assert_allclose(
             np.abs(wave), np.full(wave.size, np.abs(wave[0])), rtol=1e-12
         )
@@ -212,7 +218,7 @@ class TestSynthesize:
             JammerSpec(kind="periodic_white_noise", doa_deg=30.0, inr_db=10.0)
         ])
         stream = synthesize(config)
-        wave = stream.interferer_waveforms[0]
+        wave = stream.waveforms[0]
         np.testing.assert_array_equal(wave[CODE_LENGTH:], wave[:-CODE_LENGTH])
 
     def test_waveform_seed_pins_the_period(self):
@@ -224,14 +230,10 @@ class TestSynthesize:
 
         pinned_a = synthesize(make_config(seed=100, jammers=[jam(1589)]))
         pinned_b = synthesize(make_config(seed=200, jammers=[jam(1589)]))
-        np.testing.assert_array_equal(
-            pinned_a.interferer_waveforms[0], pinned_b.interferer_waveforms[0]
-        )
+        np.testing.assert_array_equal(pinned_a.waveforms[0], pinned_b.waveforms[0])
         free_a = synthesize(make_config(seed=100, jammers=[jam(None)]))
         free_b = synthesize(make_config(seed=200, jammers=[jam(None)]))
-        assert not np.array_equal(
-            free_a.interferer_waveforms[0], free_b.interferer_waveforms[0]
-        )
+        assert not np.array_equal(free_a.waveforms[0], free_b.waveforms[0])
 
     @pytest.mark.parametrize(
         "builder", [periodic_noise_scenario, multipath_mai_scenario,
@@ -241,16 +243,17 @@ class TestSynthesize:
         inr_db = 10.0
         config = builder(inr_db, snr_db=0.0, num_symbols=10000, seed=5)
         stream = synthesize(config)
-        for wave, label in zip(stream.interferer_waveforms, stream.interferer_labels):
+        for idx, wave in enumerate(stream.waveforms):
             measured = float(np.mean(np.abs(wave) ** 2))
             expected = config.noise_power * 10.0 ** (inr_db / 10.0)
-            assert abs(measured - expected) <= 0.03 * expected, label
+            assert abs(measured - expected) <= 0.03 * expected, f"interferer {idx}"
 
     def test_soi_post_despreading_snr_calibration(self, code0):
         snr_db = 10.0
         config = make_config(snr_db=snr_db, num_symbols=10000)
         stream = synthesize(config)
-        x_s, _ = project_stream(stream.soi, basis_mic(code0), 0)
+        soi = stream.soi_steering @ stream.soi_waveforms
+        x_s, _ = project_stream(soi, basis_mic(code0), 0)
         # per-element despread power over the per-element noise power
         measured = float(np.mean(np.abs(x_s) ** 2)) / config.noise_power
         expected = 10.0 ** (snr_db / 10.0)
@@ -261,23 +264,11 @@ class TestSynthesize:
             mais=[PathSpec(user_index=1, doa_deg=30.0, delay_chips=0, power=4.0)],
         )
         stream = synthesize(config)
-        wave = stream.interferer_waveforms[0]
+        wave = stream.waveforms[0]
         chips1 = generate_gold_codes(2)[1].chips
         sym1 = stream.symbols[1]
         expected = 2.0 * sym1[1] * chips1
         np.testing.assert_allclose(wave[:CODE_LENGTH], expected, rtol=1e-12)
-
-    def test_tracked_interferer_streams_sum_to_interference(self):
-        config = make_config(
-            mais=[PathSpec(user_index=1, doa_deg=30.0, power=2.0)],
-            jammers=[JammerSpec(kind="bpsk_broadband", doa_deg=40.0, inr_db=10.0)],
-            track_interferer_streams=True,
-        )
-        stream = synthesize(config)
-        assert stream.interferer_streams is not None
-        np.testing.assert_allclose(
-            sum(stream.interferer_streams), stream.interference, atol=1e-14
-        )
 
     def test_signal_free_removes_soi_only(self):
         config = make_config(jammers=[
@@ -285,8 +276,9 @@ class TestSynthesize:
         ])
         quiet = synthesize(config.signal_free())
         loud = synthesize(config)
-        assert np.all(quiet.soi == 0.0)
-        np.testing.assert_array_equal(quiet.interference, loud.interference)
+        assert np.all(quiet.soi_waveforms == 0.0)
+        np.testing.assert_array_equal(quiet.steering, loud.steering)
+        np.testing.assert_array_equal(quiet.waveforms, loud.waveforms)
         np.testing.assert_array_equal(quiet.noise, loud.noise)
 
 

@@ -18,9 +18,11 @@ A digest mismatch cannot tell roundoff from a real change. ``--keep DIR``
 also writes the CSVs to DIR/<preset>/; ``--compare DIR_A DIR_B`` then
 reads two such directories (no preset is run) and prints, per CSV,
 ``preset file changed_cells worst_rel_gap column``, where a cell counts
-as changed when its text differs and the gap is |a - b| / max(|a|, |b|).
-It exits with status 1 when a CSV is missing on one side or a header, a
-row count or a non-numeric cell differs.
+as changed when its text differs and the gap is |a - b| / max(|a|, |b|),
+followed by one line per column with differing non-numeric cells, giving
+the column, how many differ and the first pair. It exits with status 1
+when a CSV is missing on one side or a header, a row count or a
+non-numeric cell differs.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import hashlib
 import math
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -97,23 +100,27 @@ def compare_csv(path_a: Path, path_b: Path) -> tuple[int, float, str, list[str]]
         if len(row_a) != len(row_b):
             return 0, 0.0, "", ["row width differs"]
         cells += list(zip(header_a, row_a, row_b))
-    changed, worst, where, texts = 0, 0.0, "", []
+    changed, worst, where = 0, 0.0, ""
+    texts: Counter[str] = Counter()
+    first: dict[str, str] = {}
     for column, a, b in cells:
         if a == b:
             continue
         changed += 1
         x, y = _number(a), _number(b)
         if x is None or y is None:
-            texts.append(f"{column}: {a!r} vs {b!r}")
+            texts[column] += 1
+            first.setdefault(column, f"{a!r} vs {b!r}")
             continue
         gap = abs(x - y) / max(abs(x), abs(y))
         if math.isnan(gap):  # inf against inf of the other sign
             gap = math.inf
         if gap > worst or not where:
             worst, where = gap, column
-    problems = (
-        [f"{len(texts)} non-numeric cell(s) differ, first {texts[0]}"] if texts else []
-    )
+    problems = [
+        f"non-numeric column {column}: {count} cell(s) differ, first {first[column]}"
+        for column, count in texts.items()
+    ]
     return changed, worst, where, problems
 
 
