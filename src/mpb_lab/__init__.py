@@ -2,22 +2,26 @@
 
 The library splits into six layers:
 
-- linalg: generalized eigensolver, rank-one inverse updates, angles
+- linalg: generalized eigensolver, rank-one inverse updates
 - scenario: Gold codes, array geometry, synthetic chip-rate streams
-- core: projection bases (PAPC / Maximin / MIC), covariance pairs,
-  batch weight solving
+- core: projection bases (PAPC / Maximin / MIC, all built by
+  make_basis), window projection, batch weight solving
 - adaptive: the per-symbol recursive solver, all trials at once
   (shared by MIC and PAPC-RLS)
 - analysis: leakage / threshold theory, SINR metrics, beam patterns,
   applicability checks
-- harness + cli: experiment presets, config files, CSV emission
+- harness + cli: experiment presets, config files, CSV emission; the
+  one covariance route (component Grams) lives in the harness
+
+The second routes the tests compare against (direct covariance
+estimation, window-by-window and FFT projection, closed forms) live in
+oracles and are not exported.
 """
 
 from .adaptive import AdaptiveOutput, run
 from .analysis import (
     ConditionReport,
     PatternSample,
-    ThresholdReport,
     array_pattern,
     condition_check,
     gamma0,
@@ -33,10 +37,6 @@ from .analysis import (
 from .core import (
     CovariancePair,
     ProjectionBasis,
-    basis_maximin,
-    basis_mic,
-    basis_papc,
-    covariances_from_arrays,
     make_basis,
     project_stream,
     solve_batch,
@@ -54,7 +54,6 @@ from .harness import (
 from .linalg import (
     SingularMatrixError,
     hermitian_gevd,
-    subspace_angle,
 )
 from .scenario import (
     ArrayGeometry,
@@ -87,13 +86,8 @@ __all__ = [
     "ScenarioConfig",
     "SingularMatrixError",
     "SpreadingCode",
-    "ThresholdReport",
     "array_pattern",
-    "basis_maximin",
-    "basis_mic",
-    "basis_papc",
     "condition_check",
-    "covariances_from_arrays",
     "default_spec",
     "gamma0",
     "generate_gold_codes",
@@ -114,7 +108,6 @@ __all__ = [
     "scenario_hash",
     "solve_batch",
     "steering_vector",
-    "subspace_angle",
     "synthesize",
     "threshold_beta",
     "write_result",

@@ -29,21 +29,6 @@ RANK_TOLERANCE = 1e-8
 
 
 @dataclass
-class ThresholdReport:
-    """Predicted operating threshold of one scheme in one scenario.
-
-    beta is the reported plr_beta; gamma0_curve and the prediction take
-    threshold_beta.
-    """
-
-    beta: float
-    gamma0_curve: dict[float, float]
-    gamma1: float
-    predicted_threshold_db: float
-    measured_threshold_db: float | None = None
-
-
-@dataclass
 class PatternSample:
     """One direction of a normalized power pattern."""
 

@@ -2,8 +2,9 @@
 
 Turns a chip-rate array stream into per-symbol snapshot pairs (one
 signal-bearing vector, one or more interference-monitoring vectors),
-estimates the two covariance matrices and solves the batch weight as the
-dominant generalized eigenvector of that pair.
+holds the Gram contraction every covariance estimate is built from (the
+estimates themselves are harness.component_grams) and solves the batch
+weight as the dominant generalized eigenvector of a covariance pair.
 
 The three projection schemes differ only in the monitoring basis:
 
@@ -155,24 +156,6 @@ def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     snapshots = math.prod(a.shape[1:])
     a = a.reshape(len(a), snapshots)
     return (a @ b.reshape(len(b), snapshots).conj().T) / snapshots
-
-
-def covariances_from_arrays(
-    x_s: np.ndarray, x_i: np.ndarray
-) -> CovariancePair:
-    """Sample covariance pair from stacked snapshots (L,K) and (L,K,r)."""
-    if x_s.ndim != 2 or x_i.ndim != 3 or x_i.shape[:2] != x_s.shape:
-        raise ValueError(
-            f"snapshot stacks have inconsistent shapes {x_s.shape} / {x_i.shape}"
-        )
-    if x_s.shape[1] < 1 or x_i.shape[2] < 1:
-        raise ValueError("need at least one snapshot and one channel")
-    r_s = gram(x_s, x_s)
-    r_i = gram(x_i, x_i)
-    return CovariancePair(
-        r_s=0.5 * (r_s + r_s.conj().T),
-        r_i=0.5 * (r_i + r_i.conj().T),
-    )
 
 
 def solve_batch(pair: CovariancePair) -> tuple[float, np.ndarray]:

@@ -15,10 +15,12 @@ noise, and forms block (a, b) of the components' Gram as A_a G_ab A_b^H,
 with G_ab the cross-Gram of the projected rows and A = I for noise. The
 sweep-style presets build it once per (scenario, INR, trial) and, since
 only the desired amplitude changes across the SNR grid, assemble the
-covariance pair for any SNR from it algebraically; the clutter
-covariances of the recursive presets are the same assembly at zero
-desired amplitude. This matches direct estimation on the summed stream
-(ChipStream.samples, built only where a preset needs raw snapshots) to
+covariance pair for any SNR from it algebraically; identical_delay
+assembles its stream at amplitude one. The clutter covariances of the
+recursive presets are the same assembly at zero desired amplitude, all
+read from one quiet stream per preset by keeping its first k interferer
+rows. This matches direct estimation on the summed stream
+(ChipStream.samples, built only for the recursion's raw snapshots) to
 roundoff, as the test suite verifies.
 """
 
@@ -40,7 +42,6 @@ from . import adaptive as adaptive_mod
 from . import presets
 from .analysis import (
     PatternSample,
-    ThresholdReport,
     array_pattern,
     gamma0,
     lambda_max_prediction,
@@ -55,7 +56,6 @@ from .analysis import (
 from .core import (
     CovariancePair,
     ProjectionBasis,
-    covariances_from_arrays,
     gram,
     make_basis,
     project_stream,
@@ -487,7 +487,6 @@ class ExperimentResult:
     rows: list[dict]
     patterns: dict[str, list[PatternSample]]
     metadata: dict
-    thresholds: list[ThresholdReport] = field(default_factory=list)
 
 
 def write_result(result: ExperimentResult, out_dir: str | Path) -> Path:
@@ -668,7 +667,6 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
     grid = np.asarray(spec.snr_grid_db, dtype=np.float64)
     alphas = 10.0 ** (grid / 20.0)
     rows: list[dict] = []
-    reports: list[ThresholdReport] = []
     code = generate_gold_codes(1)[0]
     bases = {scheme: _scheme_basis(spec, scheme) for scheme in spec.schemes}
 
@@ -722,18 +720,6 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
             theory_beta = threshold_beta(bases[scheme], code)
             measured = measure_threshold(grid, g_mean)
             predicted = predicted_threshold(gamma1_mean, theory_beta, n, l)
-            reports.append(
-                ThresholdReport(
-                    beta=beta,
-                    gamma0_curve={
-                        float(s): gamma0(10.0 ** (s / 10.0), n, l, theory_beta)
-                        for s in grid
-                    },
-                    gamma1=gamma1_mean,
-                    predicted_threshold_db=predicted,
-                    measured_threshold_db=measured,
-                )
-            )
             for g_idx, snr_db in enumerate(grid):
                 rows.append(
                     {
@@ -754,8 +740,7 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
 
     metadata = _base_metadata(spec)
     return ExperimentResult(
-        preset=spec.preset, rows=rows, patterns={}, metadata=metadata,
-        thresholds=reports,
+        preset=spec.preset, rows=rows, patterns={}, metadata=metadata
     )
 
 
@@ -864,16 +849,27 @@ def _gain_at(samples: list[PatternSample], theta_deg: float) -> float:
     return float(best.gain_db)
 
 
-def _clutter_covariance(
-    config: ScenarioConfig, n0: int, num_symbols: int, seed: tuple[int, ...]
+def _clutters(
+    base: ScenarioConfig, n0: int, num_symbols: int, seed: tuple[int, ...]
 ) -> np.ndarray:
-    """Signal-channel interference+noise covariance from a quiet long run."""
+    """Signal-channel interference+noise covariances from one quiet run.
+
+    Entry k of the (D+1, L, L) stack has only the first k interferers
+    (in config order) present, so entry D is the whole scenario's clutter.
+    """
     quiet = synthesize(
-        replace(config.signal_free(), num_symbols=num_symbols, seed=seed)
+        replace(base.signal_free(), num_symbols=num_symbols, seed=seed)
     )
     # every basis shares the signal channel h_s; PAPC's monitor is one channel
     basis = make_basis("PAPC", generate_gold_codes(1)[0])
-    return component_grams(quiet, basis, n0).covariance_pair(0.0).r_s
+    return np.stack([
+        component_grams(
+            replace(quiet, steering=quiet.steering[:, :k],
+                    waveforms=quiet.waveforms[:k]),
+            basis, n0,
+        ).covariance_pair(0.0).r_s
+        for k in range(len(quiet.waveforms) + 1)
+    ])
 
 
 def _staggered(stream: ChipStream, entries: list[int]) -> np.ndarray:
@@ -884,17 +880,44 @@ def _staggered(stream: ChipStream, entries: list[int]) -> np.ndarray:
     return replace(stream, waveforms=waveforms).samples
 
 
-def _stack_trial(
-    stacks: list[np.ndarray] | None, trial: int, trials: int,
-    projected: tuple[np.ndarray, np.ndarray],
-) -> list[np.ndarray]:
-    """Store one trial's projected (x_s, x_i) at index trial of the
-    (T, ...) stacks, allocating them when stacks is None."""
-    if stacks is None:
-        stacks = [np.empty((trials, *x.shape), dtype=x.dtype) for x in projected]
-    for stack, x in zip(stacks, projected):
-        stack[trial] = x
-    return stacks
+def _recursion(
+    spec: ExperimentSpec,
+    builder: Callable[..., ScenarioConfig],
+    seed: tuple[int, ...],
+    snr_db: float,
+    bases: dict[str, ProjectionBasis],
+    entries: list[int],
+) -> tuple[str, dict[str, np.ndarray]]:
+    """Run the recursion of every scheme over all trials of one cell.
+
+    Trial t is synthesized once, at seed (*seed, t), with interferer i
+    silent before symbol entries[i]; every basis's projection of it is
+    stacked on a leading trial axis and each scheme's adaptive.run sees
+    all trials at once. Returns the cell's scenario hash and each
+    scheme's (T, K, L) weights, w[:, k] the one that produced output k.
+    """
+    stacks: dict[str, list[np.ndarray]] = {}
+    for trial in range(spec.trials):
+        config, config_hash, stream, n0 = _cell(
+            spec, builder, (*seed, trial), snr_db=snr_db
+        )
+        received = _staggered(
+            stream, [entry * config.processing_gain for entry in entries]
+        )
+        for scheme, basis in bases.items():
+            projected = project_stream(received, basis, n0)
+            if trial == 0:
+                stacks[scheme] = [
+                    np.empty((spec.trials, *x.shape), dtype=x.dtype)
+                    for x in projected
+                ]
+            for stack, x in zip(stacks[scheme], projected):
+                stack[trial] = x
+    delta = spec.delta_scale * config.noise_power
+    return config_hash, {
+        scheme: adaptive_mod.run(*stacks.pop(scheme), spec.mu, delta).w
+        for scheme in bases
+    }
 
 
 def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
@@ -903,37 +926,23 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
         raise ConfigError("run_convergence requires preset=convergence")
     rows: list[dict] = []
     metadata = _base_metadata(spec)
-    eval_symbols = 10000
     bases = {scheme: _scheme_basis(spec, scheme) for scheme in spec.schemes}
+    # interferer powers do not depend on the SNR, so neither does the clutter
+    base, n0 = _scenario(
+        spec, presets.convergence_scenario, spec.seed, snr_db=spec.snr_grid_db[0]
+    )
+    clutters = _clutters(base, n0, 10000, (spec.seed, 7000))
+    clutter = clutters[-1]
+    steer = steering_vector(base.geometry, base.desired[0].doa_deg)
     for s_idx, snr_db in enumerate(spec.snr_grid_db):
-        base, n0 = _scenario(
-            spec, presets.convergence_scenario, spec.seed, snr_db=snr_db
-        )
-        clutter = _clutter_covariance(
-            base, n0, eval_symbols, (spec.seed, 7000 + s_idx)
-        )
-        steer = steering_vector(base.geometry, base.desired[0].doa_deg)
         sig_power = base.noise_power * 10.0 ** (snr_db / 10.0)
         optimum = mvdr_optimum_sinr(sig_power, steer, clutter)
-        delta = spec.delta_scale * base.noise_power
-        # every scheme runs on the same stream of each trial
-        stacks: dict[str, list[np.ndarray]] = {}
-        for trial in range(spec.trials):
-            _, config_hash, stream, _ = _cell(
-                spec, presets.convergence_scenario, (spec.seed, s_idx, trial),
-                snr_db=snr_db,
-            )
-            received = stream.samples
-            for scheme, basis in bases.items():
-                stacks[scheme] = _stack_trial(
-                    stacks.get(scheme), trial, spec.trials,
-                    project_stream(received, basis, n0),
-                )
-
-        for scheme in spec.schemes:
-            out = adaptive_mod.run(*stacks.pop(scheme), spec.mu, delta)
-            sinr = output_sinr(out.w, sig_power, steer, clutter)
-            sinr_mean = np.mean(sinr, axis=0)
+        config_hash, weights = _recursion(
+            spec, presets.convergence_scenario, (spec.seed, s_idx), snr_db,
+            bases, [0] * (len(clutters) - 1),
+        )
+        for scheme, w in weights.items():
+            sinr_mean = np.mean(output_sinr(w, sig_power, steer, clutter), axis=0)
             converged = _first_within_3db(sinr_mean, optimum)
             for k in range(sinr_mean.size):
                 rows.append(
@@ -972,46 +981,28 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
         raise ConfigError("run_tracking requires preset=tracking")
     snr_db = spec.snr_grid_db[0]
     base, n0 = _scenario(spec, presets.tracking_scenario, spec.seed, snr_db=snr_db)
-    n = base.processing_gain
-    num_mais = len(base.mais)
-    num_interferers = num_mais + len(base.jammers)
+    num_interferers = len(base.mais) + len(base.jammers)
     entries = [(i + 1) * spec.entry_interval for i in range(num_interferers)]
 
-    # per-segment clutter covariance and optimum (interferers join in order)
+    # clutter covariance and optimum per count of active interferers
+    # (interferers join in config order)
     steer = steering_vector(base.geometry, base.desired[0].doa_deg)
     sig_power = base.noise_power * 10.0 ** (snr_db / 10.0)
-    clutters = np.stack([
-        _clutter_covariance(
-            replace(
-                base, mais=base.mais[:active],
-                jammers=base.jammers[: max(0, active - num_mais)],
-            ),
-            n0, 6000, (spec.seed, 8000 + active),
-        )
-        for active in range(num_interferers + 1)
-    ])
+    clutters = _clutters(base, n0, 6000, (spec.seed, 8000 + num_interferers))
     optima = [mvdr_optimum_sinr(sig_power, steer, q) for q in clutters]
 
-    delta = spec.delta_scale * base.noise_power
-    basis = make_basis("MIC", generate_gold_codes(1)[0])
+    bases = {"MIC": _scheme_basis(spec, "MIC")}
     rows: list[dict] = []
     metadata = _base_metadata(spec)
     for r_idx, run_name in enumerate(("staggered", "control")):
         run_entries = entries if run_name == "staggered" else [0] * num_interferers
-        stacks = None  # the previous run's stacks go before this run's are built
-        for trial in range(spec.trials):
-            _, config_hash, stream, _ = _cell(
-                spec, presets.tracking_scenario, (spec.seed, r_idx, trial),
-                snr_db=snr_db,
-            )
-            received = _staggered(stream, [entry * n for entry in run_entries])
-            stacks = _stack_trial(
-                stacks, trial, spec.trials, project_stream(received, basis, n0)
-            )
-        out = adaptive_mod.run(*stacks, spec.mu, delta)
-        num_symbols = out.w.shape[1]
+        config_hash, weights = _recursion(
+            spec, presets.tracking_scenario, (spec.seed, r_idx), snr_db,
+            bases, run_entries,
+        )
+        num_symbols = weights["MIC"].shape[1]
         active = [sum(1 for e in run_entries if e <= k) for k in range(num_symbols)]
-        sinr = output_sinr(out.w, sig_power, steer, clutters[active])
+        sinr = output_sinr(weights["MIC"], sig_power, steer, clutters[active])
         sinr_mean = np.mean(sinr, axis=0)
         for k in range(num_symbols):
             rows.append(
@@ -1068,11 +1059,11 @@ def run_identical_delay(spec: ExperimentSpec) -> ExperimentResult:
             (spec.seed, v_idx), snr_db=spec.snr_grid_db[0],
         )
         groups = group_identical_delays(config.desired)
-        received = stream.samples
         for g_idx, group in enumerate(groups):
             n0 = config.desired[group[0]].delay_chips
-            x_s, x_i = project_stream(received, basis, n0)
-            _, weight = solve_batch(covariances_from_arrays(x_s, x_i))
+            _, weight = solve_batch(
+                component_grams(stream, basis, n0).covariance_pair(1.0)
+            )
             samples = array_pattern(weight, config.geometry, PATTERN_GRID_DEG)
             name = (
                 f"{variant}" if len(groups) == 1 else f"{variant}_path{g_idx + 1}"
@@ -1094,7 +1085,7 @@ def run_identical_delay(spec: ExperimentSpec) -> ExperimentResult:
                     "scenario_hash": config_hash,
                 }
             )
-        del stream, received
+        del stream
     return ExperimentResult(
         preset=spec.preset, rows=rows, patterns=patterns, metadata=metadata
     )

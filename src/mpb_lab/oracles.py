@@ -137,6 +137,28 @@ def direct_projection(
     return x_s, x_i
 
 
+def covariances_from_arrays(
+    x_s: np.ndarray, x_i: np.ndarray
+) -> core.CovariancePair:
+    """Sample covariance pair from stacked snapshots (L,K) and (L,K,r).
+
+    The direct-estimation reference for harness.component_grams: the
+    Grams of the projected summed stream, not of its components.
+    """
+    if x_s.ndim != 2 or x_i.ndim != 3 or x_i.shape[:2] != x_s.shape:
+        raise ValueError(
+            f"snapshot stacks have inconsistent shapes {x_s.shape} / {x_i.shape}"
+        )
+    if x_s.shape[1] < 1 or x_i.shape[2] < 1:
+        raise ValueError("need at least one snapshot and one channel")
+    r_s = core.gram(x_s, x_s)
+    r_i = core.gram(x_i, x_i)
+    return core.CovariancePair(
+        r_s=0.5 * (r_s + r_s.conj().T),
+        r_i=0.5 * (r_i + r_i.conj().T),
+    )
+
+
 def normalized_sinr(
     y_soi: np.ndarray,
     y_interference: np.ndarray,
@@ -239,7 +261,7 @@ def estimate_gamma1(
     quiet = replace(config.signal_free(), num_symbols=num_symbols)
     n0 = config.desired[0].delay_chips if config.desired else 0
     x_s, x_i = core.project_stream(synthesize(quiet).samples, basis, n0)
-    return core.solve_batch(core.covariances_from_arrays(x_s, x_i))[0] - 1.0
+    return core.solve_batch(covariances_from_arrays(x_s, x_i))[0] - 1.0
 
 
 def run_all() -> dict[str, object]:

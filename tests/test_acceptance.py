@@ -21,7 +21,6 @@ import pytest
 from mpb_lab import adaptive, oracles
 from mpb_lab.core import (
     basis_mic,
-    covariances_from_arrays,
     project_stream,
     solve_batch,
 )
@@ -275,7 +274,7 @@ def test_criterion_06_recursion_reaches_batch_solution(code0, announce):
     stream = synthesize(config)
     x_s, x_i = project_stream(stream.samples, basis_mic(code0), 0)
     out = adaptive.run(x_s[None], x_i[None], mu=0.999, delta=1e-3)
-    _, batch_weight = solve_batch(covariances_from_arrays(x_s, x_i))
+    _, batch_weight = solve_batch(oracles.covariances_from_arrays(x_s, x_i))
     angle = subspace_angle(out.w[0, -1], batch_weight)
     ok = angle <= 0.05
     announce(

@@ -13,11 +13,11 @@ from mpb_lab import adaptive
 from mpb_lab.core import (
     basis_mic,
     basis_papc,
-    covariances_from_arrays,
     project_stream,
     solve_batch,
 )
 from mpb_lab.linalg import subspace_angle
+from mpb_lab.oracles import covariances_from_arrays
 from mpb_lab.presets import convergence_scenario
 from mpb_lab.scenario import synthesize
 

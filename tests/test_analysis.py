@@ -32,11 +32,11 @@ from mpb_lab.core import (
     basis_maximin,
     basis_mic,
     basis_papc,
-    covariances_from_arrays,
     project_stream,
 )
 from mpb_lab.linalg import hermitian_gevd
 from mpb_lab.oracles import (
+    covariances_from_arrays,
     estimate_gamma1,
     maximin_leakage_closed_form,
     normalized_sinr,

@@ -16,13 +16,16 @@ from mpb_lab.core import (
     basis_maximin,
     basis_mic,
     basis_papc,
-    covariances_from_arrays,
     make_basis,
     project_stream,
     solve_batch,
 )
 from mpb_lab.linalg import hermitian_gevd
-from mpb_lab.oracles import direct_projection, fft_projection_gap
+from mpb_lab.oracles import (
+    covariances_from_arrays,
+    direct_projection,
+    fft_projection_gap,
+)
 from mpb_lab.scenario import (
     CODE_LENGTH,
     ArrayGeometry,

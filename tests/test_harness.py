@@ -16,7 +16,7 @@ import pytest
 
 from mpb_lab import cli, harness, linalg
 from mpb_lab.analysis import output_sinr
-from mpb_lab.core import covariances_from_arrays, make_basis, project_stream
+from mpb_lab.core import make_basis, project_stream
 from mpb_lab.harness import (
     ConfigError,
     ExperimentResult,
@@ -34,6 +34,7 @@ from mpb_lab.harness import (
     scenario_hash,
     write_result,
 )
+from mpb_lab.oracles import covariances_from_arrays
 from mpb_lab.presets import five_tones_scenario, tracking_scenario
 from mpb_lab.scenario import generate_gold_codes, synthesize
 
@@ -281,6 +282,27 @@ class TestGramFastPath:
             np.testing.assert_allclose(cov, direct, rtol=1e-10, atol=1e-12)
 
 
+    def test_clutters_match_direct_estimation_per_interferer_count(self):
+        # entry k of the recursive presets' clutter stack keeps the quiet
+        # stream's first k interferer rows; the reference zeroes the rest
+        # and estimates from the summed stream
+        base = tracking_scenario(num_symbols=12, seed=(6, 0, 0))
+        basis = make_basis("PAPC", generate_gold_codes(1)[0])
+        clutters = harness._clutters(base, 0, 300, (6, 1))
+        quiet = synthesize(replace(base.signal_free(), num_symbols=300,
+                                   seed=(6, 1)))
+        assert len(clutters) == len(quiet.waveforms) + 1
+        for k, clutter in enumerate(clutters):
+            waveforms = quiet.waveforms.copy()
+            waveforms[k:] = 0.0
+            samples = replace(quiet, waveforms=waveforms).samples
+            direct = covariances_from_arrays(
+                *project_stream(samples, basis, 0)
+            ).r_s
+            gap = np.linalg.norm(clutter - direct) / np.linalg.norm(direct)
+            assert gap <= 1e-12, (k, gap)
+
+
 def tiny_sweep_spec(**overrides):
     spec = default_spec("threshold_sweep")
     spec.symbols = 400
@@ -296,9 +318,10 @@ def tiny_sweep_spec(**overrides):
 
 class TestRunners:
     def test_threshold_sweep_rows_and_traceability(self):
-        spec = tiny_sweep_spec()
+        # the grid reaches the plateau, so both thresholds are finite
+        spec = tiny_sweep_spec(snr_grid_db=[-10.0, 0.0, 10.0, 20.0, 30.0])
         result = run_threshold_sweep(spec)
-        assert len(result.rows) == 3  # one row per grid point
+        assert len(result.rows) == 5  # one row per grid point
         row = result.rows[0]
         expected_hash = scenario_hash(
             five_tones_scenario(10.0, snr_db=0.0, num_symbols=spec.symbols,
@@ -308,7 +331,9 @@ class TestRunners:
         assert row["scenario"] == "five_tones"
         assert row["scheme"] == "MIC"
         assert row["beta"] <= 1e-12
-        assert len(result.thresholds) == 1
+        for key in ("predicted_threshold_db", "measured_threshold_db"):
+            values = {row[key] for row in result.rows}
+            assert len(values) == 1 and math.isfinite(values.pop()), key
 
     def test_preset_mismatch_rejected(self):
         spec = tiny_sweep_spec()
@@ -437,6 +462,31 @@ class TestRunners:
             e1 = np.eye(len(steering))[0]
             expected = np.mean([output_sinr(e1, power, steering, clutter)] * spec.trials)
             assert row["sinr_db"] == pytest.approx(10.0 * math.log10(expected), abs=1e-9)
+
+    @pytest.mark.parametrize("preset", ["convergence", "tracking"])
+    def test_one_quiet_stream_per_recursive_preset(self, preset, monkeypatch):
+        # each trial of each cell or run is synthesized once, and one quiet
+        # stream serves every SNR (convergence) or interferer count (tracking)
+        calls = []
+        original = harness.synthesize
+
+        def counting(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(harness, "synthesize", counting)
+        spec = default_spec(preset)
+        spec.trials = 2
+        if preset == "convergence":
+            spec.symbols, spec.snr_grid_db = 40, [10.0, 20.0]
+            run_convergence(spec)
+            expected = spec.trials * len(spec.snr_grid_db) + 1
+        else:
+            spec.symbols, spec.entry_interval = 120, 40
+            run_tracking(spec)
+            expected = 2 * spec.trials + 1
+        assert len(calls) == expected
+        assert sum(math.isinf(c.snr_db) for c in calls) == 1
 
     def test_interferer_free_custom_scenario(self):
         # no interferer at all: the interference component has zero
