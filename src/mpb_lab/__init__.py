@@ -18,12 +18,9 @@ estimation, window-by-window and FFT projection, closed forms) live in
 oracles and are not exported.
 """
 
-from .adaptive import AdaptiveOutput, run
+from .adaptive import run
 from .analysis import (
-    ConditionReport,
-    PatternSample,
     array_pattern,
-    condition_check,
     gamma0,
     lambda_max_prediction,
     measure_threshold,
@@ -36,7 +33,6 @@ from .analysis import (
 )
 from .core import (
     CovariancePair,
-    ProjectionBasis,
     make_basis,
     project_stream,
     solve_batch,
@@ -51,17 +47,12 @@ from .harness import (
     scenario_hash,
     write_result,
 )
-from .linalg import (
-    SingularMatrixError,
-    hermitian_gevd,
-)
+from .linalg import SingularMatrixError
 from .scenario import (
     ArrayGeometry,
-    ChipStream,
     JammerSpec,
     PathSpec,
     ScenarioConfig,
-    SpreadingCode,
     generate_gold_codes,
     group_identical_delays,
     steering_vector,
@@ -71,28 +62,20 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveOutput",
     "ArrayGeometry",
-    "ChipStream",
-    "ConditionReport",
     "ConfigError",
     "CovariancePair",
     "ExperimentResult",
     "ExperimentSpec",
     "JammerSpec",
     "PathSpec",
-    "PatternSample",
-    "ProjectionBasis",
     "ScenarioConfig",
     "SingularMatrixError",
-    "SpreadingCode",
     "array_pattern",
-    "condition_check",
     "default_spec",
     "gamma0",
     "generate_gold_codes",
     "group_identical_delays",
-    "hermitian_gevd",
     "lambda_max_prediction",
     "load_config",
     "make_basis",

@@ -158,13 +158,13 @@ def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ b.reshape(len(b), snapshots).conj().T) / snapshots
 
 
-def solve_batch(pair: CovariancePair) -> tuple[float, np.ndarray]:
-    """Batch solution of the pair (r_s, r_i): its largest generalized
-    eigenvalue and the dominant generalized eigenvector.
+def solve_batch(pair: CovariancePair) -> tuple[np.ndarray, np.ndarray]:
+    """Batch solution of the pair (r_s, r_i): its generalized eigenvalues,
+    sorted descending, and the dominant generalized eigenvector.
 
     The weight is returned with unit Euclidean norm and the standard
     phase convention (first significant component real positive).
     """
     result = linalg.hermitian_gevd(pair.r_s, pair.r_i)
     weight = result.eigenvectors[:, 0]
-    return float(result.eigenvalues[0]), weight / np.linalg.norm(weight)
+    return result.eigenvalues, weight / np.linalg.norm(weight)

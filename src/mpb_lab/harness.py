@@ -61,7 +61,6 @@ from .core import (
     project_stream,
     solve_batch,
 )
-from .linalg import hermitian_gevd
 from .scenario import (
     ArrayGeometry,
     ChipStream,
@@ -418,57 +417,59 @@ def load_config(path: str | Path) -> ExperimentSpec:
         raise ConfigError("config requires a preset")
 
     spec = default_spec(str(raw["preset"]))
+    try:
+        _apply_keys(spec, raw)
+        spec.validate()
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value in config: {exc}") from exc
+    return spec
+
+
+def _listed(raw: dict, key: str, kind: type) -> list:
+    value = raw[key]
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return [kind(v) for v in value]
+
+
+def _apply_keys(spec: ExperimentSpec, raw: dict) -> None:
+    """Set the spec fields the raw config gives, coercing their types."""
     spec.output_dir = str(raw.get("output_dir", spec.output_dir))
-    if "seed" in raw:
-        spec.seed = int(raw["seed"])
-    if "symbols" in raw:
-        spec.symbols = int(raw["symbols"])
-    if "trials" in raw:
-        spec.trials = int(raw["trials"])
-    if "schemes" in raw:
-        spec.schemes = [str(s) for s in raw["schemes"]]
-    if "scenarios" in raw:
-        spec.scenario_names = [str(s) for s in raw["scenarios"]]
-    if "snr_grid_db" in raw:
-        grid = raw["snr_grid_db"]
-        if isinstance(grid, dict):
-            _require_keys(grid, {"start", "stop", "step"}, "snr_grid_db")
-            try:
-                start, stop, step = (
-                    float(grid["start"]), float(grid["stop"]), float(grid["step"])
-                )
-            except KeyError as exc:
-                raise ConfigError(f"snr_grid_db requires {exc}") from exc
-            if step <= 0 or stop < start:
-                raise ConfigError("snr_grid_db range must ascend with step > 0")
-            spec.snr_grid_db = list(np.arange(start, stop + 1e-9, step))
-        else:
-            spec.snr_grid_db = [float(v) for v in grid]
-    if "inr_list_db" in raw:
-        spec.inr_list_db = [float(v) for v in raw["inr_list_db"]]
-    for key in (
-        "monitor_freq", "delta_scale", "mu",
-    ):
+    for key in ("seed", "symbols", "trials", "papc_chip_index", "entry_interval"):
+        if key in raw:
+            setattr(spec, key, int(raw[key]))
+    for key in ("monitor_freq", "delta_scale", "mu"):
         if key in raw:
             setattr(spec, key, float(raw[key]))
-    if "papc_chip_index" in raw:
-        spec.papc_chip_index = int(raw["papc_chip_index"])
-    if "entry_interval" in raw:
-        spec.entry_interval = int(raw["entry_interval"])
-    if "scenario" in raw and raw["scenario"] is not None:
+    if "schemes" in raw:
+        spec.schemes = _listed(raw, "schemes", str)
+    if "scenarios" in raw:
+        spec.scenario_names = _listed(raw, "scenarios", str)
+    if "inr_list_db" in raw:
+        spec.inr_list_db = _listed(raw, "inr_list_db", float)
+    if isinstance(raw.get("snr_grid_db"), dict):
+        grid = raw["snr_grid_db"]
+        _require_keys(grid, {"start", "stop", "step"}, "snr_grid_db")
+        try:
+            start, stop, step = (
+                float(grid["start"]), float(grid["stop"]), float(grid["step"])
+            )
+        except KeyError as exc:
+            raise ConfigError(f"snr_grid_db requires {exc}") from exc
+        if step <= 0 or stop < start:
+            raise ConfigError("snr_grid_db range must ascend with step > 0")
+        spec.snr_grid_db = list(np.arange(start, stop + 1e-9, step))
+    elif "snr_grid_db" in raw:
+        spec.snr_grid_db = _listed(raw, "snr_grid_db", float)
+    if raw.get("scenario") is not None:
         spec.scenario = _parse_scenario(raw["scenario"], spec)
     # a key the preset never reads is an error even at its default value
     given = {"scenario_names" if key == "scenarios" else key for key in raw}
     unread = given & spec._unread_fields()
     if unread:
         raise ConfigError(f"{spec.preset} does not read {sorted(unread)}")
-    try:
-        spec.validate()
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return spec
 
 
 def scenario_hash(config: ScenarioConfig) -> str:
@@ -660,12 +661,62 @@ def _cell(
 # preset runners
 
 
+@dataclass
+class GridSolution:
+    """One scheme's batch solutions in a cell, over T trials and G grid SNRs."""
+
+    gamma1: np.ndarray  # (T,) interference-to-noise eigenvalue of the quiet pair
+    eigenvalues: np.ndarray  # (T, G, L) generalized eigenvalues, descending
+    weights: np.ndarray  # (T, G, L) dominant generalized eigenvectors
+    sinr: np.ndarray  # (T, G) normalized output SINR of each weight
+
+
+def _solve_grid(
+    spec: ExperimentSpec,
+    builder: Callable[..., ScenarioConfig] | None,
+    seed: tuple[int, ...],
+    bases: dict[str, ProjectionBasis],
+) -> tuple[ScenarioConfig, str, dict[str, GridSolution]]:
+    """Solve the batch pencil of every scheme over all trials of one cell.
+
+    Trial t is synthesized once, at 0 dB and seed (*seed, t). Each basis
+    builds its component Grams from it once, solves the zero-amplitude
+    pair for gamma1 and then one pair per grid SNR, and scores each
+    weight by its normalized output SINR. Returns the last trial's
+    config, the cell's scenario hash and each scheme's GridSolution.
+    """
+    grid = np.asarray(spec.snr_grid_db, dtype=np.float64)
+    solved: dict[str, list[tuple]] = {scheme: [] for scheme in bases}
+    for trial in range(spec.trials):
+        config, config_hash, stream, n0 = _cell(
+            spec, builder, (*seed, trial), snr_db=0.0
+        )
+        alphas = 10.0 ** (grid / 20.0) / math.sqrt(config.snr_linear)
+        for scheme, basis in bases.items():
+            grams = component_grams(stream, basis, n0)
+            gamma1 = solve_batch(grams.covariance_pair(0.0))[0][0] - 1.0
+            evals, weights = zip(
+                *(solve_batch(grams.covariance_pair(alpha)) for alpha in alphas)
+            )
+            sinr = [
+                normalized_sinr_from_covariances(
+                    w, *grams.sinr_covariances(alpha), 10.0 ** (snr_db / 10.0),
+                    config.geometry.num_elements,
+                )
+                for w, alpha, snr_db in zip(weights, alphas, grid)
+            ]
+            solved[scheme].append((gamma1, evals, weights, sinr))
+        del stream
+    return config, config_hash, {
+        scheme: GridSolution(*map(np.array, zip(*per_trial)))
+        for scheme, per_trial in solved.items()
+    }
+
+
 def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
     """G-vs-SNR sweeps and measured/predicted thresholds per scheme."""
     if spec.preset != "threshold_sweep":
         raise ConfigError("run_threshold_sweep requires preset=threshold_sweep")
-    grid = np.asarray(spec.snr_grid_db, dtype=np.float64)
-    alphas = 10.0 ** (grid / 20.0)
     rows: list[dict] = []
     code = generate_gold_codes(1)[0]
     bases = {scheme: _scheme_basis(spec, scheme) for scheme in spec.schemes}
@@ -682,45 +733,23 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
         ]
 
     for s_idx, scenario_name, builder, inr_label in cells:
-        g_sum = {scheme: np.zeros(grid.size) for scheme in spec.schemes}
-        lam_sum = {scheme: np.zeros(grid.size) for scheme in spec.schemes}
-        gamma1_acc = {scheme: 0.0 for scheme in spec.schemes}
-        for trial in range(spec.trials):
-            # the INR is deliberately absent from the seed: every INR level
-            # of a scenario reuses the same trial draws with rescaled
-            # powers, so threshold ladders reflect the power sweep alone
-            config, config_hash, stream, n0 = _cell(
-                spec, builder, (spec.seed, s_idx, trial), snr_db=0.0
-            )
-            snr_ref = config.snr_linear
-            for scheme in spec.schemes:
-                grams = component_grams(stream, bases[scheme], n0)
-                gamma1_acc[scheme] += solve_batch(grams.covariance_pair(0.0))[0] - 1.0
-                for g_idx, alpha in enumerate(alphas):
-                    lam1, weight = solve_batch(
-                        grams.covariance_pair(alpha / math.sqrt(snr_ref))
-                    )
-                    soi_cov, int_cov, noise_cov = grams.sinr_covariances(
-                        alpha / math.sqrt(snr_ref)
-                    )
-                    snr_linear = 10.0 ** (grid[g_idx] / 10.0)
-                    g_sum[scheme][g_idx] += normalized_sinr_from_covariances(
-                        weight, soi_cov, int_cov, noise_cov,
-                        snr_linear, config.geometry.num_elements,
-                    )
-                    lam_sum[scheme][g_idx] += lam1
-            del stream
-
+        # the INR is deliberately absent from the seed: every INR level
+        # of a scenario reuses the same trial draws with rescaled
+        # powers, so threshold ladders reflect the power sweep alone
+        config, config_hash, solved = _solve_grid(
+            spec, builder, (spec.seed, s_idx), bases
+        )
         n = config.processing_gain
         l = config.geometry.num_elements
-        for scheme in spec.schemes:
-            g_mean = g_sum[scheme] / spec.trials
-            gamma1_mean = gamma1_acc[scheme] / spec.trials
+        for scheme, solution in solved.items():
+            g_mean = solution.sinr.mean(axis=0)
+            lam_mean = solution.eigenvalues[:, :, 0].mean(axis=0)
+            gamma1_mean = solution.gamma1.mean()
             beta = plr_beta(bases[scheme], code)
             theory_beta = threshold_beta(bases[scheme], code)
-            measured = measure_threshold(grid, g_mean)
+            measured = measure_threshold(spec.snr_grid_db, g_mean)
             predicted = predicted_threshold(gamma1_mean, theory_beta, n, l)
-            for g_idx, snr_db in enumerate(grid):
+            for g_idx, snr_db in enumerate(spec.snr_grid_db):
                 rows.append(
                     {
                         "scenario": scenario_name,
@@ -729,7 +758,7 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
                         "snr_db": float(snr_db),
                         "g_linear": float(g_mean[g_idx]),
                         "g_db": 10.0 * math.log10(max(g_mean[g_idx], 1e-30)),
-                        "lambda1": float(lam_sum[scheme][g_idx] / spec.trials),
+                        "lambda1": float(lam_mean[g_idx]),
                         "gamma1": gamma1_mean,
                         "beta": beta,
                         "measured_threshold_db": measured,
@@ -748,39 +777,23 @@ def run_eigencurve(spec: ExperimentSpec) -> ExperimentResult:
     """Largest two generalized eigenvalues vs SNR with their predictions."""
     if spec.preset != "eigencurve":
         raise ConfigError("run_eigencurve requires preset=eigencurve")
-    grid = np.asarray(spec.snr_grid_db, dtype=np.float64)
-    basis = _scheme_basis(spec, spec.schemes[0])
+    scheme = spec.schemes[0]
+    basis = _scheme_basis(spec, scheme)
     beta = threshold_beta(basis, generate_gold_codes(1)[0])
-
-    lam1 = np.zeros(grid.size)
-    lam2 = np.zeros(grid.size)
-    gamma1_acc = 0.0
-    builder = partial(presets.five_tones_scenario, spec.inr_list_db[0])
-    for trial in range(spec.trials):
-        config, config_hash, stream, n0 = _cell(
-            spec, builder, (spec.seed, 0, trial), snr_db=0.0
-        )
-        grams = component_grams(stream, basis, n0)
-        gamma1_acc += solve_batch(grams.covariance_pair(0.0))[0] - 1.0
-        snr_ref = config.snr_linear
-        for g_idx, snr_db in enumerate(grid):
-            alpha = 10.0 ** (snr_db / 20.0) / math.sqrt(snr_ref)
-            pair = grams.covariance_pair(alpha)
-            evals = hermitian_gevd(pair.r_s, pair.r_i).eigenvalues
-            lam1[g_idx] += float(evals[0])
-            lam2[g_idx] += float(evals[1])
-        del stream
-
-    lam1 /= spec.trials
-    lam2 /= spec.trials
-    gamma1_mean = gamma1_acc / spec.trials
+    config, config_hash, solved = _solve_grid(
+        spec, partial(presets.five_tones_scenario, spec.inr_list_db[0]),
+        (spec.seed, 0), {scheme: basis},
+    )
+    solution = solved[scheme]
+    lam1, lam2 = solution.eigenvalues[:, :, :2].mean(axis=0).T
+    gamma1_mean = solution.gamma1.mean()
     n = config.processing_gain
     l = config.geometry.num_elements
 
     crossover_db = predicted_threshold(gamma1_mean, beta, n, l)
 
     rows = []
-    for g_idx, snr_db in enumerate(grid):
+    for g_idx, snr_db in enumerate(spec.snr_grid_db):
         g0 = gamma0(10.0 ** (snr_db / 10.0), n, l, beta)
         rows.append(
             {
@@ -809,32 +822,22 @@ def run_pattern(spec: ExperimentSpec) -> ExperimentResult:
     inr_db = spec.inr_list_db[0]
     rows: list[dict] = []
     patterns: dict[str, list[PatternSample]] = {}
-    builder = partial(presets.periodic_noise_scenario, inr_db)
-    config, config_hash, stream, n0 = _cell(
-        spec, builder, (spec.seed, 0, 0), snr_db=0.0
+    bases = {scheme: _scheme_basis(spec, scheme) for scheme in spec.schemes}
+    config, config_hash, solved = _solve_grid(
+        spec, partial(presets.periodic_noise_scenario, inr_db), (spec.seed, 0),
+        bases,
     )
-    snr_ref = config.snr_linear
-    for scheme in spec.schemes:
-        basis = _scheme_basis(spec, scheme)
-        grams = component_grams(stream, basis, n0)
-        for snr_db in spec.snr_grid_db:
-            alpha = 10.0 ** (snr_db / 20.0) / math.sqrt(snr_ref)
-            _, weight = solve_batch(grams.covariance_pair(alpha))
-            samples = array_pattern(weight, config.geometry, PATTERN_GRID_DEG)
-            name = f"{scheme}_snr{snr_db:g}dB"
-            patterns[name] = samples
-            gains = np.array([s.gain_db for s in samples])
-            thetas = np.array([s.theta_deg for s in samples])
-            peak_theta = float(thetas[int(np.argmax(gains))])
+    for scheme, solution in solved.items():
+        # pattern runs a single trial
+        for snr_db, weight in zip(spec.snr_grid_db, solution.weights[0]):
+            samples, beam = _beam(weight, config.geometry, (0.0, 30.0, -40.0))
+            patterns[f"{scheme}_snr{snr_db:g}dB"] = samples
             rows.append(
                 {
                     "scheme": scheme,
                     "snr_db": float(snr_db),
                     "inr_db": "" if spec.scenario is not None else float(inr_db),
-                    "peak_theta_deg": peak_theta,
-                    "gain_at_0deg_db": _gain_at(samples, 0.0),
-                    "gain_at_30deg_db": _gain_at(samples, 30.0),
-                    "gain_at_-40deg_db": _gain_at(samples, -40.0),
+                    **beam,
                     "scenario_hash": config_hash,
                 }
             )
@@ -844,9 +847,18 @@ def run_pattern(spec: ExperimentSpec) -> ExperimentResult:
     )
 
 
-def _gain_at(samples: list[PatternSample], theta_deg: float) -> float:
-    best = min(samples, key=lambda s: abs(s.theta_deg - theta_deg))
-    return float(best.gain_db)
+def _beam(
+    weight: np.ndarray, geometry: ArrayGeometry, angles: tuple[float, ...]
+) -> tuple[list[PatternSample], dict[str, float]]:
+    """A weight's beam pattern over PATTERN_GRID_DEG and its row columns:
+    the peak direction, then the gain at the grid point nearest each angle."""
+    samples = array_pattern(weight, geometry, PATTERN_GRID_DEG)
+    gains = np.array([s.gain_db for s in samples])
+    columns = {"peak_theta_deg": float(PATTERN_GRID_DEG[np.argmax(gains)])}
+    for angle in angles:
+        nearest = np.argmin(np.abs(PATTERN_GRID_DEG - angle))
+        columns[f"gain_at_{angle:g}deg_db"] = float(gains[nearest])
+    return samples, columns
 
 
 def _clutters(
@@ -1064,24 +1076,19 @@ def run_identical_delay(spec: ExperimentSpec) -> ExperimentResult:
             _, weight = solve_batch(
                 component_grams(stream, basis, n0).covariance_pair(1.0)
             )
-            samples = array_pattern(weight, config.geometry, PATTERN_GRID_DEG)
             name = (
                 f"{variant}" if len(groups) == 1 else f"{variant}_path{g_idx + 1}"
             )
+            samples, beam = _beam(
+                weight, config.geometry, (0.0, 12.0, 40.0, -10.0, -50.0)
+            )
             patterns[name] = samples
-            gains = np.array([s.gain_db for s in samples])
-            thetas = np.array([s.theta_deg for s in samples])
             rows.append(
                 {
                     "variant": variant,
                     "beamformer": name,
                     "delay_chips": n0,
-                    "peak_theta_deg": float(thetas[int(np.argmax(gains))]),
-                    "gain_at_0deg_db": _gain_at(samples, 0.0),
-                    "gain_at_12deg_db": _gain_at(samples, 12.0),
-                    "gain_at_40deg_db": _gain_at(samples, 40.0),
-                    "gain_at_-10deg_db": _gain_at(samples, -10.0),
-                    "gain_at_-50deg_db": _gain_at(samples, -50.0),
+                    **beam,
                     "scenario_hash": config_hash,
                 }
             )

@@ -261,7 +261,7 @@ def estimate_gamma1(
     quiet = replace(config.signal_free(), num_symbols=num_symbols)
     n0 = config.desired[0].delay_chips if config.desired else 0
     x_s, x_i = core.project_stream(synthesize(quiet).samples, basis, n0)
-    return core.solve_batch(covariances_from_arrays(x_s, x_i))[0] - 1.0
+    return core.solve_batch(covariances_from_arrays(x_s, x_i))[0][0] - 1.0
 
 
 def run_all() -> dict[str, object]:

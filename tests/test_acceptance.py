@@ -13,7 +13,6 @@ development.
 
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ from mpb_lab.harness import (
 )
 from mpb_lab.linalg import subspace_angle
 from mpb_lab.presets import convergence_scenario
-from mpb_lab.scenario import CODE_LENGTH, generate_gold_codes, synthesize
+from mpb_lab.scenario import CODE_LENGTH, synthesize
 
 pytestmark = pytest.mark.slow
 

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from mpb_lab.analysis import (
-    ConditionReport,
     array_pattern,
     condition_check,
     gamma0,
@@ -45,7 +44,6 @@ from mpb_lab.presets import five_tones_scenario, periodic_noise_scenario
 from mpb_lab.scenario import (
     CODE_LENGTH,
     ArrayGeometry,
-    JammerSpec,
     PathSpec,
     ScenarioConfig,
     steering_vector,

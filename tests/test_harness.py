@@ -20,7 +20,6 @@ from mpb_lab.core import make_basis, project_stream
 from mpb_lab.harness import (
     ConfigError,
     ExperimentResult,
-    ExperimentSpec,
     component_grams,
     default_spec,
     load_config,
@@ -346,9 +345,11 @@ class TestRunners:
         result = run_preset(tiny_sweep_spec())
         assert result.preset == "threshold_sweep"
 
-    def test_sweep_solves_one_gevd_per_grid_point(self, monkeypatch):
-        # one GEVD per grid point (solve_batch's, which also gives lambda1)
-        # plus one for the gamma1 quiet pair, per trial and scheme
+    @pytest.mark.parametrize("preset", ["threshold_sweep", "eigencurve", "pattern"])
+    def test_sweep_solves_one_gevd_per_grid_point(self, monkeypatch, preset):
+        # one GEVD per grid point (solve_batch's, which also gives the
+        # eigenvalues) plus one for the gamma1 quiet pair, per trial and
+        # scheme: the batch driver's cost is the same for every preset
         calls = []
         original = linalg.hermitian_gevd
 
@@ -357,9 +358,12 @@ class TestRunners:
             return original(a, b)
 
         monkeypatch.setattr(linalg, "hermitian_gevd", counting)
-        monkeypatch.setattr(harness, "hermitian_gevd", counting)
-        spec = tiny_sweep_spec(schemes=["MIC", "PAPC"])
-        run_threshold_sweep(spec)
+        if preset == "threshold_sweep":
+            spec = tiny_sweep_spec(schemes=["MIC", "PAPC"])
+        else:
+            spec = default_spec(preset)
+            spec.symbols = 400
+        run_preset(spec)
         assert len(calls) == (
             spec.trials * len(spec.schemes) * (len(spec.snr_grid_db) + 1)
         )
@@ -612,8 +616,15 @@ class TestCli:
             "preset: threshold_sweep\nschemes: [Maximin]\nmonitor_freq: 2.0\n",
             "preset: tracking\nmu: 1.5\n",
             "preset: convergence\ndelta_scale: -1\n",
+            "preset: eigencurve\nseed: abc\n",
+            "preset: eigencurve\nscenario:\n  desired:\n    - {doa_deg: x}\n",
+            "preset: threshold_sweep\ninr_list_db: 10\n",
+            "preset: threshold_sweep\nschemes: MIC\n",
         ],
-        ids=["papc_chip_index", "monitor_freq", "mu", "delta_scale"],
+        ids=[
+            "papc_chip_index", "monitor_freq", "mu", "delta_scale",
+            "seed", "doa_deg", "inr_list_db", "schemes",
+        ],
     )
     def test_validate_rejects_out_of_range_knobs(self, tmp_path, capsys, text):
         path = write_config(tmp_path, text)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mpb_lab import linalg
 from mpb_lab.linalg import (
     GevdResult,
     SingularMatrixError,

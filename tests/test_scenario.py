@@ -7,7 +7,6 @@ forms and calibration targets.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
