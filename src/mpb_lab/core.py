@@ -146,16 +146,17 @@ def project_stream(
 
 
 def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sample cross-Gram of two snapshot stacks with equal trailing axes.
+    """Cross-Gram of two snapshot stacks with equal trailing axes.
 
     The stacks are (M, ...) and (M', ...) with the same trailing axes;
     every trailing index is one snapshot, so the result is the M x M'
-    mean of a_k b_k^H over them (M or M' may be 0). Not symmetrized: a
-    cross-Gram need not be Hermitian.
+    sum of a_k b_k^H over them (M or M' may be 0). Divide by the
+    snapshot count for the sample mean, once the sums of all blocks of
+    a stream are in. Not symmetrized: a cross-Gram need not be Hermitian.
     """
     snapshots = math.prod(a.shape[1:])
     a = a.reshape(len(a), snapshots)
-    return (a @ b.reshape(len(b), snapshots).conj().T) / snapshots
+    return a @ b.reshape(len(b), snapshots).conj().T
 
 
 def solve_batch(pair: CovariancePair) -> tuple[np.ndarray, np.ndarray]:

@@ -280,6 +280,16 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+def _integer(value, key: str) -> int:
+    """An integer config value; a bool or a fractional number is an error,
+    not truncated."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_paths(entries, where: str, interfering: bool, noise_power: float):
     paths = []
     for idx, entry in enumerate(entries or []):
@@ -301,7 +311,7 @@ def _parse_paths(entries, where: str, interfering: bool, noise_power: float):
                 if "power" in entry
                 else noise_power * 10.0 ** (float(entry["inr_db"]) / 10.0)
             )
-            user = int(entry.get("user_index", idx + 1))
+            user = _integer(entry.get("user_index", idx + 1), "user_index")
         else:
             power = float(entry.get("power", 1.0))
             user = 0
@@ -309,7 +319,7 @@ def _parse_paths(entries, where: str, interfering: bool, noise_power: float):
             PathSpec(
                 user_index=user,
                 doa_deg=float(entry["doa_deg"]),
-                delay_chips=int(entry.get("delay_chips", 0)),
+                delay_chips=_integer(entry.get("delay_chips", 0), "delay_chips"),
                 power=power,
             )
         )
@@ -340,7 +350,7 @@ def _parse_jammers(entries, where: str):
                     else None
                 ),
                 period_chips=(
-                    int(entry["period_chips"])
+                    _integer(entry["period_chips"], "period_chips")
                     if entry.get("period_chips") is not None
                     else None
                 ),
@@ -367,7 +377,7 @@ def _parse_scenario(section: dict, spec: ExperimentSpec) -> ScenarioConfig:
     )
     config = ScenarioConfig(
         geometry=ArrayGeometry(
-            num_elements=int(section.get("num_elements", 8)),
+            num_elements=_integer(section.get("num_elements", 8), "num_elements"),
             spacing_wavelengths=float(section.get("spacing_wavelengths", 0.5)),
         ),
         chip_rate_hz=float(section.get("chip_rate_hz", presets.CHIP_RATE_HZ)),
@@ -439,7 +449,7 @@ def _apply_keys(spec: ExperimentSpec, raw: dict) -> None:
     spec.output_dir = str(raw.get("output_dir", spec.output_dir))
     for key in ("seed", "symbols", "trials", "papc_chip_index", "entry_interval"):
         if key in raw:
-            setattr(spec, key, int(raw[key]))
+            setattr(spec, key, _integer(raw[key], key))
     for key in ("monitor_freq", "delta_scale", "mu"):
         if key in raw:
             setattr(spec, key, float(raw[key]))
@@ -545,6 +555,10 @@ def _format_cell(value) -> str:
 # ---------------------------------------------------------------------------
 # component-Gram fast path
 
+# Windows projected at once by component_grams: bounds its working set
+# (MIC's noise projection is L x 1,024 x 30 complex, 3.9 MB at L = 8).
+_GRAM_BLOCK_SYMBOLS = 1024
+
 
 @dataclass
 class SchemeGrams:
@@ -590,28 +604,39 @@ def component_grams(
 
     Each component is a steering matrix A times waveform rows Y (noise
     is A = I times itself), so its projection is A P(Y) and block (a, b)
-    is A_a gram(P(Y_a), P(Y_b)) A_b^H: only the waveform rows are
-    projected, never an element-by-chip copy of a component.
+    is A_a gram(P(Y_a), P(Y_b)) A_b^H over the snapshot count: only the
+    waveform rows are projected, never an element-by-chip copy of a
+    component. The rows are projected _GRAM_BLOCK_SYMBOLS windows at a
+    time and the blocks' cross-Gram sums added up, so no projection of
+    the whole stream is ever held; the division comes once, at the end.
     """
     l = stream.num_elements
-    components = [
-        (steering, project_stream(waveforms, basis, n0))
-        for steering, waveforms in (
-            (stream.soi_steering, stream.soi_waveforms),
-            (stream.steering, stream.waveforms),
-            (np.eye(l), stream.noise),
-        )
-    ]
+    n = basis.h_s.size
+    components = (
+        (stream.soi_steering, stream.soi_waveforms),
+        (stream.steering, stream.waveforms),
+        (np.eye(l), stream.noise),
+    )
+    sums = {(side, a, b): 0.0
+            for side in (0, 1) for a in range(3) for b in range(a, 3)}
+    windows = (stream.noise.shape[1] - n0) // n
+    # at least one block: its projection rejects a bad n0 or a stream
+    # shorter than one window
+    for start in range(0, max(windows, 1), _GRAM_BLOCK_SYMBOLS):
+        chips = slice(start * n, n0 + min(start + _GRAM_BLOCK_SYMBOLS, windows) * n)
+        projected = [project_stream(rows[:, chips], basis, n0)
+                     for _, rows in components]
+        for side, a, b in sums:
+            sums[side, a, b] += gram(projected[a][side], projected[b][side])
+    snapshots = (windows, windows * basis.num_channels)
     blocks = [slice(k * l, (k + 1) * l) for k in range(3)]
-    s_gram = np.empty((3 * l, 3 * l), dtype=np.complex128)
-    i_gram = np.empty((3 * l, 3 * l), dtype=np.complex128)
-    for a, (steer_a, proj_a) in enumerate(components):
-        for b, (steer_b, proj_b) in enumerate(components[a:], start=a):
-            for out, side in ((s_gram, 0), (i_gram, 1)):
-                block = steer_a @ gram(proj_a[side], proj_b[side]) @ steer_b.conj().T
-                out[blocks[a], blocks[b]] = block
-                out[blocks[b], blocks[a]] = block.conj().T
-    return SchemeGrams(s_gram, i_gram)
+    grams = np.empty((2, 3 * l, 3 * l), dtype=np.complex128)
+    for (side, a, b), total in sums.items():
+        block = (components[a][0] @ (total / snapshots[side])
+                 @ components[b][0].conj().T)
+        grams[side, blocks[a], blocks[b]] = block
+        grams[side, blocks[b], blocks[a]] = block.conj().T
+    return SchemeGrams(*grams)
 
 
 def _scheme_basis(spec: ExperimentSpec, scheme: str) -> ProjectionBasis:

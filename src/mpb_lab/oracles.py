@@ -151,8 +151,8 @@ def covariances_from_arrays(
         )
     if x_s.shape[1] < 1 or x_i.shape[2] < 1:
         raise ValueError("need at least one snapshot and one channel")
-    r_s = core.gram(x_s, x_s)
-    r_i = core.gram(x_i, x_i)
+    r_s = core.gram(x_s, x_s) / x_s.shape[1]
+    r_i = core.gram(x_i, x_i) / (x_i.shape[1] * x_i.shape[2])
     return core.CovariancePair(
         r_s=0.5 * (r_s + r_s.conj().T),
         r_i=0.5 * (r_i + r_i.conj().T),

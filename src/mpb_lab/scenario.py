@@ -404,11 +404,14 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
             reps = -(-total // period)
             row[:] = amplitude * np.tile(seg, reps)[:total]
 
+    # filled in place row by row, all real parts then all imaginary parts:
+    # the draws of sigma * (N(L, total) + 1j * N(L, total)), bit for bit,
+    # without its full-size temporaries
     sigma = math.sqrt(config.noise_power / 2.0)
-    noise = sigma * (
-        rng.standard_normal((num_elements, total))
-        + 1j * rng.standard_normal((num_elements, total))
-    )
+    noise = np.empty((num_elements, total), dtype=np.complex128)
+    for part in (noise.real, noise.imag):
+        for row in part:
+            np.multiply(rng.standard_normal(total), sigma, out=row)
     return ChipStream(
         soi_steering=steering(config.desired),
         soi_waveforms=soi_waveforms,

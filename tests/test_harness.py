@@ -8,6 +8,7 @@ reproducibility.
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -280,26 +281,80 @@ class TestGramFastPath:
             direct = (x_s @ x_s.conj().T) / x_s.shape[1]
             np.testing.assert_allclose(cov, direct, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("scheme", ["MIC", "Maximin", "PAPC"])
+    def test_blocks_match_direct_estimation(self, scheme):
+        # three whole Gram blocks and a remainder, at a nonzero offset:
+        # the block sums must equal estimating from the whole summed stream
+        basis = make_basis(scheme, generate_gold_codes(1)[0])
+        config = five_tones_scenario(
+            10.0, snr_db=3.0,
+            num_symbols=3 * harness._GRAM_BLOCK_SYMBOLS + 200, seed=(79, 0, 0),
+        )
+        stream = synthesize(config)
+        n0 = 5
+        x_s, x_i = project_stream(stream.samples, basis, n0)
+        assert x_s.shape[1] % harness._GRAM_BLOCK_SYMBOLS > 0
+        direct = covariances_from_arrays(x_s, x_i)
+        fast = component_grams(stream, basis, n0).covariance_pair(1.0)
+        np.testing.assert_allclose(fast.r_s, direct.r_s, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(fast.r_i, direct.r_i, rtol=1e-10, atol=1e-12)
+
+    def test_rejects_bad_offset_and_short_stream(self):
+        basis = make_basis("MIC", generate_gold_codes(1)[0])
+        stream = synthesize(five_tones_scenario(10.0, num_symbols=2,
+                                                seed=(80, 0, 0)))
+        for n0 in (-1, basis.h_s.size):
+            with pytest.raises(ValueError, match="window offset"):
+                component_grams(stream, basis, n0)
+        short = synthesize(five_tones_scenario(10.0, num_symbols=1,
+                                               seed=(80, 0, 0)))
+        with pytest.raises(ValueError, match="too short"):
+            component_grams(short, basis, 1)
+
+    def test_memory_is_flat_in_the_symbol_count(self):
+        # a whole-stream MIC projection is as large as the noise itself;
+        # accumulated block by block, the call's peak must not grow with
+        # the stream (about 14 MB at both sizes)
+        basis = make_basis("MIC", generate_gold_codes(1)[0])
+        peaks = []
+        for symbols in (3000, 12000):
+            stream = synthesize(five_tones_scenario(
+                30.0, num_symbols=symbols, seed=(81, 0, 0)))
+            tracemalloc.start()
+            try:
+                component_grams(stream, basis, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+        assert peaks[1] < 0.5 * stream.noise.nbytes, (peaks, stream.noise.nbytes)
 
     def test_clutters_match_direct_estimation_per_interferer_count(self):
-        # entry k of the recursive presets' clutter stack keeps the quiet
-        # stream's first k interferer rows; the reference zeroes the rest
-        # and estimates from the summed stream
-        base = tracking_scenario(num_symbols=12, seed=(6, 0, 0))
-        basis = make_basis("PAPC", generate_gold_codes(1)[0])
-        clutters = harness._clutters(base, 0, 300, (6, 1))
-        quiet = synthesize(replace(base.signal_free(), num_symbols=300,
-                                   seed=(6, 1)))
-        assert len(clutters) == len(quiet.waveforms) + 1
-        for k, clutter in enumerate(clutters):
-            waveforms = quiet.waveforms.copy()
-            waveforms[k:] = 0.0
-            samples = replace(quiet, waveforms=waveforms).samples
-            direct = covariances_from_arrays(
-                *project_stream(samples, basis, 0)
-            ).r_s
-            gap = np.linalg.norm(clutter - direct) / np.linalg.norm(direct)
-            assert gap <= 1e-12, (k, gap)
+        check_clutters(300)
+
+    def test_clutters_match_direct_estimation_across_blocks(self):
+        check_clutters(harness._GRAM_BLOCK_SYMBOLS + 300)
+
+
+def check_clutters(symbols):
+    # entry k of the recursive presets' clutter stack keeps the quiet
+    # stream's first k interferer rows; the reference zeroes the rest
+    # and estimates from the summed stream
+    base = tracking_scenario(num_symbols=12, seed=(6, 0, 0))
+    basis = make_basis("PAPC", generate_gold_codes(1)[0])
+    clutters = harness._clutters(base, 0, symbols, (6, 1))
+    quiet = synthesize(replace(base.signal_free(), num_symbols=symbols,
+                               seed=(6, 1)))
+    assert len(clutters) == len(quiet.waveforms) + 1
+    for k, clutter in enumerate(clutters):
+        waveforms = quiet.waveforms.copy()
+        waveforms[k:] = 0.0
+        samples = replace(quiet, waveforms=waveforms).samples
+        direct = covariances_from_arrays(
+            *project_stream(samples, basis, 0)
+        ).r_s
+        gap = np.linalg.norm(clutter - direct) / np.linalg.norm(direct)
+        assert gap <= 1e-12, (k, gap)
 
 
 def tiny_sweep_spec(**overrides):
@@ -620,10 +675,16 @@ class TestCli:
             "preset: eigencurve\nscenario:\n  desired:\n    - {doa_deg: x}\n",
             "preset: threshold_sweep\ninr_list_db: 10\n",
             "preset: threshold_sweep\nschemes: MIC\n",
+            "preset: threshold_sweep\nsymbols: 400.7\n",
+            "preset: threshold_sweep\ntrials: true\n",
+            "preset: eigencurve\nscenario:\n  num_elements: 8.9\n",
+            "preset: eigencurve\nscenario:\n  desired:\n"
+            "    - {doa_deg: 0.0, delay_chips: 2.5}\n",
         ],
         ids=[
             "papc_chip_index", "monitor_freq", "mu", "delta_scale",
             "seed", "doa_deg", "inr_list_db", "schemes",
+            "symbols", "trials", "num_elements", "delay_chips",
         ],
     )
     def test_validate_rejects_out_of_range_knobs(self, tmp_path, capsys, text):

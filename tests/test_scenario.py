@@ -161,6 +161,33 @@ class TestSynthesize:
         np.testing.assert_array_equal(a.samples, b.samples)
         np.testing.assert_array_equal(a.noise, b.noise)
 
+    def test_noise_draw_order_is_pinned(self):
+        # the reproducibility contract: user symbols by ascending user
+        # index, then the jammers in list order, then the noise as one
+        # (L, chips) real draw followed by one imaginary draw
+        config = make_config(
+            noise_power=2.0,
+            mais=[PathSpec(user_index=3, doa_deg=20.0, delay_chips=2, power=1.5)],
+            jammers=[
+                JammerSpec(kind="tone", doa_deg=25.0, inr_db=10.0,
+                           tone_offset_hz=1e5),
+                JammerSpec(kind="bpsk_broadband", doa_deg=-40.0, inr_db=20.0),
+            ],
+        )
+        total = config.num_symbols * config.processing_gain
+        rng = np.random.default_rng(config.seed)
+        for _user in (0, 3):
+            rng.integers(0, 2, size=config.num_symbols + 1)
+        rng.uniform(0.0, 2.0 * np.pi)
+        rng.integers(0, 2, size=total)
+        shape = (config.geometry.num_elements, total)
+        sigma = math.sqrt(config.noise_power / 2.0)
+        expected = sigma * (rng.standard_normal(shape)
+                            + 1j * rng.standard_normal(shape))
+        noise = synthesize(config).noise
+        assert noise.dtype == expected.dtype and noise.shape == expected.shape
+        assert noise.tobytes() == expected.tobytes()
+
     def test_different_seeds_differ(self):
         a = synthesize(make_config(seed=1))
         b = synthesize(make_config(seed=2))
