@@ -119,7 +119,7 @@ def make_basis(
         return basis_maximin(code, monitor_freq)
     if scheme == "MIC":
         return basis_mic(code)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    raise ValueError(f"unknown scheme {scheme!r}; valid: MIC, Maximin, PAPC")
 
 
 def project_stream(

@@ -136,13 +136,10 @@ class ExperimentSpec:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.symbols < 1:
             raise ConfigError(f"symbols must be >= 1, got {self.symbols}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.schemes:
             raise ConfigError("schemes must be a nonempty list")
-        for scheme in self.schemes:
-            if scheme not in ALL_SCHEMES:
-                raise ConfigError(
-                    f"unknown scheme {scheme!r}; valid: {ALL_SCHEMES}"
-                )
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must be nonempty")
         if list(self.snr_grid_db) != sorted(self.snr_grid_db):
@@ -172,7 +169,7 @@ class ExperimentSpec:
                     f"{self.preset} reads only {limit} entry of {name}, "
                     f"got {len(getattr(self, name))}"
                 )
-        # the knobs' ranges are the ones the basis and solver set-up check
+        # schemes and knob ranges are the ones the basis and solver set-up check
         try:
             for scheme in self.schemes:
                 _scheme_basis(self, scheme)
@@ -274,137 +271,116 @@ _StrictLoader.add_constructor(
 )
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-
-
-def _integer(value, key: str) -> int:
-    """An integer config value; a bool or a fractional number is an error,
-    not truncated."""
-    if isinstance(value, bool) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _parse_paths(entries, where: str, interfering: bool, noise_power: float):
-    paths = []
-    for idx, entry in enumerate(entries or []):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}[{idx}] must be a mapping")
-        allowed = {"doa_deg", "delay_chips", "power"}
-        if interfering:
-            allowed |= {"user_index", "inr_db"}
-        _require_keys(entry, allowed, f"{where}[{idx}]")
-        if "doa_deg" not in entry:
-            raise ConfigError(f"{where}[{idx}] requires doa_deg")
-        if interfering:
-            if ("power" in entry) == ("inr_db" in entry):
-                raise ConfigError(
-                    f"{where}[{idx}] requires exactly one of power / inr_db"
-                )
-            power = (
-                float(entry["power"])
-                if "power" in entry
-                else noise_power * 10.0 ** (float(entry["inr_db"]) / 10.0)
-            )
-            user = _integer(entry.get("user_index", idx + 1), "user_index")
-        else:
-            power = float(entry.get("power", 1.0))
-            user = 0
-        paths.append(
-            PathSpec(
-                user_index=user,
-                doa_deg=float(entry["doa_deg"]),
-                delay_chips=_integer(entry.get("delay_chips", 0), "delay_chips"),
-                power=power,
-            )
-        )
-    return paths
-
-
-def _parse_jammers(entries, where: str):
-    jammers = []
-    for idx, entry in enumerate(entries or []):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}[{idx}] must be a mapping")
-        _require_keys(
-            entry,
-            {"kind", "doa_deg", "inr_db", "tone_offset_hz", "period_chips"},
-            f"{where}[{idx}]",
-        )
-        for required in ("kind", "doa_deg", "inr_db"):
-            if required not in entry:
-                raise ConfigError(f"{where}[{idx}] requires {required}")
-        jammers.append(
-            JammerSpec(
-                kind=str(entry["kind"]),
-                doa_deg=float(entry["doa_deg"]),
-                inr_db=float(entry["inr_db"]),
-                tone_offset_hz=(
-                    float(entry["tone_offset_hz"])
-                    if entry.get("tone_offset_hz") is not None
-                    else None
-                ),
-                period_chips=(
-                    _integer(entry["period_chips"], "period_chips")
-                    if entry.get("period_chips") is not None
-                    else None
-                ),
-            )
-        )
-    return jammers
-
-
-_SCENARIO_KEYS = {
-    "num_elements", "spacing_wavelengths", "chip_rate_hz", "symbol_rate_hz",
-    "snr_db", "noise_power", "desired", "mais", "jammers",
+# Each config section maps its keys to kinds: int, float, str, dict (a
+# mapping, read as a section of its own), [kind] (a list of kind), or
+# (dict, [kind]) for either form.
+_TOP = {
+    "preset": str, "seed": int, "symbols": int, "trials": int,
+    "schemes": [str], "scenarios": [str], "snr_grid_db": (dict, [float]),
+    "inr_list_db": [float], "output_dir": str, "scenario": dict,
+    "monitor_freq": float, "papc_chip_index": int, "mu": float,
+    "delta_scale": float, "entry_interval": int,
 }
+_GRID_RANGE = {"start": float, "stop": float, "step": float}
+_SCENARIO = {
+    "num_elements": int, "spacing_wavelengths": float, "chip_rate_hz": float,
+    "symbol_rate_hz": float, "snr_db": float, "noise_power": float,
+    "desired": [dict], "mais": [dict], "jammers": [dict],
+}
+_DESIRED = {"doa_deg": float, "delay_chips": int, "power": float}
+_INTERFERING = {**_DESIRED, "user_index": int, "inr_db": float}
+_JAMMER = {
+    "kind": str, "doa_deg": float, "inr_db": float,
+    "tone_offset_hz": float, "period_chips": int,
+}
+
+
+def _value(value, kind, key: str):
+    """One config value coerced to its kind. A null is an error; so is a
+    bool, a non-finite number or, for an int, a fraction where a number
+    is due. A numeric string parses (PyYAML reads 1e5 as a string)."""
+    if value is None:
+        raise ConfigError(f"{key} must not be null")
+    if isinstance(kind, tuple):
+        kind = kind[0] if isinstance(value, dict) else kind[1]
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return [_value(v, kind[0], f"{key}[{i}]") for i, v in enumerate(value)]
+    if kind is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be a mapping, got {value!r}")
+        return value
+    if kind is str and not isinstance(value, (dict, list)):
+        return str(value)
+    try:
+        # float() raises TypeError on a mapping or a list, also for kind str
+        number = None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{key} must be int, got {value!r}")
+    return value if isinstance(value, int) else int(number)
+
+
+def _section(raw: dict, kinds: dict, where: str, required=()) -> dict:
+    """A config mapping's values coerced to their kinds; an unknown key or
+    a missing required one is an error."""
+    unknown = set(raw) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown, key=str)}")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"{where} requires {key}")
+    return {key: _value(value, kinds[key], f"{where}.{key}")
+            for key, value in raw.items()}
 
 
 def _parse_scenario(section: dict, spec: ExperimentSpec) -> ScenarioConfig:
     """Custom scenario; its symbol count is spec.symbols, applied per run."""
-    if not isinstance(section, dict):
-        raise ConfigError("scenario must be a mapping")
-    _require_keys(section, _SCENARIO_KEYS, "scenario")
-    noise_power = float(section.get("noise_power", 1.0))
-    desired = _parse_paths(
-        section.get("desired", [{"doa_deg": 0.0}]), "scenario.desired",
-        interfering=False, noise_power=noise_power,
-    )
+    where = "config.scenario"
+    values = {
+        "chip_rate_hz": presets.CHIP_RATE_HZ, "symbol_rate_hz": presets.SYMBOL_RATE_HZ,
+        "snr_db": 0.0, "noise_power": 1.0, "desired": [{"doa_deg": 0.0}],
+        **_section(section, _SCENARIO, where),
+    }
+    values["desired"] = [
+        PathSpec(user_index=0, **_section(
+            entry, _DESIRED, f"{where}.desired[{idx}]", ["doa_deg"]))
+        for idx, entry in enumerate(values["desired"])
+    ]
+    if not values["desired"]:
+        raise ConfigError(f"{where}.desired must be nonempty")
+    for idx, entry in enumerate(values.setdefault("mais", [])):
+        path = _section(entry, _INTERFERING, f"{where}.mais[{idx}]", ["doa_deg"])
+        if ("power" in path) == ("inr_db" in path):
+            raise ConfigError(
+                f"{where}.mais[{idx}] requires exactly one of power / inr_db"
+            )
+        if "inr_db" in path:
+            path["power"] = values["noise_power"] * 10.0 ** (path.pop("inr_db") / 10.0)
+        values["mais"][idx] = PathSpec(**{"user_index": idx + 1, **path})
+    values["jammers"] = [
+        JammerSpec(**_section(entry, _JAMMER, f"{where}.jammers[{idx}]",
+                              ["kind", "doa_deg", "inr_db"]))
+        for idx, entry in enumerate(values.get("jammers", []))
+    ]
     config = ScenarioConfig(
-        geometry=ArrayGeometry(
-            num_elements=_integer(section.get("num_elements", 8), "num_elements"),
-            spacing_wavelengths=float(section.get("spacing_wavelengths", 0.5)),
-        ),
-        chip_rate_hz=float(section.get("chip_rate_hz", presets.CHIP_RATE_HZ)),
-        symbol_rate_hz=float(section.get("symbol_rate_hz", presets.SYMBOL_RATE_HZ)),
-        num_symbols=spec.symbols,
-        snr_db=float(section.get("snr_db", 0.0)),
-        desired=desired,
-        mais=_parse_paths(
-            section.get("mais"), "scenario.mais",
-            interfering=True, noise_power=noise_power,
-        ),
-        jammers=_parse_jammers(section.get("jammers"), "scenario.jammers"),
-        noise_power=noise_power,
-        seed=spec.seed,
+        ArrayGeometry(values.pop("num_elements", 8),
+                      values.pop("spacing_wavelengths", 0.5)),
+        num_symbols=spec.symbols, seed=spec.seed, **values,
     )
     try:
         config.validate()
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
     return config
-
-
-_TOP_KEYS = {
-    "preset", "seed", "symbols", "trials", "schemes", "scenarios",
-    "snr_grid_db", "inr_list_db", "output_dir", "scenario", "monitor_freq",
-    "papc_chip_index", "mu", "delta_scale", "entry_interval",
-}
 
 
 def load_config(path: str | Path) -> ExperimentSpec:
@@ -418,68 +394,32 @@ def load_config(path: str | Path) -> ExperimentSpec:
         raw = yaml.load(text, Loader=_StrictLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("top level of the config must be a mapping")
-    _require_keys(raw, _TOP_KEYS, "config")
-    if "preset" not in raw:
-        raise ConfigError("config requires a preset")
-
-    spec = default_spec(str(raw["preset"]))
-    try:
-        _apply_keys(spec, raw)
-        spec.validate()
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value in config: {exc}") from exc
-    return spec
-
-
-def _listed(raw: dict, key: str, kind: type) -> list:
-    value = raw[key]
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return [kind(v) for v in value]
-
-
-def _apply_keys(spec: ExperimentSpec, raw: dict) -> None:
-    """Set the spec fields the raw config gives, coercing their types."""
-    spec.output_dir = str(raw.get("output_dir", spec.output_dir))
-    for key in ("seed", "symbols", "trials", "papc_chip_index", "entry_interval"):
-        if key in raw:
-            setattr(spec, key, _integer(raw[key], key))
-    for key in ("monitor_freq", "delta_scale", "mu"):
-        if key in raw:
-            setattr(spec, key, float(raw[key]))
-    if "schemes" in raw:
-        spec.schemes = _listed(raw, "schemes", str)
-    if "scenarios" in raw:
-        spec.scenario_names = _listed(raw, "scenarios", str)
-    if "inr_list_db" in raw:
-        spec.inr_list_db = _listed(raw, "inr_list_db", float)
-    if isinstance(raw.get("snr_grid_db"), dict):
-        grid = raw["snr_grid_db"]
-        _require_keys(grid, {"start", "stop", "step"}, "snr_grid_db")
-        try:
-            start, stop, step = (
-                float(grid["start"]), float(grid["stop"]), float(grid["step"])
-            )
-        except KeyError as exc:
-            raise ConfigError(f"snr_grid_db requires {exc}") from exc
-        if step <= 0 or stop < start:
-            raise ConfigError("snr_grid_db range must ascend with step > 0")
-        spec.snr_grid_db = list(np.arange(start, stop + 1e-9, step))
-    elif "snr_grid_db" in raw:
-        spec.snr_grid_db = _listed(raw, "snr_grid_db", float)
-    if raw.get("scenario") is not None:
-        spec.scenario = _parse_scenario(raw["scenario"], spec)
+    raw = _value({} if raw is None else raw, dict, "config")
+    values = _section(raw, _TOP, "config", ["preset"])
+    spec = default_spec(values.pop("preset"))
+    if "scenarios" in values:
+        values["scenario_names"] = values.pop("scenarios")
+    grid = values.get("snr_grid_db")
+    if isinstance(grid, dict):
+        grid = _section(grid, _GRID_RANGE, "config.snr_grid_db", list(_GRID_RANGE))
+        span = (grid["stop"] - grid["start"]) / grid["step"] if grid["step"] > 0 else -1
+        if not 0 <= span < 1e6:
+            raise ConfigError("snr_grid_db range must ascend in under 1e6 steps > 0")
+        values["snr_grid_db"] = list(
+            np.arange(grid["start"], grid["stop"] + 1e-9, grid["step"])
+        )
+    for key, value in values.items():
+        if key != "scenario":
+            setattr(spec, key, value)
+    # the scenario takes its symbol count and seed from the spec
+    if "scenario" in values:
+        spec.scenario = _parse_scenario(values["scenario"], spec)
     # a key the preset never reads is an error even at its default value
-    given = {"scenario_names" if key == "scenarios" else key for key in raw}
-    unread = given & spec._unread_fields()
+    unread = set(values) & spec._unread_fields()
     if unread:
         raise ConfigError(f"{spec.preset} does not read {sorted(unread)}")
+    spec.validate()
+    return spec
 
 
 def scenario_hash(config: ScenarioConfig) -> str:

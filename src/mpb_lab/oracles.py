@@ -264,6 +264,17 @@ def estimate_gamma1(
     return core.solve_batch(covariances_from_arrays(x_s, x_i))[0][0] - 1.0
 
 
+def subspace_angle(u: np.ndarray, v: np.ndarray) -> float:
+    """Angle in radians between two complex vectors, ignoring global phase."""
+    u = np.asarray(u, dtype=np.complex128).ravel()
+    v = np.asarray(v, dtype=np.complex128).ravel()
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("angle undefined for zero vectors")
+    overlap = min(1.0, abs(np.vdot(u, v)) / (nu * nv))
+    return float(np.arccos(overlap))
+
+
 def run_all() -> dict[str, object]:
     cross, auto = gold_correlation_levels()
     return {

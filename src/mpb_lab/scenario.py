@@ -140,10 +140,10 @@ class ScenarioConfig:
     @property
     def processing_gain(self) -> int:
         ratio = self.chip_rate_hz / self.symbol_rate_hz
-        gain = round(ratio)
-        if abs(ratio - gain) > 1e-9 * max(1.0, abs(ratio)):
+        gain = round(ratio) if math.isfinite(ratio) else 0
+        if not gain or abs(ratio - gain) > 1e-9 * max(1.0, abs(ratio)):
             raise ValueError(
-                f"chip rate / symbol rate must be an integer, got {ratio}"
+                f"chip rate / symbol rate must be a nonzero integer, got {ratio}"
             )
         return int(gain)
 
@@ -156,8 +156,8 @@ class ScenarioConfig:
         if self.chip_rate_hz <= 0 or self.symbol_rate_hz <= 0:
             raise ValueError("chip_rate_hz and symbol_rate_hz must be positive")
         n = self.processing_gain
-        if n < 2:
-            raise ValueError(f"processing gain must be >= 2, got {n}")
+        if n != CODE_LENGTH:
+            raise ValueError(f"processing gain must be {CODE_LENGTH}, got {n}")
         if self.num_symbols < 1:
             raise ValueError(f"num_symbols must be >= 1, got {self.num_symbols}")
         if self.noise_power < 0:

@@ -7,8 +7,8 @@ log. The heavy fixtures are shared module-wide: the full threshold
 sweep drives criteria 1 and 2 plus the growth/invariance checks, and
 the recursive-solver presets drive criteria 7 and 8.
 
-Expected runtime is tens of minutes; deselect with -m 'not slow' during
-development.
+Expected runtime is about a minute on a 2-core desk machine; deselect
+with -m 'not slow' during development.
 """
 
 import math
@@ -32,7 +32,7 @@ from mpb_lab.harness import (
     run_threshold_sweep,
     run_tracking,
 )
-from mpb_lab.linalg import subspace_angle
+from mpb_lab.oracles import subspace_angle
 from mpb_lab.presets import convergence_scenario
 from mpb_lab.scenario import CODE_LENGTH, synthesize
 

@@ -16,8 +16,7 @@ from mpb_lab.core import (
     project_stream,
     solve_batch,
 )
-from mpb_lab.linalg import subspace_angle
-from mpb_lab.oracles import covariances_from_arrays
+from mpb_lab.oracles import covariances_from_arrays, subspace_angle
 from mpb_lab.presets import convergence_scenario
 from mpb_lab.scenario import synthesize
 

@@ -207,6 +207,16 @@ class TestLoadConfig:
         for idx, block in enumerate(blocks):
             load_config(write_config(tmp_path, block, name=f"readme{idx}.yaml"))
 
+    def test_readme_names_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config files")[1].split("\n## ")[0]
+        tables = (harness._TOP, harness._GRID_RANGE, harness._SCENARIO,
+                  harness._DESIRED, harness._INTERFERING, harness._JAMMER)
+        keys = {key for table in tables for key in table}
+        missing = [key for key in sorted(keys)
+                   if not re.search(rf"`{key}`|\b{key}:", section)]
+        assert not missing, f"README Config files section omits {missing}"
+
     def test_interferer_power_and_inr_exclusive(self, tmp_path):
         text = (
             "preset: threshold_sweep\n"
@@ -680,11 +690,49 @@ class TestCli:
             "preset: eigencurve\nscenario:\n  num_elements: 8.9\n",
             "preset: eigencurve\nscenario:\n  desired:\n"
             "    - {doa_deg: 0.0, delay_chips: 2.5}\n",
+            # a bool is not a number
+            "preset: convergence\ndelta_scale: true\n",
+            "preset: threshold_sweep\ninr_list_db: [true, 20]\n",
+            "preset: threshold_sweep\nschemes: [Maximin]\nmonitor_freq: true\n",
+            "preset: eigencurve\nscenario:\n  snr_db: true\n",
+            "preset: eigencurve\nscenario:\n  desired:\n    - {doa_deg: false}\n",
+            "preset: threshold_sweep\nsnr_grid_db: {start: true, stop: 4, step: 2}\n",
+            # more points than numpy can index
+            "preset: threshold_sweep\nsnr_grid_db: {start: 0, stop: 1e20, step: 1}\n",
+            # numbers must be finite
+            "preset: convergence\ndelta_scale: .inf\n",
+            "preset: threshold_sweep\nsnr_grid_db: [.nan]\n",
+            "preset: threshold_sweep\ninr_list_db: [.inf]\n",
+            "preset: eigencurve\nscenario:\n  noise_power: .inf\n",
+            "preset: eigencurve\nscenario:\n  jammers:\n"
+            "    - {kind: tone, doa_deg: 40, inr_db: .nan, tone_offset_hz: 1e5}\n",
+            "preset: eigencurve\nscenario:\n  jammers:\n"
+            "    - {kind: tone, doa_deg: 40, inr_db: 20, tone_offset_hz: .nan}\n",
+            "preset: eigencurve\nscenario:\n  chip_rate_hz: .inf\n",
+            "preset: eigencurve\nscenario:\n  chip_rate_hz: 1e300\n"
+            "  symbol_rate_hz: 1e-10\n",
+            # the spreading codes are 31 chips long
+            "preset: eigencurve\nscenario:\n  chip_rate_hz: 6.2e6\n",
+            # a null is never the same as an absent key
+            "preset: threshold_sweep\nscenario: null\n",
+            "preset: eigencurve\nscenario:\n  jammers:\n"
+            "    - {kind: bpsk_broadband, doa_deg: 40, inr_db: 20, tone_offset_hz: null}\n",
+            "preset: eigencurve\nscenario:\n  jammers:\n"
+            "    - {kind: bpsk_broadband, doa_deg: 40, inr_db: 20, period_chips: null}\n",
+            "preset: eigencurve\nseed: -3\n",
+            "preset: convergence\nscenario:\n  desired: []\n",
         ],
         ids=[
             "papc_chip_index", "monitor_freq", "mu", "delta_scale",
             "seed", "doa_deg", "inr_list_db", "schemes",
             "symbols", "trials", "num_elements", "delay_chips",
+            "delta_scale_bool", "inr_list_db_bool", "monitor_freq_bool",
+            "snr_db_bool", "doa_deg_bool", "snr_grid_start_bool",
+            "snr_grid_huge", "delta_scale_inf", "snr_grid_db_nan",
+            "inr_list_db_inf", "noise_power_inf", "jammer_inr_db_nan",
+            "tone_offset_hz_nan", "chip_rate_hz_inf", "rate_ratio_inf",
+            "processing_gain", "scenario_null", "tone_offset_hz_null",
+            "period_chips_null", "seed_negative", "desired_empty",
         ],
     )
     def test_validate_rejects_out_of_range_knobs(self, tmp_path, capsys, text):
@@ -693,6 +741,24 @@ class TestCli:
             load_config(path)
         assert cli.main(["validate", "--config", str(path)]) == 1
         assert "INVALID" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "seed_line, flags",
+        [("seed: -3\n", []), ("", ["--seed", "-1"])],
+        ids=["config", "flag"],
+    )
+    def test_negative_seed_is_an_error_not_a_traceback(
+        self, tmp_path, capsys, seed_line, flags
+    ):
+        # numpy's SeedSequence would refuse a negative seed mid-run
+        path = write_config(
+            tmp_path, f"preset: identical_delay\nsymbols: 300\n{seed_line}"
+        )
+        rc = cli.main(["identical_delay", "--config", str(path), *flags,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_preset_mismatch_is_an_error(self, tmp_path, capsys):
         path = write_config(tmp_path, "preset: eigencurve\n")

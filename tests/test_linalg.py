@@ -18,8 +18,8 @@ from mpb_lab.linalg import (
     normalize_phase,
     power_iteration_step,
     rank_one_inverse_update,
-    subspace_angle,
 )
+from mpb_lab.oracles import subspace_angle
 
 
 def random_hermitian_pd(rng, size, ridge=1.0):
