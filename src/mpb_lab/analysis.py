@@ -137,32 +137,40 @@ def lambda_max_prediction(gamma0_value: float, gamma1_value: float) -> float:
     return max(gamma0_value, gamma1_value) + 1.0
 
 
+def _output_power(w: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """w^H cov w per leading index of the (..., L) weights and (..., L, L)
+    covariances, which broadcast."""
+    return np.real(w[..., None, :].conj() @ (cov @ w[..., None]))[..., 0, 0]
+
+
 def normalized_sinr_from_covariances(
     weight: np.ndarray,
     soi_cov: np.ndarray,
     interference_cov: np.ndarray,
     noise_cov: np.ndarray,
-    snr_linear: float,
+    snr_linear: float | np.ndarray,
     num_elements: int,
-) -> float:
+) -> float | np.ndarray:
     """Output SINR over the interference-free optimum L*SNR.
 
     Takes the weight and the signal-channel sample covariances of the
     exact signal/interference/noise components. Identical to
     oracles.normalized_sinr on the stacked beamformer outputs because
     E|w^H x|^2 = w^H Cov(x) w for zero-reference sample covariances.
+    weight is (..., L), the covariances (..., L, L) and snr_linear a
+    scalar or (...) array; their leading axes broadcast, and the result
+    has that broadcast shape (a float for one weight and one SNR).
     """
-    if snr_linear <= 0:
+    snr = np.asarray(snr_linear, dtype=np.float64)
+    if np.any(snr <= 0):
         raise ValueError(f"snr_linear must be positive, got {snr_linear}")
     w = np.asarray(weight, dtype=np.complex128)
-    signal = float(np.real(np.vdot(w, soi_cov @ w)))
-    clutter = float(
-        np.real(np.vdot(w, interference_cov @ w))
-        + np.real(np.vdot(w, noise_cov @ w))
-    )
-    if clutter == 0.0:
+    signal = _output_power(w, soi_cov)
+    clutter = _output_power(w, interference_cov) + _output_power(w, noise_cov)
+    if np.any(clutter == 0.0):
         raise ValueError("interference + noise output power is zero")
-    return (signal / clutter) / (num_elements * snr_linear)
+    sinr = (signal / clutter) / (num_elements * snr)
+    return float(sinr) if sinr.ndim == 0 else sinr
 
 
 def output_sinr(
@@ -184,7 +192,7 @@ def output_sinr(
     a = np.asarray(steering, dtype=np.complex128)
     q = np.asarray(clutter_cov, dtype=np.complex128)
     num = despread_signal_power * np.abs(w.conj() @ a) ** 2
-    den = np.real(w[..., None, :].conj() @ (q @ w[..., None]))[..., 0, 0]
+    den = _output_power(w, q)
     if np.any(den <= 0.0):
         raise ValueError("clutter covariance is not positive along the weight")
     return num / den

@@ -4,7 +4,8 @@ Turns a chip-rate array stream into per-symbol snapshot pairs (one
 signal-bearing vector, one or more interference-monitoring vectors),
 holds the Gram contraction every covariance estimate is built from (the
 estimates themselves are harness.component_grams) and solves the batch
-weight as the dominant generalized eigenvector of a covariance pair.
+weight as the dominant generalized eigenvector of a covariance pair, or
+of a whole stack of pairs in one call.
 
 The three projection schemes differ only in the monitoring basis:
 
@@ -163,9 +164,11 @@ def solve_batch(pair: CovariancePair) -> tuple[np.ndarray, np.ndarray]:
     """Batch solution of the pair (r_s, r_i): its generalized eigenvalues,
     sorted descending, and the dominant generalized eigenvector.
 
-    The weight is returned with unit Euclidean norm and the standard
-    phase convention (first significant component real positive).
+    r_s and r_i are (L, L), or (G, L, L) stacks of G pairs solved in one
+    GEVD call, giving (G, L) eigenvalues and (G, L) weights. Each weight
+    has unit Euclidean norm and the standard phase convention (first
+    significant component real positive).
     """
     result = linalg.hermitian_gevd(pair.r_s, pair.r_i)
-    weight = result.eigenvectors[:, 0]
-    return result.eigenvalues, weight / np.linalg.norm(weight)
+    weight = result.eigenvectors[..., 0]
+    return result.eigenvalues, weight / np.linalg.norm(weight, axis=-1, keepdims=True)

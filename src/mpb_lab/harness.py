@@ -13,10 +13,12 @@ two held as steering matrices times waveform rows. component_grams is
 the one covariance route: it projects only the waveform rows and the
 noise, and forms block (a, b) of the components' Gram as A_a G_ab A_b^H,
 with G_ab the cross-Gram of the projected rows and A = I for noise. The
-sweep-style presets build it once per (scenario, INR, trial) and, since
-only the desired amplitude changes across the SNR grid, assemble the
-covariance pair for any SNR from it algebraically; identical_delay
-assembles its stream at amplitude one. The clutter covariances of the
+sweep-style presets build it once per (scenario, trial) and, since only
+the desired amplitude changes across the SNR grid and only the
+interference amplitude across the INR levels, assemble the covariance
+pairs of every SNR and INR from it algebraically and solve each INR's
+SNR grid as one stack; identical_delay assembles its stream at
+amplitude one. The clutter covariances of the
 recursive presets are the same assembly at zero desired amplitude, all
 read from one quiet stream per preset by keeping its first k interferer
 rows. This matches direct estimation on the summed stream
@@ -132,6 +134,12 @@ class ExperimentSpec:
             raise ConfigError(
                 f"preset must be one of {PRESETS}, got {self.preset!r}"
             )
+        # a spec built in code gets a config file's kind rules on every
+        # numeric field: no bool, no fraction for an int, no inf or nan
+        for name, kind in _TOP.items():
+            if kind not in (str, [str], dict):
+                kind = kind[1] if isinstance(kind, tuple) else kind
+                setattr(self, name, _value(getattr(self, name), kind, name))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.symbols < 1:
@@ -142,8 +150,8 @@ class ExperimentSpec:
             raise ConfigError("schemes must be a nonempty list")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must be nonempty")
-        if list(self.snr_grid_db) != sorted(self.snr_grid_db):
-            raise ConfigError("snr_grid_db must be ascending")
+        if np.any(np.diff(self.snr_grid_db) <= 0):
+            raise ConfigError("snr_grid_db must be strictly ascending")
         if not self.inr_list_db:
             raise ConfigError("inr_list_db must be nonempty")
         for name in self.scenario_names:
@@ -177,6 +185,8 @@ class ExperimentSpec:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.scenario is not None:
+            if not self.scenario.desired:
+                raise ConfigError("scenario.desired must be nonempty")
             self.scenario.validate()
 
 
@@ -355,8 +365,6 @@ def _parse_scenario(section: dict, spec: ExperimentSpec) -> ScenarioConfig:
             entry, _DESIRED, f"{where}.desired[{idx}]", ["doa_deg"]))
         for idx, entry in enumerate(values["desired"])
     ]
-    if not values["desired"]:
-        raise ConfigError(f"{where}.desired must be nonempty")
     for idx, entry in enumerate(values.setdefault("mais", [])):
         path = _section(entry, _INTERFERING, f"{where}.mais[{idx}]", ["doa_deg"])
         if ("power" in path) == ("inr_db" in path):
@@ -507,34 +515,46 @@ class SchemeGrams:
     monitoring channels, each 3L x 3L with block (a, b) the cross-Gram
     of components a and b.
 
-    Assembling with amplitude alpha reproduces the covariance pair the
-    direct estimator would compute on a stream whose desired component
-    is alpha times the reference stream's.
+    Assembling with amplitudes alpha and scale reproduces the covariance
+    pair the direct estimator would compute on a stream whose desired
+    component is alpha times the reference stream's and whose
+    interference is scale times it: one set of Grams serves a whole SNR
+    grid and every INR level of a scenario.
     """
 
     s_gram: np.ndarray
     i_gram: np.ndarray
 
-    def covariance_pair(self, alpha: float) -> CovariancePair:
-        """C G C^T for both Grams, with C = [alpha I, I, I]."""
+    def covariance_pair(self, alpha, scale: float = 1.0) -> CovariancePair:
+        """C G C^T for both Grams, with C = [alpha I, scale I, I].
+
+        alpha is one amplitude, giving (L, L) matrices, or an array of G
+        amplitudes, giving (G, L, L) stacks with entry g at alpha[g].
+        """
+        alpha = np.asarray(alpha, dtype=np.float64)
         eye = np.eye(len(self.s_gram) // 3)
-        mix = np.hstack((alpha * eye, eye, eye))
-        r_s = mix @ self.s_gram @ mix.T
-        r_i = mix @ self.i_gram @ mix.T
+        mix = np.concatenate(
+            np.broadcast_arrays(alpha[..., None, None] * eye, scale * eye, eye),
+            axis=-1,
+        )
+        r_s = mix @ self.s_gram @ mix.swapaxes(-1, -2)
+        r_i = mix @ self.i_gram @ mix.swapaxes(-1, -2)
         return CovariancePair(
-            r_s=0.5 * (r_s + r_s.conj().T),
-            r_i=0.5 * (r_i + r_i.conj().T),
+            r_s=0.5 * (r_s + r_s.conj().swapaxes(-1, -2)),
+            r_i=0.5 * (r_i + r_i.conj().swapaxes(-1, -2)),
         )
 
     def sinr_covariances(
-        self, alpha: float
+        self, alpha, scale: float = 1.0
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Signal-channel component covariances (soi scaled, interference, noise):
-        the diagonal blocks of s_gram."""
+        """Signal-channel component covariances (soi scaled by alpha,
+        interference by scale, noise): the diagonal blocks of s_gram. An
+        array of G amplitudes alpha gives a (G, L, L) soi stack."""
         l = len(self.s_gram) // 3
         soi, interference, noise = (self.s_gram[k : k + l, k : k + l]
                                     for k in range(0, 3 * l, l))
-        return alpha**2 * soi, interference, noise
+        alpha = np.asarray(alpha, dtype=np.float64)
+        return alpha[..., None, None] ** 2 * soi, scale**2 * interference, noise
 
 
 def component_grams(
@@ -605,7 +625,7 @@ def _scenario(
         )
     else:
         config = builder(num_symbols=spec.symbols, seed=seed, **overrides)
-    return config, config.desired[0].delay_chips if config.desired else 0
+    return config, config.desired[0].delay_chips
 
 
 def _cell(
@@ -636,46 +656,86 @@ class GridSolution:
     sinr: np.ndarray  # (T, G) normalized output SINR of each weight
 
 
+def _interference_scale(reference: ScenarioConfig, config: ScenarioConfig) -> float:
+    """The amplitude ratio s of config's interferers to reference's.
+
+    A stream synthesized from reference serves config, with its
+    interference scaled by s, only if the two configs agree in
+    everything but interferer power and every interferer row gives the
+    same s: sqrt(power / power_ref) for an interfering path and
+    10^(delta INR / 20) for a jammer. Anything else is a ValueError.
+    """
+    ratios = [math.sqrt(path.power / ref.power)
+              for ref, path in zip(reference.mais, config.mais)]
+    ratios += [10.0 ** ((jam.inr_db - ref.inr_db) / 20.0)
+               for ref, jam in zip(reference.jammers, config.jammers)]
+    unscaled = replace(
+        config,
+        mais=[replace(path, power=ref.power)
+              for ref, path in zip(reference.mais, config.mais)],
+        jammers=[replace(jam, inr_db=ref.inr_db)
+                 for ref, jam in zip(reference.jammers, config.jammers)],
+    )
+    if (
+        len(ratios) != len(config.mais) + len(config.jammers)
+        or unscaled != reference
+        or any(not math.isclose(r, ratios[0], rel_tol=1e-12) for r in ratios)
+    ):
+        raise ValueError(
+            "INR levels of one scenario must differ only in interferer "
+            "power, by one amplitude ratio for every interferer"
+        )
+    return ratios[0] if ratios else 1.0
+
+
 def _solve_grid(
     spec: ExperimentSpec,
-    builder: Callable[..., ScenarioConfig] | None,
+    builders: list[Callable[..., ScenarioConfig] | None],
     seed: tuple[int, ...],
     bases: dict[str, ProjectionBasis],
-) -> tuple[ScenarioConfig, str, dict[str, GridSolution]]:
-    """Solve the batch pencil of every scheme over all trials of one cell.
+) -> list[tuple[ScenarioConfig, str, dict[str, GridSolution]]]:
+    """Solve the batch pencil of every scheme over all trials of one
+    scenario, at each INR level: one builder per level.
 
-    Trial t is synthesized once, at 0 dB and seed (*seed, t). Each basis
-    builds its component Grams from it once, solves the zero-amplitude
-    pair for gamma1 and then one pair per grid SNR, and scores each
-    weight by its normalized output SINR. Returns the last trial's
-    config, the cell's scenario hash and each scheme's GridSolution.
+    Trial t is synthesized once, at 0 dB, seed (*seed, t) and the first
+    builder's config; every level's config must match it but for one
+    interference amplitude s (_interference_scale). Each basis builds
+    its component Grams from the stream once. Per level, one GEVD call
+    solves the stack of the zero-amplitude pair (for gamma1) and one
+    pair per grid SNR, all with the interference scaled by s, and each
+    weight is scored by its normalized output SINR. Returns, per
+    builder, the last trial's config, the cell's scenario hash and each
+    scheme's GridSolution.
     """
     grid = np.asarray(spec.snr_grid_db, dtype=np.float64)
-    solved: dict[str, list[tuple]] = {scheme: [] for scheme in bases}
+    solved = [{scheme: [] for scheme in bases} for _ in builders]
     for trial in range(spec.trials):
-        config, config_hash, stream, n0 = _cell(
-            spec, builder, (*seed, trial), snr_db=0.0
-        )
-        alphas = 10.0 ** (grid / 20.0) / math.sqrt(config.snr_linear)
+        setups = [_scenario(spec, builder, (*seed, trial), snr_db=0.0)
+                  for builder in builders]
+        (reference, n0), configs = setups[0], [config for config, _ in setups]
+        scales = [_interference_scale(reference, config) for config in configs]
+        stream = synthesize(reference)
+        alphas = 10.0 ** (grid / 20.0) / math.sqrt(reference.snr_linear)
+        quiet_and_grid = np.concatenate(([0.0], alphas))
         for scheme, basis in bases.items():
             grams = component_grams(stream, basis, n0)
-            gamma1 = solve_batch(grams.covariance_pair(0.0))[0][0] - 1.0
-            evals, weights = zip(
-                *(solve_batch(grams.covariance_pair(alpha)) for alpha in alphas)
-            )
-            sinr = [
-                normalized_sinr_from_covariances(
-                    w, *grams.sinr_covariances(alpha), 10.0 ** (snr_db / 10.0),
-                    config.geometry.num_elements,
+            for cell, scale in zip(solved, scales):
+                evals, weights = solve_batch(
+                    grams.covariance_pair(quiet_and_grid, scale)
                 )
-                for w, alpha, snr_db in zip(weights, alphas, grid)
-            ]
-            solved[scheme].append((gamma1, evals, weights, sinr))
+                sinr = normalized_sinr_from_covariances(
+                    weights[1:], *grams.sinr_covariances(alphas, scale),
+                    10.0 ** (grid / 10.0), reference.geometry.num_elements,
+                )
+                cell[scheme].append((evals[0, 0] - 1.0, evals[1:], weights[1:], sinr))
         del stream
-    return config, config_hash, {
-        scheme: GridSolution(*map(np.array, zip(*per_trial)))
-        for scheme, per_trial in solved.items()
-    }
+    return [
+        (config, scenario_hash(replace(config, seed=spec.seed)), {
+            scheme: GridSolution(*map(np.array, zip(*per_trial)))
+            for scheme, per_trial in cell.items()
+        })
+        for config, cell in zip(configs, solved)
+    ]
 
 
 def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
@@ -688,22 +748,26 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
 
     # a custom scenario is one cell: it has no INR to sweep or label
     if spec.scenario is not None:
-        cells = [(0, "custom", None, "")]
+        scenarios = [("custom", [None], [""])]
     else:
-        cells = [
-            (s_idx, name, partial(presets.SWEEP_SCENARIOS[name], inr_db),
-             float(inr_db))
-            for s_idx, name in enumerate(spec.scenario_names)
-            for inr_db in spec.inr_list_db
+        scenarios = [
+            (name, [partial(presets.SWEEP_SCENARIOS[name], inr_db)
+                    for inr_db in spec.inr_list_db],
+             [float(inr_db) for inr_db in spec.inr_list_db])
+            for name in spec.scenario_names
         ]
 
-    for s_idx, scenario_name, builder, inr_label in cells:
+    cells = []
+    for s_idx, (scenario_name, builders, inr_labels) in enumerate(scenarios):
         # the INR is deliberately absent from the seed: every INR level
-        # of a scenario reuses the same trial draws with rescaled
-        # powers, so threshold ladders reflect the power sweep alone
-        config, config_hash, solved = _solve_grid(
-            spec, builder, (spec.seed, s_idx), bases
-        )
+        # of a scenario is served by the same stream per trial, its
+        # interferers rescaled, so threshold ladders reflect the power
+        # sweep alone
+        solved = _solve_grid(spec, builders, (spec.seed, s_idx), bases)
+        cells += [(scenario_name, label, *cell)
+                  for label, cell in zip(inr_labels, solved)]
+
+    for scenario_name, inr_label, config, config_hash, solved in cells:
         n = config.processing_gain
         l = config.geometry.num_elements
         for scheme, solution in solved.items():
@@ -745,8 +809,8 @@ def run_eigencurve(spec: ExperimentSpec) -> ExperimentResult:
     scheme = spec.schemes[0]
     basis = _scheme_basis(spec, scheme)
     beta = threshold_beta(basis, generate_gold_codes(1)[0])
-    config, config_hash, solved = _solve_grid(
-        spec, partial(presets.five_tones_scenario, spec.inr_list_db[0]),
+    [(config, config_hash, solved)] = _solve_grid(
+        spec, [partial(presets.five_tones_scenario, spec.inr_list_db[0])],
         (spec.seed, 0), {scheme: basis},
     )
     solution = solved[scheme]
@@ -788,8 +852,8 @@ def run_pattern(spec: ExperimentSpec) -> ExperimentResult:
     rows: list[dict] = []
     patterns: dict[str, list[PatternSample]] = {}
     bases = {scheme: _scheme_basis(spec, scheme) for scheme in spec.schemes}
-    config, config_hash, solved = _solve_grid(
-        spec, partial(presets.periodic_noise_scenario, inr_db), (spec.seed, 0),
+    [(config, config_hash, solved)] = _solve_grid(
+        spec, [partial(presets.periodic_noise_scenario, inr_db)], (spec.seed, 0),
         bases,
     )
     for scheme, solution in solved.items():

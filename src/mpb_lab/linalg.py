@@ -42,7 +42,7 @@ class GevdResult:
 def _as_square_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if b.shape != a.shape:
         raise ValueError(f"matrix shapes differ: {a.shape} vs {b.shape}")
@@ -53,57 +53,72 @@ def _as_square_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return a, b
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the trailing two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def normalize_phase(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive.
 
-    The reference component is the first entry whose magnitude exceeds
-    1e-8 times the column's largest magnitude, which keeps the convention
-    stable when leading entries are exact zeros plus roundoff dust.
+    vectors is one vector, an (L, K) matrix of columns or an (..., L, K)
+    stack of such matrices. The reference component is the first entry
+    whose magnitude exceeds 1e-8 times the column's largest magnitude,
+    which keeps the convention stable when leading entries are exact
+    zeros plus roundoff dust.
     """
     fixed = np.array(vectors, dtype=np.complex128, copy=True)
-    columns = fixed.reshape(len(fixed), -1)  # a view; 1-D input is one column
+    columns = fixed[:, None] if fixed.ndim == 1 else fixed  # a view
     mags = np.abs(columns)
     # a zero column has lead 0 and angle 0, so it is left unchanged
-    lead = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
-    columns *= np.exp(-1j * np.angle(columns[lead, np.arange(columns.shape[1])]))
+    lead = np.argmax(mags > 1e-8 * mags.max(axis=-2, keepdims=True), axis=-2)
+    columns *= np.exp(-1j * np.angle(
+        np.take_along_axis(columns, lead[..., None, :], axis=-2)
+    ))
     return fixed
 
 
 def hermitian_gevd(a: np.ndarray, b: np.ndarray) -> GevdResult:
     """Solve a v = lambda b v for Hermitian a and Hermitian PD b.
 
+    a and b are (L, L), or (..., L, L) stacks solved pencil by pencil in
+    one call: eigenvalues are then (..., L) and eigenvectors (..., L, L),
+    each entry equal to the 2-D call on that pencil.
+
     Implemented by Cholesky whitening: with b = L L^H the pencil reduces
     to the ordinary Hermitian eigenproblem of L^-1 a L^-H, whose
     eigenvectors map back through L^-H. This keeps the computed
     eigenvalues real and the eigenvectors b-orthonormal.
 
-    Raises SingularMatrixError when b is not positive definite or its
+    Raises SingularMatrixError when any b is not positive definite or its
     condition number exceeds MAX_CONDITION.
     """
     a, b = _as_square_pair(a, b)
-    b_eigs = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
-    smallest, largest = b_eigs[0], b_eigs[-1]
-    if smallest <= 0.0 or smallest <= _PD_FLOOR * largest:
+    b_eigs = np.linalg.eigvalsh(0.5 * (b + _adjoint(b)))
+    smallest, largest = b_eigs[..., 0], b_eigs[..., -1]
+    singular = (smallest <= 0.0) | (smallest <= _PD_FLOOR * largest)
+    if np.any(singular):
+        first = np.argmax(singular.ravel())
         raise SingularMatrixError(
-            "right matrix is not positive definite: "
-            f"smallest eigenvalue {smallest:.6e} (largest {largest:.6e})"
+            "right matrix is not positive definite: smallest eigenvalue "
+            f"{smallest.flat[first]:.6e} (largest {largest.flat[first]:.6e})"
         )
-    if largest / smallest > MAX_CONDITION:
+    condition = largest / smallest
+    if np.any(condition > MAX_CONDITION):
         raise SingularMatrixError(
-            f"right matrix condition number {largest / smallest:.3e} "
+            f"right matrix condition number {condition.max():.3e} "
             f"exceeds {MAX_CONDITION:.0e}"
         )
 
     chol = np.linalg.cholesky(b)
     half = np.linalg.solve(chol, a)
-    whitened = np.linalg.solve(chol, half.conj().T).conj().T
-    whitened = 0.5 * (whitened + whitened.conj().T)
+    whitened = _adjoint(np.linalg.solve(chol, _adjoint(half)))
+    whitened = 0.5 * (whitened + _adjoint(whitened))
+    # eigh sorts ascending; reverse for descending
     evals, white_vecs = np.linalg.eigh(whitened)
-
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    vectors = np.linalg.solve(chol.conj().T, white_vecs[:, order])
-    return GevdResult(eigenvalues=evals, eigenvectors=normalize_phase(vectors))
+    vectors = np.linalg.solve(_adjoint(chol), white_vecs[..., ::-1])
+    return GevdResult(eigenvalues=evals[..., ::-1],
+                      eigenvectors=normalize_phase(vectors))
 
 
 def rank_one_inverse_update(

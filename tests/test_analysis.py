@@ -284,6 +284,25 @@ class TestNormalizedSinr:
         )
         assert direct == pytest.approx(via_cov, rel=1e-12)
 
+    def test_weight_stack_equals_per_weight_loop(self, rng):
+        weights = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        covs = []
+        for _ in range(3):
+            x = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
+            covs.append((x @ x.conj().T) / 40)
+        alphas = np.linspace(0.5, 3.0, 6)
+        soi = alphas[:, None, None] ** 2 * covs[0]
+        snr = np.linspace(1.0, 4.0, 6)
+        batched = normalized_sinr_from_covariances(weights, soi, covs[1], covs[2], snr, 5)
+        assert batched.shape == (6,)
+        loop = [normalized_sinr_from_covariances(w, s, covs[1], covs[2], x, 5)
+                for w, s, x in zip(weights, soi, snr)]
+        np.testing.assert_allclose(batched, loop, rtol=1e-14)
+        with pytest.raises(ValueError, match="snr_linear"):
+            normalized_sinr_from_covariances(
+                weights, soi, covs[1], covs[2], np.array([1.0, 0.0, 1, 1, 1, 1]), 5
+            )
+
     def test_matched_filter_hits_the_optimum(self, code0):
         # no interference: the matched filter reaches L*SNR, so the
         # normalized ratio is one

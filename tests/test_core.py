@@ -275,6 +275,20 @@ class TestCovariances:
 
 
 class TestSolveBatch:
+    def test_stack_equals_pair_by_pair(self, rng):
+        def pd(size):
+            m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            return m @ m.conj().T + np.eye(size)
+
+        r_s = np.stack([pd(8) for _ in range(6)])
+        r_i = np.stack([pd(8) for _ in range(6)])
+        evals, weights = solve_batch(CovariancePair(r_s, r_i))
+        assert evals.shape == weights.shape == (6, 8)
+        for g in range(6):
+            single_evals, single_weight = solve_batch(CovariancePair(r_s[g], r_i[g]))
+            np.testing.assert_array_equal(evals[g], single_evals)
+            np.testing.assert_array_equal(weights[g], single_weight)
+
     def test_matched_filter_in_white_monitor(self):
         steer = steering_vector(ArrayGeometry(num_elements=6), 20.0)
         r_s = 4.0 * np.outer(steer, steer.conj()) + np.eye(6)

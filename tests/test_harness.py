@@ -35,7 +35,12 @@ from mpb_lab.harness import (
     write_result,
 )
 from mpb_lab.oracles import covariances_from_arrays
-from mpb_lab.presets import five_tones_scenario, tracking_scenario
+from mpb_lab.presets import (
+    SWEEP_SCENARIOS,
+    five_tones_scenario,
+    multipath_mai_scenario,
+    tracking_scenario,
+)
 from mpb_lab.scenario import generate_gold_codes, synthesize
 
 
@@ -99,6 +104,34 @@ class TestDefaultSpec:
         spec.snr_grid_db = [10.0, 0.0]
         with pytest.raises(ConfigError, match="ascending"):
             spec.validate()
+        # a repeated grid point would only fail in measure_threshold,
+        # after the whole solve
+        spec = default_spec("threshold_sweep")
+        spec.snr_grid_db = [0.0, 0.0, 2.0, 4.0]
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            spec.validate()
+        # a spec built in code gets a config file's kind rules
+        for preset, field, value in [
+            ("convergence", "delta_scale", True),
+            ("convergence", "mu", math.nan),
+            ("threshold_sweep", "symbols", 400.5),
+            ("threshold_sweep", "trials", True),
+            ("threshold_sweep", "inr_list_db", [10.0, math.inf]),
+            ("threshold_sweep", "snr_grid_db", [0.0, False]),
+            ("eigencurve", "seed", "abc"),
+        ]:
+            spec = default_spec(preset)
+            setattr(spec, field, value)
+            with pytest.raises(ConfigError, match=field):
+                spec.validate()
+        spec = default_spec("threshold_sweep")
+        spec.symbols = "400"
+        spec.validate()
+        assert spec.symbols == 400 and isinstance(spec.symbols, int)
+        # run_preset raised an IndexError on an empty desired list
+        spec.scenario = replace(five_tones_scenario(10.0), desired=[])
+        with pytest.raises(ConfigError, match="desired"):
+            run_preset(spec)
 
 
 class TestLoadConfig:
@@ -291,6 +324,68 @@ class TestGramFastPath:
             direct = (x_s @ x_s.conj().T) / x_s.shape[1]
             np.testing.assert_allclose(cov, direct, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
+    def test_rescaled_grams_match_each_inr_synthesized(self, name):
+        # threshold_sweep synthesizes each trial once, at the first INR,
+        # and serves the other levels by scaling the interference rows
+        build = SWEEP_SCENARIOS[name]
+        reference = build(10.0, snr_db=0.0, num_symbols=300, seed=(82, 0, 0))
+        stream = synthesize(reference)
+        levels = {}
+        for inr_db in (20.0, 30.0):
+            config = build(inr_db, snr_db=0.0, num_symbols=300, seed=(82, 0, 0))
+            scale = harness._interference_scale(reference, config)
+            assert scale == pytest.approx(10.0 ** ((inr_db - 10.0) / 20.0))
+            levels[inr_db] = (scale, synthesize(config))
+        alphas = np.array([0.0, 0.5, 3.0])
+        for scheme in ("MIC", "Maximin", "PAPC"):
+            basis = make_basis(scheme, generate_gold_codes(1)[0])
+            grams = component_grams(stream, basis, 0)
+            for inr_db, (scale, direct_stream) in levels.items():
+                direct = component_grams(direct_stream, basis, 0)
+                amplitude = np.repeat([1.0, scale, 1.0], 8)
+                for ours, theirs in ((grams.s_gram, direct.s_gram),
+                                     (grams.i_gram, direct.i_gram)):
+                    rescaled = amplitude[:, None] * ours * amplitude
+                    gap = np.linalg.norm(rescaled - theirs) / np.linalg.norm(theirs)
+                    assert gap <= 1e-12, (scheme, inr_db, gap)
+                fast = grams.covariance_pair(alphas, scale)
+                for g, alpha in enumerate(alphas):
+                    pair = direct.covariance_pair(alpha)
+                    np.testing.assert_allclose(fast.r_s[g], pair.r_s, rtol=1e-12)
+                    np.testing.assert_allclose(fast.r_i[g], pair.r_i, rtol=1e-12)
+                    for ours, theirs in zip(
+                        grams.sinr_covariances(alphas, scale),
+                        direct.sinr_covariances(alpha),
+                    ):
+                        ours = ours[g] if ours.ndim == 3 else ours
+                        np.testing.assert_allclose(ours, theirs, rtol=1e-12)
+
+    def test_inr_reuse_rejects_configs_that_differ_in_more_than_power(self):
+        reference = five_tones_scenario(10.0, num_symbols=300, seed=(83, 0))
+        jammers = reference.jammers
+        louder = [replace(jam, inr_db=jam.inr_db + 6.0) for jam in jammers]
+        assert harness._interference_scale(
+            reference, replace(reference, jammers=louder)
+        ) == pytest.approx(10.0 ** (6.0 / 20.0), rel=1e-15)
+        mai = multipath_mai_scenario(10.0, num_symbols=300, seed=(83, 0))
+        uneven = [replace(path, power=path.power * (2.0 + k))
+                  for k, path in enumerate(mai.mais)]
+        for other in (
+            replace(reference, seed=(83, 1)),
+            replace(reference, num_symbols=301),
+            replace(reference, snr_db=1.0),
+            replace(reference, jammers=[replace(jammers[0], doa_deg=31.0),
+                                        *louder[1:]]),
+            replace(reference, jammers=[louder[0], *jammers[1:]]),
+            replace(reference, jammers=louder[:-1]),
+            replace(reference, jammers=[*jammers, jammers[0]]),
+        ):
+            with pytest.raises(ValueError, match="interferer power"):
+                harness._interference_scale(reference, other)
+        with pytest.raises(ValueError, match="interferer power"):
+            harness._interference_scale(mai, replace(mai, mais=uneven))
+
     @pytest.mark.parametrize("scheme", ["MIC", "Maximin", "PAPC"])
     def test_blocks_match_direct_estimation(self, scheme):
         # three whole Gram blocks and a remainder, at a nonzero offset:
@@ -411,27 +506,38 @@ class TestRunners:
         assert result.preset == "threshold_sweep"
 
     @pytest.mark.parametrize("preset", ["threshold_sweep", "eigencurve", "pattern"])
-    def test_sweep_solves_one_gevd_per_grid_point(self, monkeypatch, preset):
-        # one GEVD per grid point (solve_batch's, which also gives the
-        # eigenvalues) plus one for the gamma1 quiet pair, per trial and
-        # scheme: the batch driver's cost is the same for every preset
-        calls = []
-        original = linalg.hermitian_gevd
+    def test_sweep_solves_one_gevd_per_trial_scheme_and_inr(self, monkeypatch, preset):
+        # one synthesis per (scenario, trial) serves every INR level, and
+        # one GEVD per (trial, scheme, INR level) solves the gamma1 quiet
+        # pair and the whole SNR grid as one stack: the batch driver's
+        # cost is the same for every preset
+        gevds, syntheses = [], []
+        original_gevd, original_synthesize = linalg.hermitian_gevd, harness.synthesize
 
-        def counting(a, b):
-            calls.append(1)
-            return original(a, b)
+        def counting_gevd(a, b):
+            gevds.append(np.shape(a))
+            return original_gevd(a, b)
 
-        monkeypatch.setattr(linalg, "hermitian_gevd", counting)
+        def counting_synthesize(config):
+            syntheses.append(config)
+            return original_synthesize(config)
+
+        monkeypatch.setattr(linalg, "hermitian_gevd", counting_gevd)
+        monkeypatch.setattr(harness, "synthesize", counting_synthesize)
         if preset == "threshold_sweep":
-            spec = tiny_sweep_spec(schemes=["MIC", "PAPC"])
+            spec = tiny_sweep_spec(
+                schemes=["MIC", "PAPC"], inr_list_db=[10.0, 30.0],
+                scenario_names=["five_tones", "multipath_mai"],
+            )
+            scenarios, levels = 2, 2
         else:
             spec = default_spec(preset)
             spec.symbols = 400
+            scenarios, levels = 1, 1
         run_preset(spec)
-        assert len(calls) == (
-            spec.trials * len(spec.schemes) * (len(spec.snr_grid_db) + 1)
-        )
+        assert len(syntheses) == spec.trials * scenarios
+        assert len(gevds) == spec.trials * len(spec.schemes) * scenarios * levels
+        assert set(gevds) == {(len(spec.snr_grid_db) + 1, 8, 8)}
 
     def test_deterministic_rows(self):
         first = run_threshold_sweep(tiny_sweep_spec())
@@ -721,6 +827,7 @@ class TestCli:
             "    - {kind: bpsk_broadband, doa_deg: 40, inr_db: 20, period_chips: null}\n",
             "preset: eigencurve\nseed: -3\n",
             "preset: convergence\nscenario:\n  desired: []\n",
+            "preset: threshold_sweep\nsnr_grid_db: [0, 0, 2, 4]\n",
         ],
         ids=[
             "papc_chip_index", "monitor_freq", "mu", "delta_scale",
@@ -733,6 +840,7 @@ class TestCli:
             "tone_offset_hz_nan", "chip_rate_hz_inf", "rate_ratio_inf",
             "processing_gain", "scenario_null", "tone_offset_hz_null",
             "period_chips_null", "seed_negative", "desired_empty",
+            "snr_grid_db_repeated",
         ],
     )
     def test_validate_rejects_out_of_range_knobs(self, tmp_path, capsys, text):

@@ -135,6 +135,26 @@ class TestHermitianGevd:
             hermitian_gevd(bad, np.eye(2))
 
 
+    def test_stack_equals_matrix_by_matrix(self, rng):
+        a = np.stack([random_hermitian_pd(rng, 8) for _ in range(7)])
+        b = np.stack([random_hermitian_pd(rng, 8) for _ in range(7)])
+        stacked = hermitian_gevd(a, b)
+        assert stacked.eigenvalues.shape == (7, 8)
+        assert stacked.eigenvectors.shape == (7, 8, 8)
+        for k in range(7):
+            single = hermitian_gevd(a[k], b[k])
+            np.testing.assert_array_equal(stacked.eigenvalues[k], single.eigenvalues)
+            np.testing.assert_array_equal(stacked.eigenvectors[k], single.eigenvectors)
+
+    @pytest.mark.parametrize(
+        "bad", [np.diag([1.0, -1e-3]), np.diag([1.0, 1e-14])],
+        ids=["not_pd", "ill_conditioned"],
+    )
+    def test_stack_with_one_bad_right_matrix_rejected(self, bad):
+        b = np.stack([np.eye(2), bad, np.eye(2)])
+        with pytest.raises(SingularMatrixError, match="positive definite"):
+            hermitian_gevd(np.stack([np.eye(2)] * 3), b)
+
 class TestNormalizePhase:
     def test_rotates_leading_component_real_positive(self):
         col = np.array([0.0, 1j, 1.0])
@@ -174,6 +194,13 @@ class TestNormalizePhase:
                 expected = col * np.exp(-1j * np.angle(lead))
             np.testing.assert_array_equal(fixed[:, j], expected)
         np.testing.assert_array_equal(fixed[:, 1], 0.0)
+
+    def test_stack_normalized_matrix_by_matrix(self, rng):
+        vectors = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
+        vectors[1, :, 2] = 0.0
+        fixed = normalize_phase(vectors)
+        for k in range(3):
+            np.testing.assert_array_equal(fixed[k], normalize_phase(vectors[k]))
 
 
 class TestRankOneInverseUpdate:
