@@ -12,7 +12,11 @@ component, an interference component and a noise component, the first
 two held as steering matrices times waveform rows. component_grams is
 the one covariance route: it projects only the waveform rows and the
 noise, and forms block (a, b) of the components' Gram as A_a G_ab A_b^H,
-with G_ab the cross-Gram of the projected rows and A = I for noise. The
+with G_ab the cross-Gram of the projected rows and A = I for noise.
+When a numerical test finds [h_s, h_i] unitary (MIC's complete basis),
+the monitor channels' G_ab is the raw windows' cross-Gram minus the
+signal channel's, and only the signal channel is projected; incomplete
+bases (Maximin, PAPC) project their monitor channels. The
 sweep-style presets build it once per (scenario, trial) and, since only
 the desired amplitude changes across the SNR grid and only the
 interference amplitude across the INR levels, assemble the covariance
@@ -503,8 +507,8 @@ def _format_cell(value) -> str:
 # ---------------------------------------------------------------------------
 # component-Gram fast path
 
-# Windows projected at once by component_grams: bounds its working set
-# (MIC's noise projection is L x 1,024 x 30 complex, 3.9 MB at L = 8).
+# Windows handled at once by component_grams: bounds its working set
+# (the conjugated noise windows are L x 1,024 x 31 complex, 4 MB at L = 8).
 _GRAM_BLOCK_SYMBOLS = 1024
 
 
@@ -557,6 +561,14 @@ class SchemeGrams:
         return alpha[..., None, None] ** 2 * soi, scale**2 * interference, noise
 
 
+def _complete(basis: ProjectionBasis) -> bool:
+    """Whether [h_s, h_i] is a unitary N x N basis, as MIC's is."""
+    full = np.column_stack([basis.h_s, basis.h_i])
+    return full.shape[0] == full.shape[1] and np.allclose(
+        full.conj().T @ full, np.eye(len(full)), rtol=0.0, atol=1e-12
+    )
+
+
 def component_grams(
     stream: ChipStream, basis: ProjectionBasis, n0: int
 ) -> SchemeGrams:
@@ -566,12 +578,19 @@ def component_grams(
     is A = I times itself), so its projection is A P(Y) and block (a, b)
     is A_a gram(P(Y_a), P(Y_b)) A_b^H over the snapshot count: only the
     waveform rows are projected, never an element-by-chip copy of a
-    component. The rows are projected _GRAM_BLOCK_SYMBOLS windows at a
-    time and the blocks' cross-Gram sums added up, so no projection of
-    the whole stream is ever held; the division comes once, at the end.
+    component. When [h_s, h_i] is unitary (a numerical test, true for
+    MIC) the monitor projectors sum to I - h_s h_s^H, so the monitor
+    side's gram is the raw windows' gram(W_a, W_b) minus the signal
+    side's and only the signal channel is projected; any other basis
+    projects its monitor channels. The rows are handled
+    _GRAM_BLOCK_SYMBOLS windows at a time and the blocks' cross-Gram
+    sums added up, so no projection of the whole stream is ever held;
+    the division comes once, at the end.
     """
     l = stream.num_elements
     n = basis.h_s.size
+    complete = _complete(basis)
+    projector = replace(basis, h_i=basis.h_i[:, :0]) if complete else basis
     components = (
         (stream.soi_steering, stream.soi_waveforms),
         (stream.steering, stream.waveforms),
@@ -583,15 +602,21 @@ def component_grams(
     # at least one block: its projection rejects a bad n0 or a stream
     # shorter than one window
     for start in range(0, max(windows, 1), _GRAM_BLOCK_SYMBOLS):
-        chips = slice(start * n, n0 + min(start + _GRAM_BLOCK_SYMBOLS, windows) * n)
-        projected = [project_stream(rows[:, chips], basis, n0)
+        stop = min(start + _GRAM_BLOCK_SYMBOLS, windows)
+        projected = [project_stream(rows[:, start * n : n0 + stop * n], projector, n0)
                      for _, rows in components]
+        raw = [rows[:, n0 + start * n : n0 + stop * n] for _, rows in components]
         for side, a, b in sums:
-            sums[side, a, b] += gram(projected[a][side], projected[b][side])
+            sums[side, a, b] += (
+                gram(raw[a], raw[b]) if side and complete
+                else gram(projected[a][side], projected[b][side])
+            )
     snapshots = (windows, windows * basis.num_channels)
     blocks = [slice(k * l, (k + 1) * l) for k in range(3)]
     grams = np.empty((2, 3 * l, 3 * l), dtype=np.complex128)
     for (side, a, b), total in sums.items():
+        if side and complete:
+            total = total - sums[0, a, b]
         block = (components[a][0] @ (total / snapshots[side])
                  @ components[b][0].conj().T)
         grams[side, blocks[a], blocks[b]] = block

@@ -16,10 +16,6 @@ import numpy as np
 # of silently producing garbage eigenvectors.
 MAX_CONDITION = 1e12
 
-# Relative floor under which an eigenvalue counts as zero for the
-# positive-definiteness test.
-_PD_FLOOR = 1e-12
-
 
 class SingularMatrixError(RuntimeError):
     """Raised when a matrix that must be positive definite is not."""
@@ -96,7 +92,9 @@ def hermitian_gevd(a: np.ndarray, b: np.ndarray) -> GevdResult:
     a, b = _as_square_pair(a, b)
     b_eigs = np.linalg.eigvalsh(0.5 * (b + _adjoint(b)))
     smallest, largest = b_eigs[..., 0], b_eigs[..., -1]
-    singular = (smallest <= 0.0) | (smallest <= _PD_FLOOR * largest)
+    # only a nonpositive smallest eigenvalue fails definiteness; a positive
+    # one too small for the largest is the condition test's to reject
+    singular = smallest <= 0.0
     if np.any(singular):
         first = np.argmax(singular.ravel())
         raise SingularMatrixError(

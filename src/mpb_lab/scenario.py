@@ -338,6 +338,29 @@ def group_identical_delays(paths: list[PathSpec]) -> list[list[int]]:
     return list(groups.values())
 
 
+# Chips per block of a tone row: one exp per block start and one fine
+# ramp of this many chips, instead of one exp per chip.
+_TONE_BLOCK = 1024
+
+
+def _tone(row: np.ndarray, amplitude: float, freq: float, phase: float) -> None:
+    """Fill row with amplitude * exp(j(2 pi freq n + phase)), n = 0, 1, ...
+
+    Chip bB + q is the coarse phasor of block b, exp(j(2 pi freq bB +
+    phase)), times the fine ramp exp(j 2 pi freq q), B = _TONE_BLOCK.
+    B is a power of two, so freq B and its fractional part are exact and
+    the coarse phases stay accurate to roundoff of b, not of bB.
+    """
+    whole = row.size - row.size % _TONE_BLOCK
+    fine = np.exp(2j * np.pi * freq * np.arange(_TONE_BLOCK))
+    step = math.fmod(freq * _TONE_BLOCK, 1.0)
+    blocks = np.arange(whole // _TONE_BLOCK + 1)
+    coarse = amplitude * np.exp(1j * (2.0 * np.pi * (step * blocks % 1.0) + phase))
+    np.multiply(coarse[:-1, None], fine,
+                out=row[:whole].reshape(-1, _TONE_BLOCK))
+    np.multiply(coarse[-1], fine[: row.size - whole], out=row[whole:])
+
+
 def synthesize(config: ScenarioConfig) -> ChipStream:
     """Generate one chip-rate array stream and its exact decomposition.
 
@@ -384,9 +407,7 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
         amplitude = math.sqrt(config.noise_power * 10.0 ** (jam.inr_db / 10.0))
         if jam.kind == "tone":
             freq = jam.tone_offset_hz / config.chip_rate_hz
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            ticks = np.arange(total)
-            row[:] = amplitude * np.exp(1j * (2.0 * np.pi * freq * ticks + phase))
+            _tone(row, amplitude, freq, rng.uniform(0.0, 2.0 * np.pi))
         elif jam.kind == "bpsk_broadband":
             row[:] = amplitude * (rng.integers(0, 2, size=total) * 2.0 - 1.0)
         else:  # periodic_white_noise
@@ -404,14 +425,16 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
             reps = -(-total // period)
             row[:] = amplitude * np.tile(seg, reps)[:total]
 
-    # filled in place row by row, all real parts then all imaginary parts:
-    # the draws of sigma * (N(L, total) + 1j * N(L, total)), bit for bit,
-    # without its full-size temporaries
+    # filled in place row by row through one reused draw buffer, all real
+    # parts then all imaginary parts: the draws of
+    # sigma * (N(L, total) + 1j * N(L, total)), bit for bit, without its
+    # full-size temporaries
     sigma = math.sqrt(config.noise_power / 2.0)
     noise = np.empty((num_elements, total), dtype=np.complex128)
+    draws = np.empty(total)
     for part in (noise.real, noise.imag):
         for row in part:
-            np.multiply(rng.standard_normal(total), sigma, out=row)
+            np.multiply(rng.standard_normal(out=draws), sigma, out=row)
     return ChipStream(
         soi_steering=steering(config.desired),
         soi_waveforms=soi_waveforms,

@@ -404,6 +404,53 @@ class TestGramFastPath:
         np.testing.assert_allclose(fast.r_s, direct.r_s, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(fast.r_i, direct.r_i, rtol=1e-10, atol=1e-12)
 
+    @staticmethod
+    def _assert_matches_summed_stream(stream, basis, n0):
+        direct = covariances_from_arrays(*project_stream(stream.samples, basis, n0))
+        fast = component_grams(stream, basis, n0).covariance_pair(1.0)
+        for ours, theirs in ((fast.r_s, direct.r_s), (fast.r_i, direct.r_i)):
+            gap = np.linalg.norm(ours - theirs) / np.linalg.norm(theirs)
+            assert gap <= 1e-12, (basis.scheme, basis.num_channels, gap)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
+    def test_complete_basis_route_matches_projection(self, name):
+        # MIC's [h_s, h_i] is unitary, so its monitor Gram is taken from
+        # the raw windows minus the signal channel; at a nonzero offset
+        # and with a remainder block it must match projecting the stream
+        config = SWEEP_SCENARIOS[name](
+            20.0, snr_db=3.0, num_symbols=harness._GRAM_BLOCK_SYMBOLS + 300,
+            seed=(84, 0, 0),
+        )
+        stream = synthesize(config)
+        basis = make_basis("MIC", generate_gold_codes(1)[0])
+        assert harness._complete(basis)
+        self._assert_matches_summed_stream(stream, basis, 7)
+
+    def test_truncated_basis_takes_the_projected_route(self):
+        mic = make_basis("MIC", generate_gold_codes(1)[0])
+        truncated = replace(mic, h_i=mic.h_i[:, 1:])
+        assert not harness._complete(truncated)
+        stream = synthesize(five_tones_scenario(
+            20.0, snr_db=3.0, num_symbols=500, seed=(85, 0, 0)))
+        self._assert_matches_summed_stream(stream, truncated, 3)
+
+    def test_unitary_basis_never_projects_its_monitor_channels(self, monkeypatch):
+        channels = []
+
+        def spy(samples, basis, n0):
+            x_s, x_i = project_stream(samples, basis, n0)
+            channels.append(x_i.shape[-1])
+            return x_s, x_i
+
+        monkeypatch.setattr(harness, "project_stream", spy)
+        stream = synthesize(five_tones_scenario(
+            20.0, num_symbols=harness._GRAM_BLOCK_SYMBOLS + 10, seed=(86, 0, 0)))
+        component_grams(stream, make_basis("MIC", generate_gold_codes(1)[0]), 0)
+        assert channels and 30 not in channels, channels
+        channels.clear()
+        component_grams(stream, make_basis("Maximin", generate_gold_codes(1)[0]), 0)
+        assert channels and set(channels) == {1}, channels
+
     def test_rejects_bad_offset_and_short_stream(self):
         basis = make_basis("MIC", generate_gold_codes(1)[0])
         stream = synthesize(five_tones_scenario(10.0, num_symbols=2,
@@ -419,7 +466,7 @@ class TestGramFastPath:
     def test_memory_is_flat_in_the_symbol_count(self):
         # a whole-stream MIC projection is as large as the noise itself;
         # accumulated block by block, the call's peak must not grow with
-        # the stream (about 14 MB at both sizes)
+        # the stream (about 4 MB at both sizes)
         basis = make_basis("MIC", generate_gold_codes(1)[0])
         peaks = []
         for symbols in (3000, 12000):

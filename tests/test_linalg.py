@@ -124,6 +124,12 @@ class TestHermitianGevd:
         with pytest.raises(SingularMatrixError):
             hermitian_gevd(np.eye(2), b)
 
+    def test_condition_number_error_is_reachable(self):
+        # positive definite but past MAX_CONDITION: the condition test,
+        # not the definiteness test, must reject it
+        with pytest.raises(SingularMatrixError, match="condition number"):
+            hermitian_gevd(np.eye(2), np.diag([1.0, 1e-13]))
+
     def test_rejects_shape_mismatch_and_nonfinite(self):
         with pytest.raises(ValueError, match="shapes differ"):
             hermitian_gevd(np.eye(3), np.eye(2))
@@ -147,12 +153,14 @@ class TestHermitianGevd:
             np.testing.assert_array_equal(stacked.eigenvectors[k], single.eigenvectors)
 
     @pytest.mark.parametrize(
-        "bad", [np.diag([1.0, -1e-3]), np.diag([1.0, 1e-14])],
+        ("bad", "message"),
+        [(np.diag([1.0, -1e-3]), "positive definite"),
+         (np.diag([1.0, 1e-14]), "condition number")],
         ids=["not_pd", "ill_conditioned"],
     )
-    def test_stack_with_one_bad_right_matrix_rejected(self, bad):
+    def test_stack_with_one_bad_right_matrix_rejected(self, bad, message):
         b = np.stack([np.eye(2), bad, np.eye(2)])
-        with pytest.raises(SingularMatrixError, match="positive definite"):
+        with pytest.raises(SingularMatrixError, match=message):
             hermitian_gevd(np.stack([np.eye(2)] * 3), b)
 
 class TestNormalizePhase:

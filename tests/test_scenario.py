@@ -26,6 +26,7 @@ from mpb_lab.scenario import (
     JammerSpec,
     PathSpec,
     ScenarioConfig,
+    _TONE_BLOCK,
     _USER_CODE_ORDER,
     desired_path_power,
     generate_gold_codes,
@@ -238,6 +239,29 @@ class TestSynthesize:
         np.testing.assert_allclose(
             np.abs(wave), np.full(wave.size, np.abs(wave[0])), rtol=1e-12
         )
+
+    def test_tone_matches_per_chip_phasor(self):
+        # synthesis builds the row from one coarse phasor per block and
+        # one fine ramp; it must equal the per-chip exp on a long stream
+        # that ends in a partial block
+        offset_hz = 400e3
+        config = make_config(
+            geometry=ArrayGeometry(num_elements=2), num_symbols=25000,
+            jammers=[JammerSpec(kind="tone", doa_deg=25.0, inr_db=30.0,
+                                tone_offset_hz=offset_hz)],
+        )
+        total = config.num_symbols * config.processing_gain
+        assert total % _TONE_BLOCK
+        rng = np.random.default_rng(config.seed)
+        rng.integers(0, 2, size=config.num_symbols + 1)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        freq = offset_hz / config.chip_rate_hz
+        expected = math.sqrt(1e3) * np.exp(
+            1j * (2.0 * np.pi * freq * np.arange(total) + phase)
+        )
+        wave = synthesize(config).waveforms[0]
+        gap = np.linalg.norm(wave - expected) / np.linalg.norm(expected)
+        assert gap <= 1e-10, gap
 
     def test_periodic_jammer_exact_period(self):
         config = make_config(jammers=[

@@ -3,6 +3,7 @@
 Usage:
     python3 tools/preset_digests.py > digests.txt
     python3 tools/preset_digests.py --keep DIR
+    python3 tools/preset_digests.py --keep DIR --default-scale
     python3 tools/preset_digests.py --compare DIR_A DIR_B
 
 Each preset runs once at a fixed size far below desk scale (a few
@@ -12,7 +13,9 @@ no difference means every results.csv and patterns_*.csv is
 byte-identical at this spec, which is the evidence a change that must
 not move any published number has to show. The package is imported
 from the ``src/`` directory next to this script, so each checkout
-measures its own code.
+measures its own code. ``--default-scale`` runs each preset at its
+``default_spec`` size instead (about two minutes in all on a 2-core desk
+machine), for evidence at the scale the presets publish.
 
 A digest mismatch cannot tell roundoff from a real change. ``--keep DIR``
 also writes the CSVs to DIR/<preset>/; ``--compare DIR_A DIR_B`` then
@@ -50,13 +53,14 @@ SIZES: dict[str, dict[str, int]] = {
 }
 
 
-def run_presets(root: Path) -> None:
-    """Run every preset at its small spec, writing into root/<preset>/."""
+def run_presets(root: Path, default_scale: bool = False) -> None:
+    """Run every preset at its small spec, or at its default_spec size
+    when default_scale is set, writing into root/<preset>/."""
     from mpb_lab import harness
 
     for preset, sizes in SIZES.items():
         spec = harness.default_spec(preset)
-        for key, value in sizes.items():
+        for key, value in ({} if default_scale else sizes).items():
             setattr(spec, key, value)
         out = root / preset
         harness.write_result(harness.run_preset(spec), out)
@@ -149,14 +153,18 @@ def main(argv: list[str] | None = None) -> int:
                        help="also write the CSVs to DIR/<preset>/")
     group.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
                        type=Path, help="compare two --keep directories")
+    parser.add_argument("--default-scale", action="store_true",
+                        help="run each preset at its default_spec size")
     args = parser.parse_args(argv)
     if args.compare:
+        if args.default_scale:
+            parser.error("--default-scale runs presets; --compare runs none")
         return compare_dirs(*args.compare)
     if args.keep:
-        run_presets(args.keep)
+        run_presets(args.keep, args.default_scale)
         return 0
     with tempfile.TemporaryDirectory() as tmp:
-        run_presets(Path(tmp))
+        run_presets(Path(tmp), args.default_scale)
     return 0
 
 
