@@ -92,11 +92,11 @@ def update_symbol(
     r_s = state.mu * state.r_s + x_s[:, :, None] * x_s[:, None, :].conj()
 
     channels = x_i.shape[-1]
-    scale = 1.0 / math.sqrt(channels)
+    x_hat = x_i * (1.0 / math.sqrt(channels))
     p = state.p
     for t in range(channels):
         mu_t = state.mu if t == 0 else 1.0
-        _, p = linalg.rank_one_inverse_update(p, x_i[..., t] * scale, mu_t)
+        _, p = linalg.rank_one_inverse_update(p, x_hat[..., t], mu_t)
 
     p_h = p.conj().swapaxes(-1, -2)
     asym = np.max(np.abs(p - p_h), axis=(-2, -1)) / np.maximum(
@@ -110,14 +110,22 @@ def update_symbol(
     return y_o, asym
 
 
-def run(x_s: np.ndarray, x_i: np.ndarray, mu: float, delta: float) -> AdaptiveOutput:
+def run(
+    x_s: np.ndarray,
+    x_i: np.ndarray,
+    mu: float,
+    delta: float,
+    out: np.ndarray | None = None,
+) -> AdaptiveOutput:
     """Drive the recursion over every symbol of T trials' projected snapshots.
 
     x_s is (T, L, K) and x_i is (T, L, K, r), the per-trial outputs of
     core.project_stream stacked on a leading trial axis; the monitoring
     channels of x_i choose the scheme (all N-1 code-orthogonal channels
     for MIC, one channel for single-channel RLS). Shapes and finiteness
-    are checked before any symbol is processed.
+    are checked before any symbol is processed. The (T, K, L) weights
+    are written into out when it is given (a caller's preallocated
+    block), else into a new array.
     """
     x_s = np.asarray(x_s, dtype=np.complex128)
     x_i = np.asarray(x_i, dtype=np.complex128)
@@ -127,13 +135,17 @@ def run(x_s: np.ndarray, x_i: np.ndarray, mu: float, delta: float) -> AdaptiveOu
         )
     if x_s.shape[2] < 1 or x_i.shape[3] < 1:
         raise ValueError(f"need at least one symbol and one channel, got {x_i.shape}")
-    if not (np.all(np.isfinite(x_s)) and np.all(np.isfinite(x_i))):
+    # trial by trial, so the check's temporary is one trial's, not the stack's
+    if not all(np.isfinite(x).all() for x in (*x_s, *x_i)):
         raise ValueError("snapshots contain non-finite entries")
 
     trials, elements, symbols = x_s.shape
+    shape = (trials, symbols, elements)
+    w = np.empty(shape, dtype=np.complex128) if out is None else out
+    if w.shape != shape or w.dtype != np.complex128:
+        raise ValueError(f"out must be complex128 {shape}, got {w.dtype} {w.shape}")
     state = init(trials, elements, mu, delta)
     y_o = np.empty((trials, symbols), dtype=np.complex128)
-    w = np.empty((trials, symbols, elements), dtype=np.complex128)
     asym = np.empty((trials, symbols))
     for k in range(symbols):
         w[:, k] = state.w

@@ -946,44 +946,77 @@ def _staggered(stream: ChipStream, entries: list[int]) -> np.ndarray:
     return replace(stream, waveforms=waveforms).samples
 
 
+# (cell, trial) rows stepped by one adaptive.run call: bounds the
+# snapshot stacks in trials. One (rows, 8, 8) rank-one update costs about
+# 0.7 us per row at 128-256 rows, 1.3 us at 400-800 (the stack leaves the
+# cache) and 2.4 us at 8 (fixed call overhead), one BLAS thread.
+_RECURSION_ROWS = 256
+
+
 def _recursion(
     spec: ExperimentSpec,
     builder: Callable[..., ScenarioConfig],
-    seed: tuple[int, ...],
-    snr_db: float,
+    cells: list[tuple[tuple[int, ...], float, list[int]]],
     bases: dict[str, ProjectionBasis],
-    entries: list[int],
-) -> tuple[str, dict[str, np.ndarray]]:
-    """Run the recursion of every scheme over all trials of one cell.
+) -> list[tuple[str, dict[str, np.ndarray]]]:
+    """Run the recursion of every scheme over all trials of every cell.
 
-    Trial t is synthesized once, at seed (*seed, t), with interferer i
-    silent before symbol entries[i]; every basis's projection of it is
-    stacked on a leading trial axis and each scheme's adaptive.run sees
-    all trials at once. Returns the cell's scenario hash and each
-    scheme's (T, K, L) weights, w[:, k] the one that produced output k.
+    A cell is (seed, snr_db, entries): trial t is synthesized once, at
+    seed (*seed, t) and snr_db, with interferer i silent before symbol
+    entries[i]. The (cell, trial) rows, cell-major, are split into
+    ceil(rows / _RECURSION_ROWS) chunks of equal size; each chunk's
+    projections fill one preallocated stack per basis and each scheme's
+    adaptive.run steps the whole chunk at once. Rows never mix in the
+    recursion, so a row's weights do not depend on the chunking. Every
+    cell must share one delta = delta_scale * noise_power, else
+    ValueError. Returns per cell its scenario hash and each scheme's
+    (T, K, L) weights, w[:, k] the one that produced output k.
     """
+    rows = [
+        (*_scenario(spec, builder, (*seed, trial), snr_db=snr_db), entries)
+        for seed, snr_db, entries in cells
+        for trial in range(spec.trials)
+    ]
+    deltas = {spec.delta_scale * config.noise_power for config, _, _ in rows}
+    if len(deltas) != 1:
+        raise ValueError(
+            f"recursion cells must share one delta, got {sorted(deltas)}"
+        )
+    (delta,) = deltas
+    chunks = -(-len(rows) // _RECURSION_ROWS)
+    size = -(-len(rows) // chunks)
     stacks: dict[str, list[np.ndarray]] = {}
-    for trial in range(spec.trials):
-        config, config_hash, stream, n0 = _cell(
-            spec, builder, (*seed, trial), snr_db=snr_db
+    weights: dict[str, np.ndarray] = {}
+    for start in range(0, len(rows), size):
+        chunk = rows[start : start + size]
+        for row, (config, n0, entries) in enumerate(chunk):
+            received = _staggered(
+                synthesize(config),
+                [entry * config.processing_gain for entry in entries],
+            )
+            for scheme, basis in bases.items():
+                projected = project_stream(received, basis, n0)
+                if scheme not in stacks:
+                    stacks[scheme] = [np.empty((size, *x.shape), dtype=x.dtype)
+                                      for x in projected]
+                    elements, symbols = projected[0].shape
+                    weights[scheme] = np.empty(
+                        (len(rows), symbols, elements), dtype=np.complex128
+                    )
+                for stack, x in zip(stacks[scheme], projected):
+                    stack[row] = x
+        for scheme in bases:
+            x_s, x_i = (stack[: len(chunk)] for stack in stacks[scheme])
+            adaptive_mod.run(x_s, x_i, spec.mu, delta,
+                             out=weights[scheme][start : start + len(chunk)])
+    trials = spec.trials
+    return [
+        (
+            scenario_hash(replace(rows[c * trials][0], seed=spec.seed)),
+            {scheme: w[c * trials : (c + 1) * trials] for scheme, w in weights.items()},
         )
-        received = _staggered(
-            stream, [entry * config.processing_gain for entry in entries]
-        )
-        for scheme, basis in bases.items():
-            projected = project_stream(received, basis, n0)
-            if trial == 0:
-                stacks[scheme] = [
-                    np.empty((spec.trials, *x.shape), dtype=x.dtype)
-                    for x in projected
-                ]
-            for stack, x in zip(stacks[scheme], projected):
-                stack[trial] = x
-    delta = spec.delta_scale * config.noise_power
-    return config_hash, {
-        scheme: adaptive_mod.run(*stacks.pop(scheme), spec.mu, delta).w
-        for scheme in bases
-    }
+        for c in range(len(cells))
+    ]
 
 
 def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
@@ -1000,13 +1033,15 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
     clutters = _clutters(base, n0, 10000, (spec.seed, 7000))
     clutter = clutters[-1]
     steer = steering_vector(base.geometry, base.desired[0].doa_deg)
-    for s_idx, snr_db in enumerate(spec.snr_grid_db):
+    cells = _recursion(
+        spec, presets.convergence_scenario,
+        [((spec.seed, s_idx), snr_db, [0] * (len(clutters) - 1))
+         for s_idx, snr_db in enumerate(spec.snr_grid_db)],
+        bases,
+    )
+    for snr_db, (config_hash, weights) in zip(spec.snr_grid_db, cells):
         sig_power = base.noise_power * 10.0 ** (snr_db / 10.0)
         optimum = mvdr_optimum_sinr(sig_power, steer, clutter)
-        config_hash, weights = _recursion(
-            spec, presets.convergence_scenario, (spec.seed, s_idx), snr_db,
-            bases, [0] * (len(clutters) - 1),
-        )
         for scheme, w in weights.items():
             sinr_mean = np.mean(output_sinr(w, sig_power, steer, clutter), axis=0)
             converged = _first_within_3db(sinr_mean, optimum)
@@ -1057,15 +1092,16 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
     clutters = _clutters(base, n0, 6000, (spec.seed, 8000 + num_interferers))
     optima = [mvdr_optimum_sinr(sig_power, steer, q) for q in clutters]
 
-    bases = {"MIC": _scheme_basis(spec, "MIC")}
+    runs = {"staggered": entries, "control": [0] * num_interferers}
+    cells = _recursion(
+        spec, presets.tracking_scenario,
+        [((spec.seed, r_idx), snr_db, run_entries)
+         for r_idx, run_entries in enumerate(runs.values())],
+        {"MIC": _scheme_basis(spec, "MIC")},
+    )
     rows: list[dict] = []
     metadata = _base_metadata(spec)
-    for r_idx, run_name in enumerate(("staggered", "control")):
-        run_entries = entries if run_name == "staggered" else [0] * num_interferers
-        config_hash, weights = _recursion(
-            spec, presets.tracking_scenario, (spec.seed, r_idx), snr_db,
-            bases, run_entries,
-        )
+    for (run_name, run_entries), (config_hash, weights) in zip(runs.items(), cells):
         num_symbols = weights["MIC"].shape[1]
         active = [sum(1 for e in run_entries if e <= k) for k in range(num_symbols)]
         sinr = output_sinr(weights["MIC"], sig_power, steer, clutters[active])

@@ -8,6 +8,7 @@ routine here leans on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,9 @@ def _as_square_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if b.shape != a.shape:
         raise ValueError(f"matrix shapes differ: {a.shape} vs {b.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("left matrix contains non-finite entries")
-    if not (np.all(np.isfinite(b.real)) and np.all(np.isfinite(b.imag))):
+    if not np.isfinite(b).all():
         raise ValueError("right matrix contains non-finite entries")
     return a, b
 
@@ -140,9 +141,9 @@ def rank_one_inverse_update(
         raise ValueError(f"expected square matrices, got shape {p.shape}")
     if x.shape != p.shape[:-1]:
         raise ValueError(f"vector shape {x.shape} does not match matrix {p.shape}")
-    if not np.isfinite(mu) or mu <= 0.0:
+    if not math.isfinite(mu) or mu <= 0.0:
         raise ValueError(f"forgetting factor must be positive, got {mu}")
-    if not (np.all(np.isfinite(x.real)) and np.all(np.isfinite(x.imag))):
+    if not np.isfinite(x).all():
         raise ValueError("update vector contains non-finite entries")
 
     px = (p @ x[..., None])[..., 0]

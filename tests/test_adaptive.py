@@ -191,6 +191,21 @@ class TestRun:
             np.testing.assert_array_equal(stacked.p_asymmetry[t],
                                           single.p_asymmetry[0])
 
+    def test_weights_written_into_a_caller_block(self, rng):
+        # out is filled in place and is the returned w; a block of the
+        # wrong shape or dtype is rejected before any symbol
+        x_s, x_i = random_stream(rng, 2, 4, 6, 3)
+        block = np.zeros((4, 6, 4), dtype=complex)
+        out = adaptive.run(x_s, x_i, mu=0.95, delta=1e-2, out=block[1:3])
+        assert np.shares_memory(out.w, block)
+        np.testing.assert_array_equal(
+            block[1:3], adaptive.run(x_s, x_i, mu=0.95, delta=1e-2).w
+        )
+        assert not block[0].any() and not block[3].any()
+        for bad in (block, block[1:3].real.copy(), block[1:3, :, :3]):
+            with pytest.raises(ValueError, match="out must be"):
+                adaptive.run(x_s, x_i, mu=0.95, delta=1e-2, out=bad)
+
     def test_explicit_single_channel_basis(self, code0):
         x_s, x_i = projected(code0, 40, basis=basis_papc(code0, chip_index=0))
         assert x_i.shape[-1] == 1

@@ -37,6 +37,7 @@ from mpb_lab.harness import (
 from mpb_lab.oracles import covariances_from_arrays
 from mpb_lab.presets import (
     SWEEP_SCENARIOS,
+    convergence_scenario,
     five_tones_scenario,
     multipath_mai_scenario,
     tracking_scenario,
@@ -765,6 +766,66 @@ class TestRunners:
             "distinct_path1", "distinct_path2", "identical"
         }
         assert len(result.rows) == 3
+
+
+class TestRecursionDriver:
+    """harness._recursion steps every cell's trials as one trial stack."""
+
+    @staticmethod
+    def spec_and_bases():
+        spec = default_spec("convergence")
+        spec.symbols, spec.trials = 30, 3
+        return spec, {s: harness._scheme_basis(spec, s) for s in spec.schemes}
+
+    def test_chunk_boundaries_inside_cells_change_no_weight(self, monkeypatch):
+        spec, bases = self.spec_and_bases()
+        cells = [((spec.seed, 0), 10.0, [0, 0]), ((spec.seed, 1), 20.0, [5, 12])]
+        singles = [harness._recursion(spec, convergence_scenario, [cell], bases)[0]
+                   for cell in cells]
+        chunks = []
+        run = harness.adaptive_mod.run
+
+        def counting(x_s, *args, **kwargs):
+            chunks.append(len(x_s))
+            return run(x_s, *args, **kwargs)
+
+        monkeypatch.setattr(harness.adaptive_mod, "run", counting)
+        # six (cell, trial) rows in chunks of two: rows 2 and 4 start a
+        # chunk in the middle of a cell
+        monkeypatch.setattr(harness, "_RECURSION_ROWS", 2)
+        stacked = harness._recursion(spec, convergence_scenario, cells, bases)
+        assert chunks == [2] * 3 * len(bases)
+        assert len(stacked) == len(cells)
+        for (seed, snr_db, _), single, (config_hash, weights) in zip(
+            cells, singles, stacked
+        ):
+            config = convergence_scenario(
+                snr_db=snr_db, num_symbols=spec.symbols, seed=(*seed, 0)
+            )
+            assert config_hash == single[0]
+            assert config_hash == scenario_hash(replace(config, seed=spec.seed))
+            assert set(weights) == set(bases)
+            for scheme, w in weights.items():
+                assert w.shape[0] == spec.trials
+                assert np.array_equal(w, single[1][scheme])
+        assert stacked[0][0] != stacked[1][0]
+
+    def test_cells_must_share_one_delta(self, monkeypatch):
+        # a scenario whose noise power follows the cell's SNR gives each
+        # cell its own delta = delta_scale * noise_power: rejected before
+        # any trial is synthesized, never run at one cell's delta
+        spec, bases = self.spec_and_bases()
+
+        def builder(snr_db, **kwargs):
+            config = convergence_scenario(snr_db=snr_db, **kwargs)
+            return replace(config, noise_power=10.0 ** (snr_db / 20.0))
+
+        synthesized = []
+        monkeypatch.setattr(harness, "synthesize", synthesized.append)
+        cells = [((spec.seed, 0), 10.0, []), ((spec.seed, 1), 20.0, [])]
+        with pytest.raises(ValueError, match="share one delta"):
+            harness._recursion(spec, builder, cells, bases)
+        assert synthesized == []
 
 
 class TestWriteResult:

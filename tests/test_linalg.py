@@ -139,6 +139,12 @@ class TestHermitianGevd:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             hermitian_gevd(bad, np.eye(2))
+        imag_inf = np.eye(2, dtype=complex)
+        imag_inf[0, 1] = complex(0.0, np.inf)
+        with pytest.raises(ValueError, match="left matrix contains non-finite"):
+            hermitian_gevd(imag_inf, np.eye(2))
+        with pytest.raises(ValueError, match="right matrix contains non-finite"):
+            hermitian_gevd(np.eye(2), imag_inf)
 
 
     def test_stack_equals_matrix_by_matrix(self, rng):
@@ -252,10 +258,15 @@ class TestRankOneInverseUpdate:
             rank_one_inverse_update(p, x, 0.0)
         with pytest.raises(ValueError, match="does not match"):
             rank_one_inverse_update(p, np.zeros(4, dtype=complex), 0.9)
-        bad = x.copy()
-        bad[0] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            rank_one_inverse_update(p, bad, 0.9)
+        for mu in (np.nan, np.inf, -0.5):
+            with pytest.raises(ValueError, match="forgetting factor"):
+                rank_one_inverse_update(p, x, mu)
+        # non-finite in the real part or in the imaginary part alone
+        for entry in (np.inf, np.nan, complex(0.0, np.inf), complex(1.0, -np.inf)):
+            bad = x.copy()
+            bad[0] = entry
+            with pytest.raises(ValueError, match="non-finite"):
+                rank_one_inverse_update(p, bad, 0.9)
 
     def test_leading_axis_equals_per_slice_calls(self, rng):
         p = np.stack([np.linalg.inv(random_hermitian_pd(rng, 5)) for _ in range(4)])

@@ -4,6 +4,7 @@ Usage:
     python3 tools/preset_digests.py > digests.txt
     python3 tools/preset_digests.py --keep DIR
     python3 tools/preset_digests.py --keep DIR --default-scale
+    python3 tools/preset_digests.py --default-scale --preset convergence --preset tracking
     python3 tools/preset_digests.py --compare DIR_A DIR_B
 
 Each preset runs once at a fixed size far below desk scale (a few
@@ -15,7 +16,10 @@ not move any published number has to show. The package is imported
 from the ``src/`` directory next to this script, so each checkout
 measures its own code. ``--default-scale`` runs each preset at its
 ``default_spec`` size instead (about two minutes in all on a 2-core desk
-machine), for evidence at the scale the presets publish.
+machine), for evidence at the scale the presets publish. ``--preset NAME``
+(repeatable) runs only the named presets, so a change confined to one
+layer (the recursion, say) can show default-scale identity for the
+presets that reach it without running the rest.
 
 A digest mismatch cannot tell roundoff from a real change. ``--keep DIR``
 also writes the CSVs to DIR/<preset>/; ``--compare DIR_A DIR_B`` then
@@ -53,12 +57,17 @@ SIZES: dict[str, dict[str, int]] = {
 }
 
 
-def run_presets(root: Path, default_scale: bool = False) -> None:
-    """Run every preset at its small spec, or at its default_spec size
-    when default_scale is set, writing into root/<preset>/."""
+def run_presets(
+    root: Path, default_scale: bool = False, presets: list[str] | None = None
+) -> None:
+    """Run every preset, or only those named in presets, at its small
+    spec, or at its default_spec size when default_scale is set, writing
+    into root/<preset>/."""
     from mpb_lab import harness
 
     for preset, sizes in SIZES.items():
+        if presets and preset not in presets:
+            continue
         spec = harness.default_spec(preset)
         for key, value in ({} if default_scale else sizes).items():
             setattr(spec, key, value)
@@ -155,16 +164,20 @@ def main(argv: list[str] | None = None) -> int:
                        type=Path, help="compare two --keep directories")
     parser.add_argument("--default-scale", action="store_true",
                         help="run each preset at its default_spec size")
+    parser.add_argument("--preset", action="append", choices=list(SIZES),
+                        metavar="NAME",
+                        help="run only this preset (repeatable; default: all)")
     args = parser.parse_args(argv)
     if args.compare:
-        if args.default_scale:
-            parser.error("--default-scale runs presets; --compare runs none")
+        if args.default_scale or args.preset:
+            parser.error("--default-scale and --preset run presets; "
+                         "--compare runs none")
         return compare_dirs(*args.compare)
     if args.keep:
-        run_presets(args.keep, args.default_scale)
+        run_presets(args.keep, args.default_scale, args.preset)
         return 0
     with tempfile.TemporaryDirectory() as tmp:
-        run_presets(Path(tmp), args.default_scale)
+        run_presets(Path(tmp), args.default_scale, args.preset)
     return 0
 
 
