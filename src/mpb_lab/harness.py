@@ -11,23 +11,24 @@ Every synthesized stream is an exact sum of a unit-reference desired
 component, an interference component and a noise component, the first
 two held as steering matrices times waveform rows. component_grams is
 the one covariance route: it projects only the waveform rows and the
-noise, and forms block (a, b) of the components' Gram as A_a G_ab A_b^H,
-with G_ab the cross-Gram of the projected rows and A = I for noise.
-When a numerical test finds [h_s, h_i] unitary (MIC's complete basis),
-the monitor channels' G_ab is the raw windows' cross-Gram minus the
-signal channel's, and only the signal channel is projected; incomplete
-bases (Maximin, PAPC) project their monitor channels. The
-sweep-style presets build it once per (scenario, trial) and, since only
-the desired amplitude changes across the SNR grid and only the
-interference amplitude across the INR levels, assemble the covariance
-pairs of every SNR and INR from it algebraically and solve each INR's
-SNR grid as one stack; identical_delay assembles its stream at
-amplitude one. The clutter covariances of the
-recursive presets are the same assembly at zero desired amplitude, all
-read from one quiet stream per preset by keeping its first k interferer
-rows. This matches direct estimation on the summed stream
-(ChipStream.samples, built only for the recursion's raw snapshots) to
-roundoff, as the test suite verifies.
+noise and keeps, per side, one Gram G of the stacked projected rows
+[soi; interferers; noise]. When a numerical test finds [h_s, h_i]
+unitary (MIC's complete basis), the monitor side's G is the raw
+windows' Gram minus the signal channel's, and only the signal channel
+is projected; incomplete bases (Maximin, PAPC) project their monitor
+channels. SchemeGrams keeps G with the steering matrices and is the one
+place they are applied: every covariance is M G M^H with
+M = [alpha A_s, A diag(s), I], alpha the desired amplitude and s the
+interferer rows' amplitudes. The sweep-style presets build G once per
+(scenario, trial) and, since only alpha changes across the SNR grid
+and only s across the INR levels, mix the covariance pairs of every
+SNR and INR from it and solve each INR's SNR grid as one stack;
+identical_delay mixes its stream at amplitude one. The clutter
+covariances of the recursive presets come from one G of one quiet
+stream per preset, at alpha = 0 and with only the first k interferer
+rows kept (s_i = 1 for i < k, else 0). This matches direct estimation
+on the summed stream (ChipStream.samples, built only for the
+recursion's raw snapshots) to roundoff, as the test suite verifies.
 """
 
 from __future__ import annotations
@@ -514,51 +515,59 @@ _GRAM_BLOCK_SYMBOLS = 1024
 
 @dataclass
 class SchemeGrams:
-    """Block Grams of the projected [soi; interference; noise] snapshots
-    of one basis: s_gram over the signal channel, i_gram over the
-    monitoring channels, each 3L x 3L with block (a, b) the cross-Gram
-    of components a and b.
+    """Grams of one basis's projected component rows, kept in waveform
+    space: the rows are [the P soi waveform rows; the D interferer
+    waveform rows; the L noise rows], s_gram is their Gram over the
+    signal channel and i_gram over the monitoring channels, each divided
+    by its snapshot count. The steering matrices that carry the rows
+    onto the elements are stored next to them, and only this class
+    applies them: every covariance is M G M^H with
+    M = [alpha A_s, A diag(s), I].
 
-    Assembling with amplitudes alpha and scale reproduces the covariance
-    pair the direct estimator would compute on a stream whose desired
+    Mixing with amplitudes alpha and s reproduces the covariance pair
+    the direct estimator would compute on a stream whose desired
     component is alpha times the reference stream's and whose
-    interference is scale times it: one set of Grams serves a whole SNR
-    grid and every INR level of a scenario.
+    interferer rows are s times its: one set of Grams serves a whole SNR
+    grid, every INR level of a scenario and every subset of its
+    interferers.
     """
 
     s_gram: np.ndarray
     i_gram: np.ndarray
+    soi_steering: np.ndarray
+    steering: np.ndarray
 
-    def covariance_pair(self, alpha, scale: float = 1.0) -> CovariancePair:
-        """C G C^T for both Grams, with C = [alpha I, scale I, I].
-
-        alpha is one amplitude, giving (L, L) matrices, or an array of G
-        amplitudes, giving (G, L, L) stacks with entry g at alpha[g].
-        """
+    def _mixed(self, g: np.ndarray, alpha, scale, noise: float = 1.0) -> np.ndarray:
+        """M g M^H, made Hermitian, with M = [alpha A_s, A diag(scale),
+        noise I]. scale is one amplitude or one per interferer row; alpha
+        is one amplitude, giving (L, L), or an array of G, giving a
+        (G, L, L) stack with entry k at alpha[k]."""
         alpha = np.asarray(alpha, dtype=np.float64)
-        eye = np.eye(len(self.s_gram) // 3)
+        blocks = (alpha[..., None, None] * self.soi_steering,
+                  self.steering * scale, noise * np.eye(len(self.steering)))
         mix = np.concatenate(
-            np.broadcast_arrays(alpha[..., None, None] * eye, scale * eye, eye),
+            [np.broadcast_to(b, alpha.shape + b.shape[-2:]) for b in blocks],
             axis=-1,
         )
-        r_s = mix @ self.s_gram @ mix.swapaxes(-1, -2)
-        r_i = mix @ self.i_gram @ mix.swapaxes(-1, -2)
-        return CovariancePair(
-            r_s=0.5 * (r_s + r_s.conj().swapaxes(-1, -2)),
-            r_i=0.5 * (r_i + r_i.conj().swapaxes(-1, -2)),
-        )
+        out = mix @ g @ mix.conj().swapaxes(-1, -2)
+        return 0.5 * (out + out.conj().swapaxes(-1, -2))
+
+    def covariance_pair(self, alpha, scale=1.0) -> CovariancePair:
+        """Both Grams mixed with soi amplitude alpha and interferer
+        amplitude scale (see _mixed)."""
+        return CovariancePair(r_s=self._mixed(self.s_gram, alpha, scale),
+                              r_i=self._mixed(self.i_gram, alpha, scale))
 
     def sinr_covariances(
-        self, alpha, scale: float = 1.0
+        self, alpha, scale=1.0
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Signal-channel component covariances (soi scaled by alpha,
-        interference by scale, noise): the diagonal blocks of s_gram. An
-        array of G amplitudes alpha gives a (G, L, L) soi stack."""
-        l = len(self.s_gram) // 3
-        soi, interference, noise = (self.s_gram[k : k + l, k : k + l]
-                                    for k in range(0, 3 * l, l))
-        alpha = np.asarray(alpha, dtype=np.float64)
-        return alpha[..., None, None] ** 2 * soi, scale**2 * interference, noise
+        """Signal-channel component covariances: soi scaled by alpha,
+        interference by scale, noise. An array of G amplitudes alpha
+        gives a (G, L, L) soi stack."""
+        alpha = np.asarray(alpha, dtype=np.float64)[..., None, None]
+        return (alpha**2 * self._mixed(self.s_gram, 1.0, 0.0, 0.0),
+                self._mixed(self.s_gram, 0.0, scale, 0.0),
+                self._mixed(self.s_gram, 0.0, 0.0))
 
 
 def _complete(basis: ProjectionBasis) -> bool:
@@ -572,56 +581,57 @@ def _complete(basis: ProjectionBasis) -> bool:
 def component_grams(
     stream: ChipStream, basis: ProjectionBasis, n0: int
 ) -> SchemeGrams:
-    """Block Grams of the soi, interference and noise components.
+    """Grams of the projected soi, interferer and noise rows.
 
-    Each component is a steering matrix A times waveform rows Y (noise
-    is A = I times itself), so its projection is A P(Y) and block (a, b)
-    is A_a gram(P(Y_a), P(Y_b)) A_b^H over the snapshot count: only the
-    waveform rows are projected, never an element-by-chip copy of a
-    component. When [h_s, h_i] is unitary (a numerical test, true for
-    MIC) the monitor projectors sum to I - h_s h_s^H, so the monitor
-    side's gram is the raw windows' gram(W_a, W_b) minus the signal
-    side's and only the signal channel is projected; any other basis
-    projects its monitor channels. The rows are handled
-    _GRAM_BLOCK_SYMBOLS windows at a time and the blocks' cross-Gram
-    sums added up, so no projection of the whole stream is ever held;
-    the division comes once, at the end.
+    Each component is a steering matrix times waveform rows (noise is
+    the identity times itself) and a projection acts on the rows alone,
+    so only the rows are projected, never an element-by-chip copy of a
+    component; SchemeGrams applies the steering. When [h_s, h_i] is
+    unitary (a numerical test, true for MIC) the monitor projectors sum
+    to I - h_s h_s^H, so the monitor side's Gram is the raw windows'
+    Gram minus the signal side's and only the signal channel is
+    projected; any other basis projects its monitor channels. The rows
+    are handled _GRAM_BLOCK_SYMBOLS windows at a time: each component's
+    block is projected on its own and only the small projections are
+    stacked, the raw windows' cross-Grams are taken for component pairs
+    a <= b and the rest mirrored at the end, and each side keeps one
+    running sum, so no projection of the whole stream is ever held; the
+    division comes once, at the end.
     """
-    l = stream.num_elements
     n = basis.h_s.size
     complete = _complete(basis)
     projector = replace(basis, h_i=basis.h_i[:, :0]) if complete else basis
-    components = (
-        (stream.soi_steering, stream.soi_waveforms),
-        (stream.steering, stream.waveforms),
-        (np.eye(l), stream.noise),
-    )
-    sums = {(side, a, b): 0.0
-            for side in (0, 1) for a in range(3) for b in range(a, 3)}
+    components = (stream.soi_waveforms, stream.waveforms, stream.noise)
+    sizes = [len(rows) for rows in components]
+    edges = np.cumsum([0, *sizes])
+    spans = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    owner = np.repeat(np.arange(3), sizes)  # component of each row
+    sums = np.zeros((2, owner.size, owner.size), dtype=np.complex128)
     windows = (stream.noise.shape[1] - n0) // n
     # at least one block: its projection rejects a bad n0 or a stream
     # shorter than one window
     for start in range(0, max(windows, 1), _GRAM_BLOCK_SYMBOLS):
         stop = min(start + _GRAM_BLOCK_SYMBOLS, windows)
-        projected = [project_stream(rows[:, start * n : n0 + stop * n], projector, n0)
-                     for _, rows in components]
-        raw = [rows[:, n0 + start * n : n0 + stop * n] for _, rows in components]
-        for side, a, b in sums:
-            sums[side, a, b] += (
-                gram(raw[a], raw[b]) if side and complete
-                else gram(projected[a][side], projected[b][side])
-            )
-    snapshots = (windows, windows * basis.num_channels)
-    blocks = [slice(k * l, (k + 1) * l) for k in range(3)]
-    grams = np.empty((2, 3 * l, 3 * l), dtype=np.complex128)
-    for (side, a, b), total in sums.items():
-        if side and complete:
-            total = total - sums[0, a, b]
-        block = (components[a][0] @ (total / snapshots[side])
-                 @ components[b][0].conj().T)
-        grams[side, blocks[a], blocks[b]] = block
-        grams[side, blocks[b], blocks[a]] = block.conj().T
-    return SchemeGrams(*grams)
+        x_s, x_i = (np.concatenate(side) for side in zip(*(
+            project_stream(rows[:, start * n : n0 + stop * n], projector, n0)
+            for rows in components
+        )))
+        sums[0] += gram(x_s, x_s)
+        if not complete:
+            sums[1] += gram(x_i, x_i)
+            continue
+        raw = [rows[:, n0 + start * n : n0 + stop * n] for rows in components]
+        for a in range(3):
+            for b in range(a, 3):
+                sums[1, spans[a], spans[b]] += gram(raw[a], raw[b])
+    if complete:
+        lower = owner[:, None] > owner
+        sums[1][lower] = sums[1].conj().T[lower]
+        sums[1] -= sums[0]
+    return SchemeGrams(
+        sums[0] / windows, sums[1] / (windows * basis.num_channels),
+        stream.soi_steering, stream.steering,
+    )
 
 
 def _scheme_basis(spec: ExperimentSpec, scheme: str) -> ProjectionBasis:
@@ -653,20 +663,6 @@ def _scenario(
     return config, config.desired[0].delay_chips
 
 
-def _cell(
-    spec: ExperimentSpec,
-    builder: Callable[..., ScenarioConfig] | None,
-    seed: tuple[int, ...],
-    **overrides,
-) -> tuple[ScenarioConfig, str, ChipStream, int]:
-    """Set up and synthesize one trial of a preset: the _scenario config,
-    its hash at the master seed (the same for every trial of a cell),
-    the stream, and the window offset."""
-    config, n0 = _scenario(spec, builder, seed, **overrides)
-    config_hash = scenario_hash(replace(config, seed=spec.seed))
-    return config, config_hash, synthesize(config), n0
-
-
 # ---------------------------------------------------------------------------
 # preset runners
 
@@ -684,25 +680,28 @@ class GridSolution:
 def _interference_scale(reference: ScenarioConfig, config: ScenarioConfig) -> float:
     """The amplitude ratio s of config's interferers to reference's.
 
-    A stream synthesized from reference serves config, with its
-    interference scaled by s, only if the two configs agree in
+    A stream synthesized from reference serves config, with every
+    interferer row scaled by s, only if the two configs agree in
     everything but interferer power and every interferer row gives the
     same s: sqrt(power / power_ref) for an interfering path and
-    10^(delta INR / 20) for a jammer. Anything else is a ValueError.
+    10^(delta INR / 20) for a jammer. A path of zero reference power
+    gives no ratio and must have zero power in config too (its row is
+    zero at any s). Anything else is a ValueError.
     """
-    ratios = [math.sqrt(path.power / ref.power)
-              for ref, path in zip(reference.mais, config.mais)]
+    paths = list(zip(reference.mais, config.mais))
+    ratios = [math.sqrt(path.power / ref.power) for ref, path in paths if ref.power]
     ratios += [10.0 ** ((jam.inr_db - ref.inr_db) / 20.0)
                for ref, jam in zip(reference.jammers, config.jammers)]
     unscaled = replace(
         config,
-        mais=[replace(path, power=ref.power)
-              for ref, path in zip(reference.mais, config.mais)],
+        mais=[replace(path, power=ref.power) if ref.power else path
+              for ref, path in paths],
         jammers=[replace(jam, inr_db=ref.inr_db)
                  for ref, jam in zip(reference.jammers, config.jammers)],
     )
     if (
-        len(ratios) != len(config.mais) + len(config.jammers)
+        len(config.mais) != len(reference.mais)
+        or len(config.jammers) != len(reference.jammers)
         or unscaled != reference
         or any(not math.isclose(r, ratios[0], rel_tol=1e-12) for r in ratios)
     ):
@@ -921,21 +920,17 @@ def _clutters(
     """Signal-channel interference+noise covariances from one quiet run.
 
     Entry k of the (D+1, L, L) stack has only the first k interferers
-    (in config order) present, so entry D is the whole scenario's clutter.
+    (in config order) present, so entry D is the whole scenario's clutter:
+    one set of Grams, mixed with interferer row i at amplitude (i < k).
     """
     quiet = synthesize(
         replace(base.signal_free(), num_symbols=num_symbols, seed=seed)
     )
     # every basis shares the signal channel h_s; PAPC's monitor is one channel
-    basis = make_basis("PAPC", generate_gold_codes(1)[0])
-    return np.stack([
-        component_grams(
-            replace(quiet, steering=quiet.steering[:, :k],
-                    waveforms=quiet.waveforms[:k]),
-            basis, n0,
-        ).covariance_pair(0.0).r_s
-        for k in range(len(quiet.waveforms) + 1)
-    ])
+    grams = component_grams(quiet, make_basis("PAPC", generate_gold_codes(1)[0]), n0)
+    rows = np.arange(len(quiet.waveforms))
+    return np.stack([grams.covariance_pair(0.0, rows < k).r_s
+                     for k in range(rows.size + 1)])
 
 
 def _staggered(stream: ChipStream, entries: list[int]) -> np.ndarray:
@@ -1156,10 +1151,12 @@ def run_identical_delay(spec: ExperimentSpec) -> ExperimentResult:
     basis = make_basis("MIC", code)
     for v_idx, identical in enumerate((False, True)):
         variant = "identical" if identical else "distinct"
-        config, config_hash, stream, _ = _cell(
+        config, _ = _scenario(
             spec, partial(presets.identical_delay_scenario, identical),
             (spec.seed, v_idx), snr_db=spec.snr_grid_db[0],
         )
+        config_hash = scenario_hash(replace(config, seed=spec.seed))
+        stream = synthesize(config)
         groups = group_identical_delays(config.desired)
         for g_idx, group in enumerate(groups):
             n0 = config.desired[group[0]].delay_chips

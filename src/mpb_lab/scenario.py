@@ -160,8 +160,9 @@ class ScenarioConfig:
             raise ValueError(f"processing gain must be {CODE_LENGTH}, got {n}")
         if self.num_symbols < 1:
             raise ValueError(f"num_symbols must be >= 1, got {self.num_symbols}")
-        if self.noise_power < 0:
-            raise ValueError(f"noise_power must be >= 0, got {self.noise_power}")
+        # every SNR and INR, and the recursion's delta, is relative to it
+        if self.noise_power <= 0:
+            raise ValueError(f"noise_power must be > 0, got {self.noise_power}")
         for path in self.desired:
             if path.user_index != 0:
                 raise ValueError("desired paths must have user_index 0")

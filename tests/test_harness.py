@@ -328,7 +328,8 @@ class TestGramFastPath:
     @pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
     def test_rescaled_grams_match_each_inr_synthesized(self, name):
         # threshold_sweep synthesizes each trial once, at the first INR,
-        # and serves the other levels by scaling the interference rows
+        # and serves the other levels by scaling the interferer rows of
+        # the waveform-space Grams: [P soi rows; D interferer rows; L noise]
         build = SWEEP_SCENARIOS[name]
         reference = build(10.0, snr_db=0.0, num_symbols=300, seed=(82, 0, 0))
         stream = synthesize(reference)
@@ -344,7 +345,11 @@ class TestGramFastPath:
             grams = component_grams(stream, basis, 0)
             for inr_db, (scale, direct_stream) in levels.items():
                 direct = component_grams(direct_stream, basis, 0)
-                amplitude = np.repeat([1.0, scale, 1.0], 8)
+                amplitude = np.concatenate([
+                    np.ones(len(reference.desired)),
+                    np.full(len(stream.waveforms), scale),
+                    np.ones(stream.num_elements),
+                ])
                 for ours, theirs in ((grams.s_gram, direct.s_gram),
                                      (grams.i_gram, direct.i_gram)):
                     rescaled = amplitude[:, None] * ours * amplitude
@@ -386,6 +391,19 @@ class TestGramFastPath:
                 harness._interference_scale(reference, other)
         with pytest.raises(ValueError, match="interferer power"):
             harness._interference_scale(mai, replace(mai, mais=uneven))
+
+    def test_zero_power_path_gives_no_ratio(self):
+        mai = multipath_mai_scenario(10.0, num_symbols=300, seed=(83, 0))
+        silent = replace(mai, mais=[replace(mai.mais[0], power=0.0),
+                                    *mai.mais[1:]])
+        louder = replace(silent, mais=[replace(path, power=4.0 * path.power)
+                                       for path in silent.mais])
+        assert harness._interference_scale(silent, silent) == 1.0
+        assert harness._interference_scale(silent, louder) == pytest.approx(
+            2.0, rel=1e-15)
+        # a silent reference path cannot be served at nonzero power
+        with pytest.raises(ValueError, match="interferer power"):
+            harness._interference_scale(silent, mai)
 
     @pytest.mark.parametrize("scheme", ["MIC", "Maximin", "PAPC"])
     def test_blocks_match_direct_estimation(self, scheme):
@@ -510,6 +528,17 @@ def check_clutters(symbols):
         assert gap <= 1e-12, (k, gap)
 
 
+def assert_finite(result):
+    assert result.rows
+    for row in result.rows:
+        # a threshold may be +-inf by definition; nothing else may
+        values = [value for key, value in row.items()
+                  if isinstance(value, float) and "threshold" not in key]
+        assert values and np.all(np.isfinite(values)), row
+    for samples in result.patterns.values():
+        assert np.all(np.isfinite([s.gain_db for s in samples]))
+
+
 def tiny_sweep_spec(**overrides):
     spec = default_spec("threshold_sweep")
     spec.symbols = 400
@@ -603,6 +632,17 @@ class TestRunners:
         assert {row["scenario"] for row in result.rows} == {"custom"}
         assert {row["inr_db"] for row in result.rows} == {""}
 
+    @pytest.mark.parametrize("preset", ["threshold_sweep", "eigencurve", "pattern"])
+    def test_zero_power_interferer_custom_scenario(self, tmp_path, preset):
+        # the interferer's INR ratio would be 0 / 0; it has none, and its
+        # row of the Grams is zero at any scale
+        path = write_config(
+            tmp_path,
+            f"preset: {preset}\nsymbols: 400\nscenario:\n  mais:\n"
+            "    - {user_index: 2, doa_deg: -20, power: 0}\n",
+        )
+        assert_finite(run_preset(load_config(path)))
+
     def test_eigencurve_smoke(self):
         spec = default_spec("eigencurve")
         spec.symbols = 400
@@ -690,14 +730,19 @@ class TestRunners:
     def test_one_quiet_stream_per_recursive_preset(self, preset, monkeypatch):
         # each trial of each cell or run is synthesized once, and one quiet
         # stream serves every SNR (convergence) or interferer count (tracking)
-        calls = []
-        original = harness.synthesize
+        calls, grams = [], []
+        original, original_grams = harness.synthesize, harness.component_grams
 
         def counting(config):
             calls.append(config)
             return original(config)
 
+        def counting_grams(*args):
+            grams.append(args)
+            return original_grams(*args)
+
         monkeypatch.setattr(harness, "synthesize", counting)
+        monkeypatch.setattr(harness, "component_grams", counting_grams)
         spec = default_spec(preset)
         spec.trials = 2
         if preset == "convergence":
@@ -710,6 +755,8 @@ class TestRunners:
             expected = 2 * spec.trials + 1
         assert len(calls) == expected
         assert sum(math.isinf(c.snr_db) for c in calls) == 1
+        # and one set of Grams of it serves every interferer count
+        assert len(grams) == 1
 
     def test_interferer_free_custom_scenario(self):
         # no interferer at all: the interference component has zero
@@ -721,15 +768,7 @@ class TestRunners:
             spec.symbols = 400
             spec.trials = 1
             spec.scenario = scenario
-            result = run_preset(spec)
-            assert result.rows
-            for row in result.rows:
-                # a threshold may be +-inf by definition; nothing else may
-                values = [value for key, value in row.items()
-                          if isinstance(value, float) and "threshold" not in key]
-                assert values and np.all(np.isfinite(values)), row
-            for samples in result.patterns.values():
-                assert np.all(np.isfinite([s.gain_db for s in samples]))
+            assert_finite(run_preset(spec))
 
     def test_staggered_input_matches_per_interferer_accumulation(self):
         # tracking's input: interferer i is absent before its entry chip
@@ -936,6 +975,9 @@ class TestCli:
             "preset: eigencurve\nseed: -3\n",
             "preset: convergence\nscenario:\n  desired: []\n",
             "preset: threshold_sweep\nsnr_grid_db: [0, 0, 2, 4]\n",
+            # every SNR, INR and the recursion's delta scale with it
+            "preset: convergence\nscenario:\n  noise_power: 0\n",
+            "preset: threshold_sweep\nscenario:\n  noise_power: -1\n",
         ],
         ids=[
             "papc_chip_index", "monitor_freq", "mu", "delta_scale",
@@ -948,7 +990,7 @@ class TestCli:
             "tone_offset_hz_nan", "chip_rate_hz_inf", "rate_ratio_inf",
             "processing_gain", "scenario_null", "tone_offset_hz_null",
             "period_chips_null", "seed_negative", "desired_empty",
-            "snr_grid_db_repeated",
+            "snr_grid_db_repeated", "noise_power_zero", "noise_power_negative",
         ],
     )
     def test_validate_rejects_out_of_range_knobs(self, tmp_path, capsys, text):
