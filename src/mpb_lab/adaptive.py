@@ -5,16 +5,19 @@ power-iteration weight step per symbol.
 Per symbol k the update is
 
     R_S <- mu R_S + x_s x_s^H
-    for t = 1..r:   (r monitoring channels)
-        x_hat = x_i[:, t] / sqrt(r)
-        P <- rank-one inverse update of (mu_t R_I + x_hat x_hat^H),
+    F = R^H / sqrt(r), with x_i^H = Q R the QR factorization of the
+        r monitoring channels' snapshots, so F F^H = x_i x_i^H / r
+    for each column t = 1..min(L, r) of the rank-min(L, r) factor F:
+        P <- rank-one inverse update of (mu_t R_I + F[:, t] F[:, t]^H),
              with mu_t = mu at t = 1 and mu_t = 1 afterwards
     w <- P R_S (w / ||w||)
     y_o = (previous w)^H x_s
 
 so the forgetting factor is applied exactly once per symbol on each
-covariance, and the emitted output always uses the weight held before
-the update (the weight that the data of symbol k could not influence).
+covariance, R_I gains exactly the monitor increment x_i x_i^H / r of
+the paper's one-update-per-channel recursion, and the emitted output
+always uses the weight held before the update (the weight that the data
+of symbol k could not influence).
 
 Every array carries a leading trial axis: independent Monte-Carlo
 trials advance together, one symbol at a time, and a single trial is
@@ -91,12 +94,13 @@ def update_symbol(
 
     r_s = state.mu * state.r_s + x_s[:, :, None] * x_s[:, None, :].conj()
 
-    channels = x_i.shape[-1]
-    x_hat = x_i * (1.0 / math.sqrt(channels))
+    # row t of R, conjugated, is column t of R^H: (T, min(L, r), L)
+    factor = np.linalg.qr(x_i.conj().swapaxes(-1, -2), mode="r").conj()
+    factor *= 1.0 / math.sqrt(x_i.shape[-1])
     p = state.p
-    for t in range(channels):
+    for t in range(factor.shape[-2]):
         mu_t = state.mu if t == 0 else 1.0
-        _, p = linalg.rank_one_inverse_update(p, x_hat[..., t], mu_t)
+        _, p = linalg.rank_one_inverse_update(p, factor[..., t, :], mu_t)
 
     p_h = p.conj().swapaxes(-1, -2)
     asym = np.max(np.abs(p - p_h), axis=(-2, -1)) / np.maximum(

@@ -942,9 +942,10 @@ def _staggered(stream: ChipStream, entries: list[int]) -> np.ndarray:
 
 
 # (cell, trial) rows stepped by one adaptive.run call: bounds the
-# snapshot stacks in trials. One (rows, 8, 8) rank-one update costs about
-# 0.7 us per row at 128-256 rows, 1.3 us at 400-800 (the stack leaves the
-# cache) and 2.4 us at 8 (fixed call overhead), one BLAS thread.
+# snapshot stacks in trials. One MIC update_symbol (10 elements, 30
+# channels) costs about 17-18 us per row at 64-256 rows, 19-26 us at
+# 512-800 (the stack leaves the cache) and 41 us at 8 (fixed call
+# overhead), one BLAS thread.
 _RECURSION_ROWS = 256
 
 

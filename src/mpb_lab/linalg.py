@@ -125,10 +125,10 @@ def rank_one_inverse_update(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One inverse-covariance step for R <- mu R + x x^H done on P = R^-1.
 
-    Returns (gain, p_next) with
+    Returns (gain, p_next) with, for P' = P / mu (P itself when mu = 1),
 
-        gain   = (P x / mu) / (1 + x^H P x / mu)
-        p_next = (P - gain (P x)^H) / mu
+        gain   = P' x / (1 + x^H P' x)
+        p_next = P' - gain (P' x)^H
 
     which is the matrix inversion lemma applied to the forgetting-factor
     update, so p_next = (mu R + x x^H)^-1 without ever forming R.
@@ -146,11 +146,13 @@ def rank_one_inverse_update(
     if not np.isfinite(x).all():
         raise ValueError("update vector contains non-finite entries")
 
+    if mu != 1.0:
+        p = p / mu
     px = (p @ x[..., None])[..., 0]
     # x^H P x is real for Hermitian P; drop the roundoff imaginary part.
     quad = np.real(x[..., None, :].conj() @ px[..., None])[..., 0]
-    gain = (px / mu) / (1.0 + quad / mu)
-    p_next = (p - gain[..., :, None] * px[..., None, :].conj()) / mu
+    gain = px / (1.0 + quad)
+    p_next = p - gain[..., :, None] * px[..., None, :].conj()
     return gain, p_next
 
 

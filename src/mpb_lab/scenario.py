@@ -175,6 +175,10 @@ class ScenarioConfig:
                 )
             if path.power < 0:
                 raise ValueError(f"path power must be >= 0, got {path.power}")
+        # snr_db scales the desired paths: with no power there is no signal
+        # to label it (an empty list is a signal-free stream on purpose)
+        if self.desired and not sum(path.power for path in self.desired) > 0:
+            raise ValueError("desired path powers must sum to > 0")
         for path in self.mais:
             if path.user_index == 0:
                 raise ValueError("interfering paths must not use user_index 0")

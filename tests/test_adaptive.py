@@ -9,7 +9,7 @@ against the batch generalized-eigenvector solution on the same data.
 import numpy as np
 import pytest
 
-from mpb_lab import adaptive
+from mpb_lab import adaptive, linalg
 from mpb_lab.core import (
     basis_mic,
     basis_papc,
@@ -92,9 +92,14 @@ class TestUpdateSymbol:
         adaptive.update_symbol(state, x_s, x_i)
         np.testing.assert_allclose(state.p, eye / mu**2, atol=1e-12)
 
-    def test_inverse_tracks_dense_accumulation(self, rng):
+    @pytest.mark.parametrize(
+        "num_elements, channels", [(6, 3), (6, 9), (10, 30)],
+        ids=["channels_below_elements", "channels_above_elements", "mic_shape"],
+    )
+    def test_inverse_tracks_dense_accumulation(self, rng, num_elements, channels):
+        # the factored update adds exactly x_i x_i^H / r, whatever the rank
         mu, delta = 0.97, 1e-2
-        trials, num_elements, channels = 3, 6, 3
+        trials = 3
         state = adaptive.init(trials, num_elements, mu, delta)
         dense = delta * np.broadcast_to(np.eye(num_elements, dtype=complex),
                                         (trials, num_elements, num_elements))
@@ -106,6 +111,28 @@ class TestUpdateSymbol:
             np.testing.assert_allclose(
                 state.p, np.linalg.inv(dense), atol=1e-8, rtol=1e-8
             )
+
+    @pytest.mark.parametrize("num_elements, channels",
+                             [(6, 1), (6, 3), (6, 9), (10, 30)])
+    def test_one_rank_one_step_per_factor_column(self, rng, monkeypatch,
+                                                 num_elements, channels):
+        # x_i x_i^H has rank min(L, r): one inverse update per column of its
+        # factor, with the forgetting factor on the first only
+        mus = []
+        step = linalg.rank_one_inverse_update
+
+        def spy(p, x, mu):
+            mus.append(mu)
+            return step(p, x, mu)
+
+        monkeypatch.setattr(linalg, "rank_one_inverse_update", spy)
+        state = adaptive.init(2, num_elements, mu=0.9, delta=1e-2)
+        for k in range(3):
+            adaptive.update_symbol(
+                state, *random_snapshot(rng, 2, num_elements, channels)
+            )
+        steps = min(num_elements, channels)
+        assert mus == 3 * ([0.9] + [1.0] * (steps - 1))
 
     def test_signal_covariance_recursion(self, rng):
         mu, delta = 0.9, 1e-3

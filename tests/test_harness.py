@@ -978,6 +978,11 @@ class TestCli:
             # every SNR, INR and the recursion's delta scale with it
             "preset: convergence\nscenario:\n  noise_power: 0\n",
             "preset: threshold_sweep\nscenario:\n  noise_power: -1\n",
+            # every row would be labelled with an SNR of a signal that is absent
+            "preset: threshold_sweep\nsymbols: 400\nsnr_grid_db: [-10, 0, 10]\n"
+            "schemes: [MIC]\nscenario:\n  noise_power: 1\n"
+            "  desired:\n    - {doa_deg: 0, power: 0}\n"
+            "  mais:\n    - {user_index: 2, doa_deg: -20, inr_db: 20}\n",
         ],
         ids=[
             "papc_chip_index", "monitor_freq", "mu", "delta_scale",
@@ -991,6 +996,7 @@ class TestCli:
             "processing_gain", "scenario_null", "tone_offset_hz_null",
             "period_chips_null", "seed_negative", "desired_empty",
             "snr_grid_db_repeated", "noise_power_zero", "noise_power_negative",
+            "desired_power_zero",
         ],
     )
     def test_validate_rejects_out_of_range_knobs(self, tmp_path, capsys, text):
