@@ -10,25 +10,28 @@ seed that produced it, and results.csv content is a pure function of
 Every synthesized stream is an exact sum of a unit-reference desired
 component, an interference component and a noise component, the first
 two held as steering matrices times waveform rows. component_grams is
-the one covariance route: it projects only the waveform rows and the
-noise and keeps, per side, one Gram G of the stacked projected rows
-[soi; interferers; noise]. When a numerical test finds [h_s, h_i]
-unitary (MIC's complete basis), the monitor side's G is the raw
-windows' Gram minus the signal channel's, and only the signal channel
-is projected; incomplete bases (Maximin, PAPC) project their monitor
-channels. SchemeGrams keeps G with the steering matrices and is the one
-place they are applied: every covariance is M G M^H with
-M = [alpha A_s, A diag(s), I], alpha the desired amplitude and s the
-interferer rows' amplitudes. The sweep-style presets build G once per
-(scenario, trial) and, since only alpha changes across the SNR grid
-and only s across the INR levels, mix the covariance pairs of every
-SNR and INR from it and solve each INR's SNR grid as one stack;
-identical_delay mixes its stream at amplitude one. The clutter
-covariances of the recursive presets come from one G of one quiet
-stream per preset, at alpha = 0 and with only the first k interferer
-rows kept (s_i = 1 for i < k, else 0). This matches direct estimation
-on the summed stream (ChipStream.samples, built only for the
-recursion's raw snapshots) to roundoff, as the test suite verifies.
+the one covariance route: given bases that share the signal channel
+h_s, it reads the stream once, projects only the waveform rows and the
+noise and keeps, per basis and side, one Gram G of the stacked
+projected rows [soi; interferers; noise]. The signal Gram is summed
+once for all bases, and the monitor channels of every incomplete basis
+(Maximin, PAPC) are projected through one stacked projector. When a
+numerical test finds [h_s, h_i] unitary (MIC's complete basis), that
+basis's monitor G is the raw windows' Gram minus the signal Gram, and
+its monitor channels are never projected. SchemeGrams keeps G with the
+steering matrices and is the one place they are applied: every
+covariance is M G M^H with M = [alpha A_s, A diag(s), I], alpha the
+desired amplitude and s the interferer rows' amplitudes. The
+sweep-style presets build every scheme's G in one call per (scenario,
+trial) and, since only alpha changes across the SNR grid and only s
+across the INR levels, mix the covariance pairs of every SNR and INR
+from it and solve each INR's SNR grid as one stack; identical_delay
+mixes its stream at amplitude one. The clutter covariances of the
+recursive presets come from one G of one quiet stream per preset, at
+alpha = 0 and with only the first k interferer rows kept (s_i = 1 for
+i < k, else 0). This matches direct estimation on the summed stream
+(ChipStream.samples, built only for the recursion's raw snapshots) to
+roundoff, as the test suite verifies.
 """
 
 from __future__ import annotations
@@ -508,9 +511,12 @@ def _format_cell(value) -> str:
 # ---------------------------------------------------------------------------
 # component-Gram fast path
 
-# Windows handled at once by component_grams: bounds its working set
-# (the conjugated noise windows are L x 1,024 x 31 complex, 4 MB at L = 8).
-_GRAM_BLOCK_SYMBOLS = 1024
+# Windows handled at once by component_grams: bounds its working set.
+# A block's projections are small; with a complete basis in the call,
+# one raw buffer of rows x 512 windows x N chips (rows = P + D + L) is
+# allocated per call, and its Gram makes one conjugate copy: 2 x 3.6 MB
+# for five_tones at L = 8, about 7.5 MB of peak in all, 0.7 MB without.
+_GRAM_BLOCK_SYMBOLS = 512
 
 
 @dataclass
@@ -579,34 +585,44 @@ def _complete(basis: ProjectionBasis) -> bool:
 
 
 def component_grams(
-    stream: ChipStream, basis: ProjectionBasis, n0: int
-) -> SchemeGrams:
-    """Grams of the projected soi, interferer and noise rows.
+    stream: ChipStream, bases: list[ProjectionBasis], n0: int
+) -> list[SchemeGrams]:
+    """Grams of the projected soi, interferer and noise rows, one
+    SchemeGrams per basis, from one pass over the stream.
 
     Each component is a steering matrix times waveform rows (noise is
     the identity times itself) and a projection acts on the rows alone,
     so only the rows are projected, never an element-by-chip copy of a
-    component; SchemeGrams applies the steering. When [h_s, h_i] is
-    unitary (a numerical test, true for MIC) the monitor projectors sum
-    to I - h_s h_s^H, so the monitor side's Gram is the raw windows'
-    Gram minus the signal side's and only the signal channel is
-    projected; any other basis projects its monitor channels. The rows
-    are handled _GRAM_BLOCK_SYMBOLS windows at a time: each component's
-    block is projected on its own and only the small projections are
-    stacked, the raw windows' cross-Grams are taken for component pairs
-    a <= b and the rest mirrored at the end, and each side keeps one
-    running sum, so no projection of the whole stream is ever held; the
-    division comes once, at the end.
+    component; SchemeGrams applies the steering. The bases must share
+    the signal channel h_s (a ValueError otherwise), so its Gram is
+    taken once and serves every basis. The monitor channels of every
+    incomplete basis are stacked into one projector with h_s, so each
+    component is projected once per block however many bases there
+    are. When [h_s, h_i] is unitary (a numerical test, true for MIC)
+    the monitor projectors sum to I - h_s h_s^H, so that basis's
+    monitor Gram is the raw windows' Gram minus the signal Gram: the
+    raw rows [soi; interferers; noise] of each block are written into
+    one buffer, allocated once per call and only when some basis is
+    complete, and take one Gram. The rows are handled
+    _GRAM_BLOCK_SYMBOLS windows at a time and each Gram keeps one
+    running sum, so no projection of the whole stream is ever held;
+    the division comes once, at the end.
     """
-    n = basis.h_s.size
-    complete = _complete(basis)
-    projector = replace(basis, h_i=basis.h_i[:, :0]) if complete else basis
+    if not bases or any(not np.array_equal(b.h_s, bases[0].h_s) for b in bases):
+        raise ValueError("component_grams needs bases that share one h_s")
+    n = bases[0].h_s.size
+    complete = [_complete(basis) for basis in bases]
+    monitors = [b.h_i for b, done in zip(bases, complete) if not done]
+    edges = np.cumsum([0, *(h_i.shape[1] for h_i in monitors)])
+    projector = replace(bases[0], h_i=np.concatenate(
+        [np.empty((n, 0), dtype=np.complex128), *monitors], axis=1))
     components = (stream.soi_waveforms, stream.waveforms, stream.noise)
-    sizes = [len(rows) for rows in components]
-    edges = np.cumsum([0, *sizes])
-    spans = [slice(a, b) for a, b in zip(edges, edges[1:])]
-    owner = np.repeat(np.arange(3), sizes)  # component of each row
-    sums = np.zeros((2, owner.size, owner.size), dtype=np.complex128)
+    size = sum(len(rows) for rows in components)
+    s_sum = np.zeros((size, size), dtype=np.complex128)
+    i_sums = np.zeros((len(monitors), size, size), dtype=np.complex128)
+    raw_sum = np.zeros_like(s_sum)
+    raw = (np.empty((size, _GRAM_BLOCK_SYMBOLS * n), dtype=np.complex128)
+           if any(complete) else None)
     windows = (stream.noise.shape[1] - n0) // n
     # at least one block: its projection rejects a bad n0 or a stream
     # shorter than one window
@@ -616,22 +632,24 @@ def component_grams(
             project_stream(rows[:, start * n : n0 + stop * n], projector, n0)
             for rows in components
         )))
-        sums[0] += gram(x_s, x_s)
-        if not complete:
-            sums[1] += gram(x_i, x_i)
-            continue
-        raw = [rows[:, n0 + start * n : n0 + stop * n] for rows in components]
-        for a in range(3):
-            for b in range(a, 3):
-                sums[1, spans[a], spans[b]] += gram(raw[a], raw[b])
-    if complete:
-        lower = owner[:, None] > owner
-        sums[1][lower] = sums[1].conj().T[lower]
-        sums[1] -= sums[0]
-    return SchemeGrams(
-        sums[0] / windows, sums[1] / (windows * basis.num_channels),
-        stream.soi_steering, stream.steering,
-    )
+        s_sum += gram(x_s, x_s)
+        for i_sum, a, b in zip(i_sums, edges, edges[1:]):
+            i_sum += gram(x_i[..., a:b], x_i[..., a:b])
+        if raw is not None:
+            block = raw[:, : (stop - start) * n]
+            np.concatenate([rows[:, n0 + start * n : n0 + stop * n]
+                            for rows in components], out=block)
+            raw_sum += gram(block, block)
+    monitor_sums = iter(i_sums)
+    return [
+        SchemeGrams(
+            s_sum / windows,
+            (raw_sum - s_sum if done else next(monitor_sums))
+            / (windows * basis.num_channels),
+            stream.soi_steering, stream.steering,
+        )
+        for basis, done in zip(bases, complete)
+    ]
 
 
 def _scheme_basis(spec: ExperimentSpec, scheme: str) -> ProjectionBasis:
@@ -723,13 +741,13 @@ def _solve_grid(
 
     Trial t is synthesized once, at 0 dB, seed (*seed, t) and the first
     builder's config; every level's config must match it but for one
-    interference amplitude s (_interference_scale). Each basis builds
-    its component Grams from the stream once. Per level, one GEVD call
-    solves the stack of the zero-amplitude pair (for gamma1) and one
-    pair per grid SNR, all with the interference scaled by s, and each
-    weight is scored by its normalized output SINR. Returns, per
-    builder, the last trial's config, the cell's scenario hash and each
-    scheme's GridSolution.
+    interference amplitude s (_interference_scale). One component_grams
+    call builds every basis's Grams in one pass over the stream. Per
+    level, one GEVD call solves the stack of the zero-amplitude pair
+    (for gamma1) and one pair per grid SNR, all with the interference
+    scaled by s, and each weight is scored by its normalized output
+    SINR. Returns, per builder, the last trial's config, the cell's
+    scenario hash and each scheme's GridSolution.
     """
     grid = np.asarray(spec.snr_grid_db, dtype=np.float64)
     solved = [{scheme: [] for scheme in bases} for _ in builders]
@@ -741,8 +759,8 @@ def _solve_grid(
         stream = synthesize(reference)
         alphas = 10.0 ** (grid / 20.0) / math.sqrt(reference.snr_linear)
         quiet_and_grid = np.concatenate(([0.0], alphas))
-        for scheme, basis in bases.items():
-            grams = component_grams(stream, basis, n0)
+        per_basis = component_grams(stream, list(bases.values()), n0)
+        for scheme, grams in zip(bases, per_basis):
             for cell, scale in zip(solved, scales):
                 evals, weights = solve_batch(
                     grams.covariance_pair(quiet_and_grid, scale)
@@ -927,7 +945,9 @@ def _clutters(
         replace(base.signal_free(), num_symbols=num_symbols, seed=seed)
     )
     # every basis shares the signal channel h_s; PAPC's monitor is one channel
-    grams = component_grams(quiet, make_basis("PAPC", generate_gold_codes(1)[0]), n0)
+    grams = component_grams(
+        quiet, [make_basis("PAPC", generate_gold_codes(1)[0])], n0
+    )[0]
     rows = np.arange(len(quiet.waveforms))
     return np.stack([grams.covariance_pair(0.0, rows < k).r_s
                      for k in range(rows.size + 1)])
@@ -1162,7 +1182,7 @@ def run_identical_delay(spec: ExperimentSpec) -> ExperimentResult:
         for g_idx, group in enumerate(groups):
             n0 = config.desired[group[0]].delay_chips
             _, weight = solve_batch(
-                component_grams(stream, basis, n0).covariance_pair(1.0)
+                component_grams(stream, [basis], n0)[0].covariance_pair(1.0)
             )
             name = (
                 f"{variant}" if len(groups) == 1 else f"{variant}_path{g_idx + 1}"

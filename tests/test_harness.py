@@ -296,7 +296,7 @@ class TestGramFastPath:
         basis = make_basis(scheme, code, monitor_freq=0.5, chip_index=0)
         reference = five_tones_scenario(10.0, snr_db=0.0, num_symbols=400,
                                         seed=(77, 0, 0))
-        grams = component_grams(synthesize(reference), basis, 0)
+        grams = component_grams(synthesize(reference), [basis], 0)[0]
         for snr_db in (-10.0, 0.0, 12.0):
             alpha = 10.0 ** (snr_db / 20.0)
             fast = grams.covariance_pair(alpha)
@@ -313,7 +313,7 @@ class TestGramFastPath:
         basis = make_basis("MIC", code)
         reference = five_tones_scenario(10.0, snr_db=0.0, num_symbols=300,
                                         seed=(78, 0, 0))
-        grams = component_grams(synthesize(reference), basis, 0)
+        grams = component_grams(synthesize(reference), [basis], 0)[0]
         snr_db = 6.0
         alpha = 10.0 ** (snr_db / 20.0)
         soi_cov, int_cov, noise_cov = grams.sinr_covariances(alpha)
@@ -342,9 +342,9 @@ class TestGramFastPath:
         alphas = np.array([0.0, 0.5, 3.0])
         for scheme in ("MIC", "Maximin", "PAPC"):
             basis = make_basis(scheme, generate_gold_codes(1)[0])
-            grams = component_grams(stream, basis, 0)
+            grams = component_grams(stream, [basis], 0)[0]
             for inr_db, (scale, direct_stream) in levels.items():
-                direct = component_grams(direct_stream, basis, 0)
+                direct = component_grams(direct_stream, [basis], 0)[0]
                 amplitude = np.concatenate([
                     np.ones(len(reference.desired)),
                     np.full(len(stream.waveforms), scale),
@@ -419,17 +419,23 @@ class TestGramFastPath:
         x_s, x_i = project_stream(stream.samples, basis, n0)
         assert x_s.shape[1] % harness._GRAM_BLOCK_SYMBOLS > 0
         direct = covariances_from_arrays(x_s, x_i)
-        fast = component_grams(stream, basis, n0).covariance_pair(1.0)
+        fast = component_grams(stream, [basis], n0)[0].covariance_pair(1.0)
         np.testing.assert_allclose(fast.r_s, direct.r_s, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(fast.r_i, direct.r_i, rtol=1e-10, atol=1e-12)
 
     @staticmethod
-    def _assert_matches_summed_stream(stream, basis, n0):
-        direct = covariances_from_arrays(*project_stream(stream.samples, basis, n0))
-        fast = component_grams(stream, basis, n0).covariance_pair(1.0)
-        for ours, theirs in ((fast.r_s, direct.r_s), (fast.r_i, direct.r_i)):
-            gap = np.linalg.norm(ours - theirs) / np.linalg.norm(theirs)
-            assert gap <= 1e-12, (basis.scheme, basis.num_channels, gap)
+    def _assert_matches_summed_stream(stream, bases, n0):
+        # one component_grams call; each of its entries must match
+        # direct estimation on the summed stream for its own basis
+        per_basis = component_grams(stream, bases, n0)
+        assert len(per_basis) == len(bases)
+        for basis, grams in zip(bases, per_basis):
+            direct = covariances_from_arrays(
+                *project_stream(stream.samples, basis, n0))
+            fast = grams.covariance_pair(1.0)
+            for ours, theirs in ((fast.r_s, direct.r_s), (fast.r_i, direct.r_i)):
+                gap = np.linalg.norm(ours - theirs) / np.linalg.norm(theirs)
+                assert gap <= 1e-12, (basis.scheme, basis.num_channels, gap)
 
     @pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
     def test_complete_basis_route_matches_projection(self, name):
@@ -443,7 +449,7 @@ class TestGramFastPath:
         stream = synthesize(config)
         basis = make_basis("MIC", generate_gold_codes(1)[0])
         assert harness._complete(basis)
-        self._assert_matches_summed_stream(stream, basis, 7)
+        self._assert_matches_summed_stream(stream, [basis], 7)
 
     def test_truncated_basis_takes_the_projected_route(self):
         mic = make_basis("MIC", generate_gold_codes(1)[0])
@@ -451,7 +457,35 @@ class TestGramFastPath:
         assert not harness._complete(truncated)
         stream = synthesize(five_tones_scenario(
             20.0, snr_db=3.0, num_symbols=500, seed=(85, 0, 0)))
-        self._assert_matches_summed_stream(stream, truncated, 3)
+        self._assert_matches_summed_stream(stream, [truncated], 3)
+
+    @pytest.mark.parametrize("interferers", ["five_tones", "none"])
+    def test_one_call_serves_every_scheme(self, interferers):
+        # MIC (complete), Maximin and PAPC in one call share the signal
+        # Gram and one stacked monitor projection; at a nonzero offset,
+        # with a remainder block and with or without interferer rows,
+        # every entry must match direct estimation for its own basis
+        config = five_tones_scenario(
+            20.0, snr_db=3.0, num_symbols=harness._GRAM_BLOCK_SYMBOLS + 300,
+            seed=(87, 0, 0),
+        )
+        if interferers == "none":
+            config = replace(config, jammers=[])
+        stream = synthesize(config)
+        assert len(stream.waveforms) == (5 if interferers == "five_tones" else 0)
+        bases = [make_basis(scheme, generate_gold_codes(1)[0])
+                 for scheme in ("MIC", "Maximin", "PAPC")]
+        self._assert_matches_summed_stream(stream, bases, 4)
+
+    def test_bases_must_share_the_signal_channel(self):
+        codes = generate_gold_codes(2)
+        stream = synthesize(five_tones_scenario(
+            20.0, num_symbols=300, seed=(88, 0, 0)))
+        with pytest.raises(ValueError, match="share one h_s"):
+            component_grams(stream, [make_basis("MIC", codes[0]),
+                                     make_basis("PAPC", codes[1])], 0)
+        with pytest.raises(ValueError, match="share one h_s"):
+            component_grams(stream, [], 0)
 
     def test_unitary_basis_never_projects_its_monitor_channels(self, monkeypatch):
         channels = []
@@ -464,11 +498,22 @@ class TestGramFastPath:
         monkeypatch.setattr(harness, "project_stream", spy)
         stream = synthesize(five_tones_scenario(
             20.0, num_symbols=harness._GRAM_BLOCK_SYMBOLS + 10, seed=(86, 0, 0)))
-        component_grams(stream, make_basis("MIC", generate_gold_codes(1)[0]), 0)
+        mic, maximin = (make_basis(scheme, generate_gold_codes(1)[0])
+                        for scheme in ("MIC", "Maximin"))
+        component_grams(stream, [mic], 0)
         assert channels and 30 not in channels, channels
         channels.clear()
-        component_grams(stream, make_basis("Maximin", generate_gold_codes(1)[0]), 0)
+        component_grams(stream, [maximin], 0)
         assert channels and set(channels) == {1}, channels
+        # mixed: only Maximin's channel is projected, in one
+        # project_stream call per component (soi, interferers, noise)
+        # per block
+        channels.clear()
+        component_grams(stream, [mic, maximin], 0)
+        blocks = math.ceil(stream.noise.shape[1] // mic.h_s.size
+                           / harness._GRAM_BLOCK_SYMBOLS)
+        assert blocks == 2
+        assert channels == [1] * 3 * blocks, channels
 
     def test_rejects_bad_offset_and_short_stream(self):
         basis = make_basis("MIC", generate_gold_codes(1)[0])
@@ -476,29 +521,47 @@ class TestGramFastPath:
                                                 seed=(80, 0, 0)))
         for n0 in (-1, basis.h_s.size):
             with pytest.raises(ValueError, match="window offset"):
-                component_grams(stream, basis, n0)
+                component_grams(stream, [basis], n0)
         short = synthesize(five_tones_scenario(10.0, num_symbols=1,
                                                seed=(80, 0, 0)))
         with pytest.raises(ValueError, match="too short"):
-            component_grams(short, basis, 1)
+            component_grams(short, [basis], 1)
+
+    @staticmethod
+    def _peak_bytes(stream, bases):
+        tracemalloc.start()
+        try:
+            component_grams(stream, bases, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_memory_is_flat_in_the_symbol_count(self):
         # a whole-stream MIC projection is as large as the noise itself;
         # accumulated block by block, the call's peak must not grow with
-        # the stream (about 4 MB at both sizes)
-        basis = make_basis("MIC", generate_gold_codes(1)[0])
+        # the stream (about 7 MB at both sizes: MIC's raw block buffer
+        # and the conjugate its Gram makes)
+        bases = [make_basis(scheme, generate_gold_codes(1)[0])
+                 for scheme in ("MIC", "Maximin", "PAPC")]
         peaks = []
         for symbols in (3000, 12000):
             stream = synthesize(five_tones_scenario(
                 30.0, num_symbols=symbols, seed=(81, 0, 0)))
-            tracemalloc.start()
-            try:
-                component_grams(stream, basis, 0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(self._peak_bytes(stream, bases))
         assert peaks[1] <= 1.25 * peaks[0], peaks
         assert peaks[1] < 0.5 * stream.noise.nbytes, (peaks, stream.noise.nbytes)
+
+    def test_incomplete_bases_hold_no_raw_block(self):
+        # the raw block buffer is for complete bases only: a PAPC-only
+        # call (the recursive presets' clutter) must peak below one raw
+        # block of [soi; interferers; noise] rows
+        basis = make_basis("PAPC", generate_gold_codes(1)[0])
+        stream = synthesize(five_tones_scenario(
+            30.0, num_symbols=3 * harness._GRAM_BLOCK_SYMBOLS, seed=(81, 0, 0)))
+        rows = len(stream.soi_waveforms) + len(stream.waveforms) + stream.num_elements
+        raw_block = rows * harness._GRAM_BLOCK_SYMBOLS * basis.h_s.size * 16
+        peak = self._peak_bytes(stream, [basis])
+        assert peak < raw_block, (peak, raw_block)
 
     def test_clutters_match_direct_estimation_per_interferer_count(self):
         check_clutters(300)
@@ -615,6 +678,25 @@ class TestRunners:
         assert len(syntheses) == spec.trials * scenarios
         assert len(gevds) == spec.trials * len(spec.schemes) * scenarios * levels
         assert set(gevds) == {(len(spec.snr_grid_db) + 1, 8, 8)}
+
+    def test_sweep_takes_every_schemes_grams_in_one_call(self, monkeypatch):
+        # _solve_grid reads each (scenario, trial) stream once: one
+        # component_grams call serves all three schemes
+        calls = []
+        original = harness.component_grams
+
+        def counting_grams(stream, bases, n0):
+            calls.append([basis.scheme for basis in bases])
+            return original(stream, bases, n0)
+
+        monkeypatch.setattr(harness, "component_grams", counting_grams)
+        spec = tiny_sweep_spec(
+            schemes=["MIC", "Maximin", "PAPC"], inr_list_db=[10.0, 30.0],
+            scenario_names=["five_tones", "multipath_mai"],
+        )
+        result = run_threshold_sweep(spec)
+        assert calls == [["MIC", "Maximin", "PAPC"]] * (spec.trials * 2)
+        assert {row["scheme"] for row in result.rows} == set(spec.schemes)
 
     def test_deterministic_rows(self):
         first = run_threshold_sweep(tiny_sweep_spec())

@@ -1,0 +1,155 @@
+"""Time every preset at its desk scale: wall time and peak RSS per preset.
+
+Usage:
+    python3 tools/desk_bench.py --label before
+    python3 tools/desk_bench.py --label after --preset threshold_sweep --preset pattern
+    taskset -c 1 python3 tools/desk_bench.py --label after --repeat 3
+
+Each preset runs at its ``harness.default_spec`` size in a fresh Python
+process with BLAS held to one thread, one process at a time. The child
+imports the package from the ``src/`` directory next to this script, so
+each checkout measures its own code. It times ``run_preset`` plus
+``write_result`` (into a temporary directory), not the interpreter start
+or the imports, and reports its peak RSS (``ru_maxrss``, imports
+included). ``--repeat N`` runs every preset N times, round-robin, and
+records every run with the median. Children inherit the CPU affinity,
+so ``taskset`` pins them all.
+
+The script writes ``BENCH_<label>.json`` at the repository root (or in
+``--out-dir``): the label, the time it was written, the git HEAD
+(``-dirty`` when tracked files differ from it), the interpreter, numpy
+and CPU counts, and per preset the runs' ``wall_s`` and
+``peak_rss_mb`` lists and their medians. Run it in two checkouts on the
+same machine and compare the medians. Per-stage times are not recorded
+here; they join once runs write them next to their results.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BLAS_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+}
+# harness.PRESETS, spelled out so that this process never imports the
+# package: a spawned child's ru_maxrss starts at its parent's RSS
+PRESETS = (
+    "threshold_sweep",
+    "eigencurve",
+    "pattern",
+    "convergence",
+    "tracking",
+    "identical_delay",
+)
+
+
+def child(preset: str) -> int:
+    """Run one preset at its default spec and print {wall_s, peak_rss_mb}."""
+    import resource
+    import tempfile
+
+    from mpb_lab import harness
+
+    spec = harness.default_spec(preset)
+    with tempfile.TemporaryDirectory() as tmp:
+        start = time.perf_counter()
+        harness.write_result(harness.run_preset(spec), tmp)
+        wall = time.perf_counter() - start
+    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(json.dumps({"wall_s": wall, "peak_rss_mb": rss_kb / 1024.0}))
+    return 0
+
+
+def run_child(preset: str) -> dict:
+    env = {**os.environ, **BLAS_ENV, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--child", preset],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def git_head() -> str | None:
+    """HEAD's short hash, with -dirty when tracked files are modified."""
+    try:
+        return subprocess.run(
+            ["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)},
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+def summary(samples: list[dict]) -> dict:
+    """Every run's wall_s and peak_rss_mb, and the median of each."""
+    out = {}
+    for key in ("wall_s", "peak_rss_mb"):
+        values = [run[key] for run in samples]
+        out[key] = values
+        out[f"median_{key}"] = statistics.median(values)
+    return out
+
+
+def bench(label: str, presets: list[str], repeat: int, out_dir: Path) -> Path:
+    runs: dict[str, list[dict]] = {preset: [] for preset in presets}
+    for _ in range(repeat):
+        for preset in presets:
+            runs[preset].append(run_child(preset))
+            last = runs[preset][-1]
+            print(f"{preset}: {last['wall_s']:.3f} s, "
+                  f"{last['peak_rss_mb']:.1f} MB", file=sys.stderr)
+    import numpy  # only after the children ran, as above
+
+    report = {
+        "label": label,
+        "written": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "git_head": git_head(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "blas_threads": 1,
+        "nproc": os.cpu_count(),
+        "affinity_cpus": len(os.sched_getaffinity(0)),
+        "presets": {preset: summary(samples) for preset, samples in runs.items()},
+    }
+    path = out_dir / f"BENCH_{label}.json"
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    return path
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", help="names the output, BENCH_<label>.json")
+    parser.add_argument("--preset", action="append", choices=PRESETS,
+                        metavar="NAME",
+                        help="time only this preset (repeatable; default: all)")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="runs per preset (default 1)")
+    parser.add_argument("--out-dir", type=Path, default=ROOT,
+                        help="where BENCH_<label>.json goes (default: repo root)")
+    parser.add_argument("--child", choices=PRESETS, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        return child(args.child)
+    if not args.label or not args.label.replace("-", "").replace("_", "").isalnum():
+        parser.error("--label is required: letters, digits, '-' and '_'")
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    print(bench(args.label, args.preset or list(PRESETS), args.repeat,
+                args.out_dir))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -46,8 +46,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 SIZES: dict[str, dict[str, int]] = {
-    # several component-Gram blocks per trial (1,024 windows each) and a
-    # remainder block, so the digests cover the block accumulation
+    # six whole component-Gram blocks per trial (512 windows each) and a
+    # remainder of 428 windows, so the digests cover the block accumulation
     "threshold_sweep": {"symbols": 3500, "trials": 2},
     "eigencurve": {"symbols": 400, "trials": 1},
     "pattern": {"symbols": 400},
