@@ -475,10 +475,11 @@ def write_result(result: ExperimentResult, out_dir: str | Path) -> Path:
             if key == "timestamp":
                 continue
             handle.write(f"# {key}={result.metadata[key]}\n")
-        writer = csv.DictWriter(handle, fieldnames=columns, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _format_cell(v) for k, v in row.items()})
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        # a column a row lacks is left empty
+        writer.writerows([_format_cell(row.get(key, "")) for key in columns]
+                         for row in rows)
 
     for name, samples in result.patterns.items():
         with (out / f"patterns_{name}.csv").open("w", newline="") as handle:
@@ -501,11 +502,8 @@ def write_result(result: ExperimentResult, out_dir: str | Path) -> Path:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.10g}"
-    return str(value)
+    # .10g spells inf, -inf and nan itself
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -544,19 +542,30 @@ class SchemeGrams:
     steering: np.ndarray
 
     def _mixed(self, g: np.ndarray, alpha, scale, noise: float = 1.0) -> np.ndarray:
-        """M g M^H, made Hermitian, with M = [alpha A_s, A diag(scale),
-        noise I]. scale is one amplitude or one per interferer row; alpha
-        is one amplitude, giving (L, L), or an array of G, giving a
-        (G, L, L) stack with entry k at alpha[k]."""
-        alpha = np.asarray(alpha, dtype=np.float64)
-        blocks = (alpha[..., None, None] * self.soi_steering,
-                  self.steering * scale, noise * np.eye(len(self.steering)))
-        mix = np.concatenate(
-            [np.broadcast_to(b, alpha.shape + b.shape[-2:]) for b in blocks],
-            axis=-1,
+        """M g M^H, made Hermitian, with M = [alpha A_s, R] and
+        R = [A diag(scale), noise I]. scale is one amplitude or one per
+        interferer row; alpha is one amplitude, giving (L, L), or an
+        array of G, giving a (G, L, L) stack with entry k at alpha[k].
+
+        On the Hermitian part of g this is a polynomial in alpha,
+        alpha^2 A_s G_ss A_s^H + alpha (X + X^H) + R G_rr R^H with
+        X = A_s G_sr R^H, so the three L x L terms are formed once per
+        call and broadcast over the alpha grid. Each term is Hermitian
+        to the bit, and so is every entry of the sum.
+        """
+        g = 0.5 * (g + g.conj().T)
+        p = self.soi_steering.shape[1]
+        rest = np.concatenate(
+            [self.steering * scale, noise * np.eye(len(self.steering))], axis=1
         )
-        out = mix @ g @ mix.conj().swapaxes(-1, -2)
-        return 0.5 * (out + out.conj().swapaxes(-1, -2))
+        soi = self.soi_steering @ g[:p]
+        cross = soi[:, p:] @ rest.conj().T
+        soi_term = soi[:, :p] @ self.soi_steering.conj().T
+        rest_term = rest @ g[p:, p:] @ rest.conj().T
+        alpha = np.asarray(alpha, dtype=np.float64)[..., None, None]
+        return (alpha**2 * (0.5 * (soi_term + soi_term.conj().T))
+                + alpha * (cross + cross.conj().T)
+                + 0.5 * (rest_term + rest_term.conj().T))
 
     def covariance_pair(self, alpha, scale=1.0) -> CovariancePair:
         """Both Grams mixed with soi amplitude alpha and interferer

@@ -1,9 +1,12 @@
 """Dense complex linear algebra for the beamformer solvers.
 
 Everything operates on plain numpy arrays. Hermitian inputs are expected
-to be Hermitian to within roundoff; positive definiteness of the matrix
-on the right-hand side of the pencil is checked explicitly because every
-routine here leans on it.
+to be Hermitian to within roundoff; positive definiteness and the
+condition number of the matrix on the right-hand side of the pencil are
+checked explicitly because every routine here leans on them. The
+Cholesky factor the solver needs anyway certifies both through a trace
+bound on the condition number; the eigenvalue tests are the fallback for
+the entries it cannot certify.
 """
 
 from __future__ import annotations
@@ -75,23 +78,11 @@ def normalize_phase(vectors: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def hermitian_gevd(a: np.ndarray, b: np.ndarray) -> GevdResult:
-    """Solve a v = lambda b v for Hermitian a and Hermitian PD b.
-
-    a and b are (L, L), or (..., L, L) stacks solved pencil by pencil in
-    one call: eigenvalues are then (..., L) and eigenvectors (..., L, L),
-    each entry equal to the 2-D call on that pencil.
-
-    Implemented by Cholesky whitening: with b = L L^H the pencil reduces
-    to the ordinary Hermitian eigenproblem of L^-1 a L^-H, whose
-    eigenvectors map back through L^-H. This keeps the computed
-    eigenvalues real and the eigenvectors b-orthonormal.
-
-    Raises SingularMatrixError when any b is not positive definite or its
-    condition number exceeds MAX_CONDITION.
-    """
-    a, b = _as_square_pair(a, b)
-    b_eigs = np.linalg.eigvalsh(0.5 * (b + _adjoint(b)))
+def _check_right_matrix(b: np.ndarray) -> None:
+    """The exact definiteness and condition tests on every right matrix
+    of a stack, from the eigenvalues of its Hermitian part: raises
+    SingularMatrixError at the first failing entry."""
+    b_eigs = np.linalg.eigvalsh(b)
     smallest, largest = b_eigs[..., 0], b_eigs[..., -1]
     # only a nonpositive smallest eigenvalue fails definiteness; a positive
     # one too small for the largest is the condition test's to reject
@@ -109,13 +100,53 @@ def hermitian_gevd(a: np.ndarray, b: np.ndarray) -> GevdResult:
             f"exceeds {MAX_CONDITION:.0e}"
         )
 
-    chol = np.linalg.cholesky(b)
-    half = np.linalg.solve(chol, a)
-    whitened = _adjoint(np.linalg.solve(chol, _adjoint(half)))
+
+def hermitian_gevd(a: np.ndarray, b: np.ndarray) -> GevdResult:
+    """Solve a v = lambda b v for Hermitian a and Hermitian PD b.
+
+    a and b are (L, L), or (..., L, L) stacks solved pencil by pencil in
+    one call: eigenvalues are then (..., L) and eigenvectors (..., L, L),
+    each entry equal to the 2-D call on that pencil.
+
+    Implemented by Cholesky whitening: with b = C C^H and C^-1 formed
+    once, the pencil reduces to the ordinary Hermitian eigenproblem of
+    C^-1 a C^-H, whose eigenvectors map back through C^-H. This keeps
+    the computed eigenvalues real and the eigenvectors b-orthonormal.
+
+    Raises SingularMatrixError when any b is not positive definite or its
+    condition number exceeds MAX_CONDITION. The factor certifies most
+    stacks without an eigenvalue solve: cond(b) <= tr(b) tr(b^-1) =
+    tr(b) ||C^-1||_F^2. When every entry's bound is at most half of
+    MAX_CONDITION (the half absorbs the roundoff of both the bound and
+    the eigenvalues near the limit) both tests pass. Otherwise, or when
+    the Cholesky factorization fails, the exact tests on the eigenvalues
+    of b decide, with their own messages; a factorization that fails on
+    a b they pass is rejected too.
+    """
+    a, b = _as_square_pair(a, b)
+    # the Hermitian part: the factor and the exact tests see one matrix
+    b = 0.5 * (b + _adjoint(b))
+    try:
+        chol = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        _check_right_matrix(b)
+        raise SingularMatrixError(
+            "right matrix is not positive definite: Cholesky factorization failed"
+        ) from None
+    inv_chol = np.linalg.inv(chol)
+    bound = np.trace(b, axis1=-2, axis2=-1).real * np.sum(
+        inv_chol.real**2 + inv_chol.imag**2, axis=(-2, -1)
+    )
+    # a NaN bound fails the comparison and takes the exact tests too
+    if not np.all(bound <= 0.5 * MAX_CONDITION):
+        _check_right_matrix(b)
+
+    inv_chol_h = _adjoint(inv_chol)
+    whitened = inv_chol @ a @ inv_chol_h
     whitened = 0.5 * (whitened + _adjoint(whitened))
     # eigh sorts ascending; reverse for descending
     evals, white_vecs = np.linalg.eigh(whitened)
-    vectors = np.linalg.solve(_adjoint(chol), white_vecs[..., ::-1])
+    vectors = inv_chol_h @ white_vecs[..., ::-1]
     return GevdResult(eigenvalues=evals[..., ::-1],
                       eigenvectors=normalize_phase(vectors))
 

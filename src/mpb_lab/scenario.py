@@ -21,6 +21,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -251,13 +252,19 @@ def _m_sequence(feedback_powers: tuple[int, ...]) -> np.ndarray:
     return bits
 
 
+@functools.cache
 def gold_family_bits() -> np.ndarray:
-    """All 33 Gold sequences (rows, 0/1 bits) from the preferred pair."""
+    """All 33 Gold sequences (rows, 0/1 bits) from the preferred pair.
+
+    Built on the first call; every call returns that one read-only array.
+    """
     seq_a = _m_sequence(_POLY_A)
     seq_b = _m_sequence(_POLY_B)
     rows = [seq_a, seq_b]
     rows.extend(seq_a ^ np.roll(seq_b, -k) for k in range(CODE_LENGTH))
-    return np.stack(rows)
+    family = np.stack(rows)
+    family.flags.writeable = False
+    return family
 
 
 # Fixed user -> family-member assignment. The family rows are enumerated

@@ -986,6 +986,26 @@ class TestWriteResult:
         data = path.read_text().splitlines()[-1]
         assert float(data) == pytest.approx(value, rel=1e-9)
 
+    def test_exact_bytes(self, tmp_path):
+        # columns in first-seen order, a missing key left empty, floats
+        # at 10 significant digits with inf, -inf and nan spelled out,
+        # csv quoting and CRLF row ends
+        result = ExperimentResult(
+            preset="pattern",
+            rows=[{"scheme": "MIC", "g": 1.0 / 3.0, "n": 3},
+                  {"scheme": "a,b", "g": -math.inf, "extra": math.nan},
+                  {"g": math.inf, "n": True}],
+            patterns={}, metadata={"seed": 5},
+        )
+        path = write_result(result, tmp_path / "out")
+        assert path.read_bytes() == (
+            b"# schema=mpb-lab/1\n# preset=pattern\n# seed=5\n"
+            b"scheme,g,n,extra\r\n"
+            b"MIC,0.3333333333,3,\r\n"
+            b'"a,b",-inf,,nan\r\n'
+            b",inf,True,\r\n"
+        )
+
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = tiny_sweep_spec()
         first = write_result(run_threshold_sweep(spec), tmp_path / "a")

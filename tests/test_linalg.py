@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mpb_lab.core import make_basis
+from mpb_lab.harness import component_grams
 from mpb_lab.linalg import (
+    MAX_CONDITION,
     GevdResult,
     SingularMatrixError,
     hermitian_gevd,
@@ -20,6 +23,8 @@ from mpb_lab.linalg import (
     rank_one_inverse_update,
 )
 from mpb_lab.oracles import subspace_angle
+from mpb_lab.presets import five_tones_scenario
+from mpb_lab.scenario import generate_gold_codes, synthesize
 
 
 def random_hermitian_pd(rng, size, ridge=1.0):
@@ -168,6 +173,122 @@ class TestHermitianGevd:
         b = np.stack([np.eye(2), bad, np.eye(2)])
         with pytest.raises(SingularMatrixError, match=message):
             hermitian_gevd(np.stack([np.eye(2)] * 3), b)
+
+def _eigvalsh_rule(b):
+    """The message the eigenvalue tests reject b with, or None: b's
+    Hermitian part must have a positive smallest eigenvalue and a
+    largest-to-smallest ratio of at most MAX_CONDITION."""
+    eigs = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
+    if eigs[0] <= 0.0:
+        return ("right matrix is not positive definite: smallest eigenvalue "
+                f"{eigs[0]:.6e} (largest {eigs[-1]:.6e})")
+    if eigs[-1] / eigs[0] > MAX_CONDITION:
+        return (f"right matrix condition number {eigs[-1] / eigs[0]:.3e} "
+                f"exceeds {MAX_CONDITION:.0e}")
+    return None
+
+
+def _with_spectrum(rng, eigs):
+    """A Hermitian matrix with the given eigenvalues and random eigenvectors."""
+    size = len(eigs)
+    q, _ = np.linalg.qr(rng.standard_normal((size, size))
+                        + 1j * rng.standard_normal((size, size)))
+    return (q * np.asarray(eigs)) @ q.conj().T
+
+
+def _right_matrices(rng, size):
+    """Right matrices with condition numbers log-spaced from 1 to 1e14,
+    one that is not positive definite and one that is singular."""
+    out = [_with_spectrum(rng, np.logspace(0.0, -decades, size))
+           for decades in np.linspace(0.0, 14.0, 29)]
+    out.append(_with_spectrum(rng, np.r_[np.ones(size - 1), -1e-3]))
+    out.append(_with_spectrum(rng, np.r_[np.ones(size - 1), 0.0]))
+    return out
+
+
+class TestRightMatrixCertificate:
+    """hermitian_gevd certifies most right matrices from their Cholesky
+    factor and defers the rest to the eigenvalue tests: it must accept
+    and reject exactly as those tests do, with their messages."""
+
+    @pytest.mark.parametrize("size", [1, 2, 8])
+    def test_rejects_exactly_as_the_eigenvalue_rule(self, rng, size):
+        a = random_hermitian_pd(rng, size)
+        rejected = 0
+        for b in _right_matrices(rng, size):
+            expected = _eigvalsh_rule(b)
+            if expected is None:
+                hermitian_gevd(a, b)
+                continue
+            rejected += 1
+            with pytest.raises(SingularMatrixError) as info:
+                hermitian_gevd(a, b)
+            assert str(info.value) == expected
+        # the non-PD matrix at least, and past 1e12 every matrix of a
+        # nontrivial spread
+        assert rejected >= (1 if size == 1 else 6)
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [np.r_[np.ones(7), 1.0 / 4e11],  # accepted, but not certified
+         np.r_[np.ones(7), 1e-13],  # past MAX_CONDITION
+         np.r_[np.ones(7), -1e-3]],  # not positive definite
+        ids=["accepted_exactly", "ill_conditioned", "not_pd"],
+    )
+    def test_stack_entry_decided_as_alone(self, rng, spectrum):
+        bad = _with_spectrum(rng, spectrum)
+        a = np.stack([random_hermitian_pd(rng, 8) for _ in range(3)])
+        b = np.stack([random_hermitian_pd(rng, 8), bad, random_hermitian_pd(rng, 8)])
+        try:
+            alone = hermitian_gevd(a[1], bad)
+        except SingularMatrixError as error:
+            with pytest.raises(SingularMatrixError) as info:
+                hermitian_gevd(a, b)
+            assert str(info.value) == str(error)
+        else:
+            stacked = hermitian_gevd(a, b)
+            np.testing.assert_array_equal(stacked.eigenvalues[1], alone.eigenvalues)
+            np.testing.assert_array_equal(stacked.eigenvectors[1], alone.eigenvectors)
+
+    def test_certified_stack_skips_the_eigenvalue_solve(self, rng, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m, *args, **kwargs):
+            calls.append(m.shape)
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        a = np.stack([random_hermitian_pd(rng, 8) for _ in range(20)])
+        b = np.stack([random_hermitian_pd(rng, 8) for _ in range(20)])
+        hermitian_gevd(a, b)
+        assert calls == []
+        # one uncertified entry sends the whole stack to the exact tests once
+        b[3] = _with_spectrum(rng, np.r_[np.ones(7), 1.0 / 4e11])
+        hermitian_gevd(a, b)
+        assert calls == [(20, 8, 8)]
+
+    def test_matches_scipy_on_sweep_pencils(self):
+        # the stacks the sweeps solve: the quiet pair and 137 grid SNRs of
+        # one scheme's Grams, at the top INR level
+        tolerance = 1e-9
+        code = generate_gold_codes(1)[0]
+        reference = five_tones_scenario(10.0, snr_db=0.0, num_symbols=400,
+                                        seed=(91, 0, 0))
+        stream = synthesize(reference)
+        alphas = np.r_[0.0, 10.0 ** (np.arange(-20.0, 48.5, 0.5) / 20.0)]
+        for scheme in ("MIC", "Maximin", "PAPC"):
+            basis = make_basis(scheme, code, monitor_freq=0.5, chip_index=0)
+            grams = component_grams(stream, [basis], 0)[0]
+            pair = grams.covariance_pair(alphas, 10.0)
+            assert pair.r_s.shape == (138, 8, 8)
+            ours = hermitian_gevd(pair.r_s, pair.r_i).eigenvalues
+            for k in range(len(alphas)):
+                oracle = scipy.linalg.eigh(pair.r_s[k], pair.r_i[k],
+                                           eigvals_only=True)[::-1]
+                np.testing.assert_allclose(ours[k], oracle, rtol=tolerance,
+                                           atol=tolerance * oracle[0])
+
 
 class TestNormalizePhase:
     def test_rotates_leading_component_real_positive(self):

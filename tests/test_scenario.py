@@ -6,6 +6,7 @@ synthesized streams are checked against their analytic per-component
 forms and calibration targets.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -80,6 +81,24 @@ class TestGoldCodes:
         np.testing.assert_array_equal(codes[0].chips, family[_USER_CODE_ORDER[0]])
         np.testing.assert_array_equal(codes[1].chips, family[_USER_CODE_ORDER[1]])
         assert _USER_CODE_ORDER[:2] == (31, 23)
+
+    def test_family_built_once_and_read_only(self):
+        family = gold_family_bits()
+        assert gold_family_bits() is family
+        assert not family.flags.writeable
+        with pytest.raises(ValueError):
+            family[0, 0] = 1 - family[0, 0]
+
+    def test_all_codes_unchanged(self):
+        # regression pin: sha256 of all 33 codes' float64 chips, user order
+        codes = generate_gold_codes(GOLD_FAMILY_SIZE)
+        chips = np.stack([code.chips for code in codes])
+        assert chips.dtype == np.float64
+        assert hashlib.sha256(chips.tobytes()).hexdigest() == (
+            "b5f4f6a4844577b812e15eaf10701c5029cf467401fe9073bae9e736d2631209"
+        )
+        # each call hands out its own writeable chips
+        assert all(code.chips.flags.writeable for code in codes)
 
     def test_deterministic_across_calls(self):
         first = generate_gold_codes(5)

@@ -24,12 +24,17 @@ presets that reach it without running the rest.
 A digest mismatch cannot tell roundoff from a real change. ``--keep DIR``
 also writes the CSVs to DIR/<preset>/; ``--compare DIR_A DIR_B`` then
 reads two such directories (no preset is run) and prints, per CSV,
-``preset file changed_cells worst_rel_gap column``, where a cell counts
-as changed when its text differs and the gap is |a - b| / max(|a|, |b|),
-followed by one line per column with differing non-numeric cells, giving
-the column, how many differ and the first pair. It exits with status 1
-when a CSV is missing on one side or a header, a row count or a
-non-numeric cell differs.
+``preset file changed_cells worst_rel_gap`` over its numeric cells, where
+a cell counts as changed when its text differs and the gap is
+|a - b| / max(|a|, |b|). Under it come one line per column with a changed
+numeric cell (``column NAME: N cell(s), worst GAP``, in the order of
+their first changed cell), one line per cell that reads ``inf`` or
+``-inf`` on one side and differs on the other (``inf column NAME row I:
+'A' vs 'B'``, rows counted from 0 after the header, ``#`` for a comment
+line) and one line per column with differing non-numeric cells, giving
+how many differ and the first pair. It exits with status 1 when a CSV is
+missing on one side, a header, a row count or a non-numeric cell
+differs, or an inf cell changed.
 """
 
 from __future__ import annotations
@@ -98,45 +103,58 @@ def _number(text: str) -> float | None:
         return None
 
 
-def compare_csv(path_a: Path, path_b: Path) -> tuple[int, float, str, list[str]]:
-    """(changed cells, worst relative gap, its column, structural problems)."""
+_INF_TEXTS = ("inf", "-inf")
+
+
+def compare_csv(
+    path_a: Path, path_b: Path
+) -> tuple[dict[str, tuple[int, float]], list[str]]:
+    """Cell-by-cell comparison of two copies of one CSV: every column with
+    a changed numeric cell mapped to (changed cells, worst relative gap),
+    and the problems: structural differences, one line per changed cell
+    that reads inf or -inf on either side and one per column of differing
+    non-numeric cells."""
     comments_a, header_a, rows_a = _rows(path_a)
     comments_b, header_b, rows_b = _rows(path_b)
     if header_a != header_b:
-        return 0, 0.0, "", [f"header differs: {header_a} vs {header_b}"]
+        return {}, [f"header differs: {header_a} vs {header_b}"]
     if len(rows_a) != len(rows_b) or len(comments_a) != len(comments_b):
-        return 0, 0.0, "", [f"row count differs: {len(rows_a)} vs {len(rows_b)}"]
+        return {}, [f"row count differs: {len(rows_a)} vs {len(rows_b)}"]
+    # (column, row label, text a, text b); comment lines are row "#"
     cells = [
-        (f"# {ca[0]}", a, b)
+        (f"# {ca[0]}", "#", a, b)
         for ca, cb in zip(comments_a, comments_b)
         for a, b in zip(ca, cb)
     ]
-    for row_a, row_b in zip(rows_a, rows_b):
+    for index, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
         if len(row_a) != len(row_b):
-            return 0, 0.0, "", ["row width differs"]
-        cells += list(zip(header_a, row_a, row_b))
-    changed, worst, where = 0, 0.0, ""
+            return {}, ["row width differs"]
+        cells += [(column, str(index), a, b)
+                  for column, a, b in zip(header_a, row_a, row_b)]
+    columns: dict[str, tuple[int, float]] = {}
+    problems: list[str] = []
     texts: Counter[str] = Counter()
     first: dict[str, str] = {}
-    for column, a, b in cells:
+    for column, row, a, b in cells:
         if a == b:
             continue
-        changed += 1
+        if a in _INF_TEXTS or b in _INF_TEXTS:
+            problems.append(f"inf column {column} row {row}: {a!r} vs {b!r}")
         x, y = _number(a), _number(b)
         if x is None or y is None:
             texts[column] += 1
             first.setdefault(column, f"{a!r} vs {b!r}")
             continue
         gap = abs(x - y) / max(abs(x), abs(y))
-        if math.isnan(gap):  # inf against inf of the other sign
+        if math.isnan(gap):  # an inf against anything else
             gap = math.inf
-        if gap > worst or not where:
-            worst, where = gap, column
-    problems = [
+        count, worst = columns.get(column, (0, 0.0))
+        columns[column] = (count + 1, max(worst, gap))
+    problems += [
         f"non-numeric column {column}: {count} cell(s) differ, first {first[column]}"
         for column, count in texts.items()
     ]
-    return changed, worst, where, problems
+    return columns, problems
 
 
 def compare_dirs(dir_a: Path, dir_b: Path) -> int:
@@ -147,8 +165,12 @@ def compare_dirs(dir_a: Path, dir_b: Path) -> int:
         print(f"{name.parent} {name.name} missing on one side")
         status = 1
     for name in sorted(names_a & names_b):
-        changed, worst, where, problems = compare_csv(dir_a / name, dir_b / name)
-        print(f"{name.parent} {name.name} {changed} {worst:.3g} {where or '-'}")
+        columns, problems = compare_csv(dir_a / name, dir_b / name)
+        changed = sum(count for count, _ in columns.values())
+        worst = max((gap for _, gap in columns.values()), default=0.0)
+        print(f"{name.parent} {name.name} {changed} {worst:.3g}")
+        for column, (count, gap) in columns.items():
+            print(f"  column {column}: {count} cell(s), worst {gap:.3g}")
         for problem in problems:
             print(f"  {problem}")
             status = 1
