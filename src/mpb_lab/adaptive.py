@@ -11,13 +11,12 @@ Per symbol k the update is
         P <- rank-one inverse update of (mu_t R_I + F[:, t] F[:, t]^H),
              with mu_t = mu at t = 1 and mu_t = 1 afterwards
     w <- P R_S (w / ||w||)
-    y_o = (previous w)^H x_s
 
 so the forgetting factor is applied exactly once per symbol on each
-covariance, R_I gains exactly the monitor increment x_i x_i^H / r of
-the paper's one-update-per-channel recursion, and the emitted output
-always uses the weight held before the update (the weight that the data
-of symbol k could not influence).
+covariance and R_I gains exactly the monitor increment x_i x_i^H / r of
+the paper's one-update-per-channel recursion. Output k is produced by
+the weight held before symbol k's update, the weight that the data of
+symbol k could not influence: y_o[k] = w[k]^H x_s[k].
 
 Every array carries a leading trial axis: independent Monte-Carlo
 trials advance together, one symbol at a time, and a single trial is
@@ -47,16 +46,14 @@ class AdaptiveState:
 
 @dataclass
 class AdaptiveOutput:
-    """Per-trial, per-symbol emissions of a run over K symbols.
+    """Per-trial, per-symbol record of a run over K symbols.
 
-    y_o is (T, K); w is (T, K, L) with w[:, k] the weight held before
-    symbol k, the one that produced y_o[:, k] (e1 at k = 0);
-    p_asymmetry is (T, K), the relative Hermitian-symmetry error of the
-    inverse matrix measured just before each per-symbol
-    re-symmetrization.
+    w is (T, K, L) with w[:, k] the weight held before symbol k, the
+    one that produces output k (e1 at k = 0); p_asymmetry is (T, K), the
+    relative Hermitian-symmetry error of the inverse matrix measured
+    just before each per-symbol re-symmetrization.
     """
 
-    y_o: np.ndarray
     w: np.ndarray
     p_asymmetry: np.ndarray
 
@@ -80,18 +77,16 @@ def init(num_trials: int, num_elements: int, mu: float, delta: float) -> Adaptiv
 
 def update_symbol(
     state: AdaptiveState, x_s: np.ndarray, x_i: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Advance all T trials by one symbol's snapshots.
 
     x_s is the (T, L) signal snapshot and x_i the (T, L, r) monitoring
     snapshots; with the full code-orthogonal basis r = N-1 this is the
     per-symbol recursion of the multi-channel scheme, and with a single
     channel it reduces to classic exponentially weighted RLS on that
-    channel. Returns the (T,) array outputs and P asymmetries. The
-    snapshots are taken as given: run checks them before any symbol.
+    channel. Returns the (T,) P asymmetries. The snapshots are taken as
+    given: run checks them before any symbol.
     """
-    y_o = (state.w[:, None, :].conj() @ x_s[:, :, None])[:, 0, 0]
-
     r_s = state.mu * state.r_s + x_s[:, :, None] * x_s[:, None, :].conj()
 
     # row t of R, conjugated, is column t of R^H: (T, min(L, r), L)
@@ -111,7 +106,7 @@ def update_symbol(
     state.w = linalg.power_iteration_step(p, r_s, state.w)
     state.r_s = r_s
     state.p = p
-    return y_o, asym
+    return asym
 
 
 def run(
@@ -127,9 +122,9 @@ def run(
     core.project_stream stacked on a leading trial axis; the monitoring
     channels of x_i choose the scheme (all N-1 code-orthogonal channels
     for MIC, one channel for single-channel RLS). Shapes and finiteness
-    are checked before any symbol is processed. The (T, K, L) weights
-    are written into out when it is given (a caller's preallocated
-    block), else into a new array.
+    are checked before any symbol is processed. The (T, K, L) weights,
+    w[:, k] the one that produces output k, are written into out when it
+    is given (a caller's preallocated block), else into a new array.
     """
     x_s = np.asarray(x_s, dtype=np.complex128)
     x_i = np.asarray(x_i, dtype=np.complex128)
@@ -149,9 +144,8 @@ def run(
     if w.shape != shape or w.dtype != np.complex128:
         raise ValueError(f"out must be complex128 {shape}, got {w.dtype} {w.shape}")
     state = init(trials, elements, mu, delta)
-    y_o = np.empty((trials, symbols), dtype=np.complex128)
     asym = np.empty((trials, symbols))
     for k in range(symbols):
         w[:, k] = state.w
-        y_o[:, k], asym[:, k] = update_symbol(state, x_s[:, :, k], x_i[:, :, k, :])
-    return AdaptiveOutput(y_o=y_o, w=w, p_asymmetry=asym)
+        asym[:, k] = update_symbol(state, x_s[:, :, k], x_i[:, :, k, :])
+    return AdaptiveOutput(w=w, p_asymmetry=asym)

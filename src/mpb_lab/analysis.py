@@ -29,14 +29,6 @@ RANK_TOLERANCE = 1e-8
 
 
 @dataclass
-class PatternSample:
-    """One direction of a normalized power pattern."""
-
-    theta_deg: float
-    gain_db: float
-
-
-@dataclass
 class ConditionReport:
     """Structured-interference suitability of a monitoring basis.
 
@@ -209,8 +201,9 @@ def mvdr_optimum_sinr(
 
 def array_pattern(
     weight: np.ndarray, geometry: ArrayGeometry, thetas_deg: np.ndarray
-) -> list[PatternSample]:
-    """Normalized power pattern |w^H a(theta)|^2 over a direction grid."""
+) -> np.ndarray:
+    """Normalized power pattern |w^H a(theta)|^2 over a direction grid:
+    one gain in dB per direction, 0 dB at the grid's peak."""
     w = np.asarray(weight, dtype=np.complex128)
     if np.linalg.norm(w) == 0.0:
         raise ValueError("pattern undefined for a zero weight")
@@ -221,11 +214,7 @@ def array_pattern(
     power = np.abs(w.conj() @ responses) ** 2
     peak = power.max()
     # keep log10 finite at exact nulls; -300 dB is far below anything measured
-    gains = 10.0 * np.log10(np.maximum(power / peak, 1e-30))
-    return [
-        PatternSample(theta_deg=float(t), gain_db=float(g))
-        for t, g in zip(thetas, gains)
-    ]
+    return 10.0 * np.log10(np.maximum(power / peak, 1e-30))
 
 
 def condition_check(

@@ -60,67 +60,48 @@ def _unit_code(code: SpreadingCode) -> np.ndarray:
     return chips / np.sqrt(chips.size)
 
 
-def basis_papc(code: SpreadingCode, chip_index: int = 0) -> ProjectionBasis:
-    """Single-chip monitoring: the standard basis vector at chip_index."""
-    h_s = _unit_code(code)
-    n = h_s.size
-    if not 0 <= chip_index < n:
-        raise ValueError(f"chip_index must lie in [0, {n}), got {chip_index}")
-    h_i = np.zeros((n, 1), dtype=np.complex128)
-    h_i[chip_index, 0] = 1.0
-    return ProjectionBasis(scheme="PAPC", h_s=h_s.astype(np.complex128), h_i=h_i)
-
-
-def basis_maximin(code: SpreadingCode, monitor_freq: float = 0.5) -> ProjectionBasis:
-    """Code remodulated by one fixed normalized frequency (cycles/chip)."""
-    h_s = _unit_code(code)
-    n = h_s.size
-    if not 0.0 < monitor_freq <= 1.0:
-        raise ValueError(
-            f"monitor_freq must lie in (0, 1] cycles/chip, got {monitor_freq}"
-        )
-    if monitor_freq == 1.0:
-        warnings.warn(
-            "monitor frequency of one cycle/chip is degenerate: the "
-            "monitoring channel collapses onto the signal channel",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    ramp = np.exp(2j * np.pi * monitor_freq * np.arange(n))
-    h_i = (h_s * ramp)[:, None]
-    return ProjectionBasis(scheme="Maximin", h_s=h_s.astype(np.complex128), h_i=h_i)
-
-
-def basis_mic(code: SpreadingCode) -> ProjectionBasis:
-    """Code remodulated by all N-1 nonzero DFT frequencies.
-
-    The columns are mutually orthonormal, orthogonal to the signal-side
-    vector by construction, and together with it form a complete basis,
-    so the two projectors sum to the identity.
-    """
-    h_s = _unit_code(code)
-    n = h_s.size
-    ticks = np.arange(n)
-    # column r: h_s modulated by exp(+j*2*pi*r*n/N), r = 1..N-1
-    dft = np.exp(2j * np.pi * np.outer(ticks, np.arange(1, n)) / n)
-    h_i = h_s[:, None] * dft
-    return ProjectionBasis(scheme="MIC", h_s=h_s.astype(np.complex128), h_i=h_i)
-
-
 def make_basis(
     scheme: str,
     code: SpreadingCode,
     monitor_freq: float = 0.5,
     chip_index: int = 0,
 ) -> ProjectionBasis:
-    """Dispatch helper: build the basis named by scheme."""
+    """The basis named by scheme; h_s is the code scaled to unit norm.
+
+    PAPC monitors the single chip at chip_index (a standard basis
+    vector), Maximin the code remodulated by monitor_freq cycles/chip,
+    MIC the code remodulated by all N-1 nonzero DFT frequencies. MIC's
+    columns are mutually orthonormal, orthogonal to h_s by construction,
+    and together with it form a complete basis, so the two projectors
+    sum to the identity.
+    """
+    if scheme not in ("MIC", "Maximin", "PAPC"):
+        raise ValueError(f"unknown scheme {scheme!r}; valid: MIC, Maximin, PAPC")
+    h_s = _unit_code(code)
+    n = h_s.size
     if scheme == "PAPC":
-        return basis_papc(code, chip_index)
-    if scheme == "Maximin":
-        return basis_maximin(code, monitor_freq)
-    if scheme == "MIC":
-        return basis_mic(code)
-    raise ValueError(f"unknown scheme {scheme!r}; valid: MIC, Maximin, PAPC")
+        if not 0 <= chip_index < n:
+            raise ValueError(f"chip_index must lie in [0, {n}), got {chip_index}")
+        h_i = np.zeros((n, 1), dtype=np.complex128)
+        h_i[chip_index, 0] = 1.0
+    elif scheme == "Maximin":
+        if not 0.0 < monitor_freq <= 1.0:
+            raise ValueError(
+                f"monitor_freq must lie in (0, 1] cycles/chip, got {monitor_freq}"
+            )
+        if monitor_freq == 1.0:
+            warnings.warn(
+                "monitor frequency of one cycle/chip is degenerate: the "
+                "monitoring channel collapses onto the signal channel",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        h_i = (h_s * np.exp(2j * np.pi * monitor_freq * np.arange(n)))[:, None]
+    else:
+        # column r: h_s modulated by exp(+j*2*pi*r*n/N), r = 1..N-1
+        ticks = np.arange(n)
+        h_i = h_s[:, None] * np.exp(2j * np.pi * np.outer(ticks, np.arange(1, n)) / n)
+    return ProjectionBasis(scheme=scheme, h_s=h_s.astype(np.complex128), h_i=h_i)
 
 
 def project_stream(

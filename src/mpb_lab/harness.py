@@ -1,7 +1,8 @@
 """Experiment harness: config loading, preset runners, CSV emission.
 
 Every preset produces an ExperimentResult holding plain row dicts, named
-pattern tables and a metadata map; write_result serializes them as
+beam patterns (gains over PATTERN_GRID_DEG) and a metadata map, built by
+one _result call; write_result serializes them as
 results.csv / patterns_<name>.csv / meta.txt. Result rows carry the
 scenario hash so any row is traceable to the exact configuration and
 seed that produced it, and results.csv content is a pure function of
@@ -51,7 +52,6 @@ import yaml
 from . import adaptive as adaptive_mod
 from . import presets
 from .analysis import (
-    PatternSample,
     array_pattern,
     gamma0,
     lambda_max_prediction,
@@ -84,14 +84,6 @@ from .scenario import (
 )
 
 SCHEMA_VERSION = "mpb-lab/1"
-PRESETS = (
-    "eigencurve",
-    "threshold_sweep",
-    "pattern",
-    "convergence",
-    "tracking",
-    "identical_delay",
-)
 ALL_SCHEMES = ("MIC", "Maximin", "PAPC")
 PATTERN_GRID_DEG = np.arange(-90.0, 90.0 + 1e-9, 0.5)
 
@@ -195,7 +187,44 @@ class ExperimentSpec:
         if self.scenario is not None:
             if not self.scenario.desired:
                 raise ConfigError("scenario.desired must be nonempty")
-            self.scenario.validate()
+            try:
+                self.scenario.validate()
+            except ValueError as exc:
+                raise ConfigError(f"scenario: {exc}") from exc
+        # a batch solve needs a full-rank monitor covariance: at least as
+        # many snapshots (windows x channels) as the array has elements
+        for config, n0, schemes in self._batch_streams():
+            n = config.processing_gain
+            windows = (self.symbols * n - n0) // n
+            for scheme in schemes:
+                channels = _scheme_basis(self, scheme).num_channels
+                if windows * channels < config.geometry.num_elements:
+                    raise ConfigError(
+                        f"symbols={self.symbols} leaves {windows} whole "
+                        f"window(s) at chip offset {n0}: {windows * channels} "
+                        f"{scheme} monitor snapshots, fewer than the "
+                        f"{config.geometry.num_elements} elements"
+                    )
+
+    def _batch_streams(self) -> list[tuple[ScenarioConfig, int, list[str]]]:
+        """Each scenario a batch preset solves, the largest window offset
+        it projects at and the schemes it solves there, as the runners
+        choose them; none for the recursive presets."""
+        if self.preset == "identical_delay":
+            return [(config, max(path.delay_chips for path in config.desired), ["MIC"])
+                    for config in map(presets.identical_delay_scenario, (False, True))]
+        builders = {
+            "threshold_sweep": [presets.SWEEP_SCENARIOS[name]
+                                for name in self.scenario_names],
+            "eigencurve": [presets.five_tones_scenario],
+            "pattern": [presets.periodic_noise_scenario],
+        }.get(self.preset)
+        if builders is None:
+            return []
+        configs = ([self.scenario] if self.scenario is not None
+                   else [builder(0.0) for builder in builders])
+        return [(config, config.desired[0].delay_chips, self.schemes)
+                for config in configs]
 
 
 _PRESET_DEFAULTS: dict[str, dict] = {
@@ -387,16 +416,11 @@ def _parse_scenario(section: dict, spec: ExperimentSpec) -> ScenarioConfig:
                               ["kind", "doa_deg", "inr_db"]))
         for idx, entry in enumerate(values.get("jammers", []))
     ]
-    config = ScenarioConfig(
+    return ScenarioConfig(
         ArrayGeometry(values.pop("num_elements", 8),
                       values.pop("spacing_wavelengths", 0.5)),
         num_symbols=spec.symbols, seed=spec.seed, **values,
     )
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
-    return config
 
 
 def load_config(path: str | Path) -> ExperimentSpec:
@@ -450,10 +474,30 @@ def scenario_hash(config: ScenarioConfig) -> str:
 
 @dataclass
 class ExperimentResult:
+    """A preset's rows, its beam patterns (gains in dB over
+    PATTERN_GRID_DEG, by name) and its metadata."""
+
     preset: str
     rows: list[dict]
-    patterns: dict[str, list[PatternSample]]
+    patterns: dict[str, np.ndarray]
     metadata: dict
+
+
+def _result(
+    spec: ExperimentSpec, rows: list[dict], patterns: dict | None = None, **summary
+) -> ExperimentResult:
+    """A runner's result: its metadata is the spec's run settings plus summary."""
+    metadata = {
+        "seed": spec.seed,
+        "symbols": spec.symbols,
+        "trials": spec.trials,
+        "schemes": ",".join(spec.schemes),
+        "desk_scale_note": (
+            "desk-scale run; reference scale is 1e6 symbols and 1000 trials"
+        ),
+        **summary,
+    }
+    return ExperimentResult(spec.preset, rows, patterns or {}, metadata)
 
 
 def write_result(result: ExperimentResult, out_dir: str | Path) -> Path:
@@ -481,16 +525,14 @@ def write_result(result: ExperimentResult, out_dir: str | Path) -> Path:
         writer.writerows([_format_cell(row.get(key, "")) for key in columns]
                          for row in rows)
 
-    for name, samples in result.patterns.items():
+    for name, gains in result.patterns.items():
         with (out / f"patterns_{name}.csv").open("w", newline="") as handle:
             handle.write(f"# schema={SCHEMA_VERSION}\n")
             handle.write(f"# preset={result.preset}\n")
             writer = csv.writer(handle)
             writer.writerow(["theta_deg", "gain_db"])
-            for sample in samples:
-                writer.writerow(
-                    [_format_cell(sample.theta_deg), _format_cell(sample.gain_db)]
-                )
+            writer.writerows([_format_cell(theta), _format_cell(gain)]
+                             for theta, gain in zip(PATTERN_GRID_DEG, gains))
 
     with (out / "meta.txt").open("w") as handle:
         handle.write(f"schema: {SCHEMA_VERSION}\n")
@@ -748,26 +790,26 @@ def _solve_grid(
     """Solve the batch pencil of every scheme over all trials of one
     scenario, at each INR level: one builder per level.
 
-    Trial t is synthesized once, at 0 dB, seed (*seed, t) and the first
-    builder's config; every level's config must match it but for one
-    interference amplitude s (_interference_scale). One component_grams
-    call builds every basis's Grams in one pass over the stream. Per
-    level, one GEVD call solves the stack of the zero-amplitude pair
-    (for gamma1) and one pair per grid SNR, all with the interference
-    scaled by s, and each weight is scored by its normalized output
-    SINR. Returns, per builder, the last trial's config, the cell's
-    scenario hash and each scheme's GridSolution.
+    Each level's config is built once, at 0 dB and the spec's seed, and
+    must match the first builder's but for one interference amplitude s
+    (_interference_scale). Trial t is synthesized once, from the first
+    config at seed (*seed, t). One component_grams call builds every
+    basis's Grams in one pass over the stream. Per level, one GEVD call
+    solves the stack of the zero-amplitude pair (for gamma1) and one
+    pair per grid SNR, all with the interference scaled by s, and each
+    weight is scored by its normalized output SINR. Returns, per
+    builder, its config, the cell's scenario hash and each scheme's
+    GridSolution.
     """
+    setups = [_scenario(spec, builder, spec.seed, snr_db=0.0) for builder in builders]
+    (reference, n0), configs = setups[0], [config for config, _ in setups]
+    scales = [_interference_scale(reference, config) for config in configs]
     grid = np.asarray(spec.snr_grid_db, dtype=np.float64)
+    alphas = 10.0 ** (grid / 20.0) / math.sqrt(reference.snr_linear)
+    quiet_and_grid = np.concatenate(([0.0], alphas))
     solved = [{scheme: [] for scheme in bases} for _ in builders]
     for trial in range(spec.trials):
-        setups = [_scenario(spec, builder, (*seed, trial), snr_db=0.0)
-                  for builder in builders]
-        (reference, n0), configs = setups[0], [config for config, _ in setups]
-        scales = [_interference_scale(reference, config) for config in configs]
-        stream = synthesize(reference)
-        alphas = 10.0 ** (grid / 20.0) / math.sqrt(reference.snr_linear)
-        quiet_and_grid = np.concatenate(([0.0], alphas))
+        stream = synthesize(replace(reference, seed=(*seed, trial)))
         per_basis = component_grams(stream, list(bases.values()), n0)
         for scheme, grams in zip(bases, per_basis):
             for cell, scale in zip(solved, scales):
@@ -781,7 +823,7 @@ def _solve_grid(
                 cell[scheme].append((evals[0, 0] - 1.0, evals[1:], weights[1:], sinr))
         del stream
     return [
-        (config, scenario_hash(replace(config, seed=spec.seed)), {
+        (config, scenario_hash(config), {
             scheme: GridSolution(*map(np.array, zip(*per_trial)))
             for scheme, per_trial in cell.items()
         })
@@ -846,11 +888,7 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
                         "scenario_hash": config_hash,
                     }
                 )
-
-    metadata = _base_metadata(spec)
-    return ExperimentResult(
-        preset=spec.preset, rows=rows, patterns={}, metadata=metadata
-    )
+    return _result(spec, rows)
 
 
 def run_eigencurve(spec: ExperimentSpec) -> ExperimentResult:
@@ -887,12 +925,8 @@ def run_eigencurve(spec: ExperimentSpec) -> ExperimentResult:
                 "scenario_hash": config_hash,
             }
         )
-    metadata = _base_metadata(spec)
-    metadata["crossover_db"] = f"{crossover_db:.4f}"
-    metadata["gamma1"] = f"{gamma1_mean:.6f}"
-    return ExperimentResult(
-        preset=spec.preset, rows=rows, patterns={}, metadata=metadata
-    )
+    return _result(spec, rows, crossover_db=f"{crossover_db:.4f}",
+                   gamma1=f"{gamma1_mean:.6f}")
 
 
 def run_pattern(spec: ExperimentSpec) -> ExperimentResult:
@@ -901,7 +935,7 @@ def run_pattern(spec: ExperimentSpec) -> ExperimentResult:
         raise ConfigError("run_pattern requires preset=pattern")
     inr_db = spec.inr_list_db[0]
     rows: list[dict] = []
-    patterns: dict[str, list[PatternSample]] = {}
+    patterns: dict[str, np.ndarray] = {}
     bases = {scheme: _scheme_basis(spec, scheme) for scheme in spec.schemes}
     [(config, config_hash, solved)] = _solve_grid(
         spec, [partial(presets.periodic_noise_scenario, inr_db)], (spec.seed, 0),
@@ -910,8 +944,8 @@ def run_pattern(spec: ExperimentSpec) -> ExperimentResult:
     for scheme, solution in solved.items():
         # pattern runs a single trial
         for snr_db, weight in zip(spec.snr_grid_db, solution.weights[0]):
-            samples, beam = _beam(weight, config.geometry, (0.0, 30.0, -40.0))
-            patterns[f"{scheme}_snr{snr_db:g}dB"] = samples
+            gains, beam = _beam(weight, config.geometry, (0.0, 30.0, -40.0))
+            patterns[f"{scheme}_snr{snr_db:g}dB"] = gains
             rows.append(
                 {
                     "scheme": scheme,
@@ -921,24 +955,20 @@ def run_pattern(spec: ExperimentSpec) -> ExperimentResult:
                     "scenario_hash": config_hash,
                 }
             )
-    metadata = _base_metadata(spec)
-    return ExperimentResult(
-        preset=spec.preset, rows=rows, patterns=patterns, metadata=metadata
-    )
+    return _result(spec, rows, patterns)
 
 
 def _beam(
     weight: np.ndarray, geometry: ArrayGeometry, angles: tuple[float, ...]
-) -> tuple[list[PatternSample], dict[str, float]]:
-    """A weight's beam pattern over PATTERN_GRID_DEG and its row columns:
+) -> tuple[np.ndarray, dict[str, float]]:
+    """A weight's gains in dB over PATTERN_GRID_DEG and its row columns:
     the peak direction, then the gain at the grid point nearest each angle."""
-    samples = array_pattern(weight, geometry, PATTERN_GRID_DEG)
-    gains = np.array([s.gain_db for s in samples])
+    gains = array_pattern(weight, geometry, PATTERN_GRID_DEG)
     columns = {"peak_theta_deg": float(PATTERN_GRID_DEG[np.argmax(gains)])}
     for angle in angles:
         nearest = np.argmin(np.abs(PATTERN_GRID_DEG - angle))
         columns[f"gain_at_{angle:g}deg_db"] = float(gains[nearest])
-    return samples, columns
+    return gains, columns
 
 
 def _clutters(
@@ -1049,7 +1079,7 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
     if spec.preset != "convergence":
         raise ConfigError("run_convergence requires preset=convergence")
     rows: list[dict] = []
-    metadata = _base_metadata(spec)
+    summary: dict[str, int] = {}
     bases = {scheme: _scheme_basis(spec, scheme) for scheme in spec.schemes}
     # interferer powers do not depend on the SNR, so neither does the clutter
     base, n0 = _scenario(
@@ -1057,7 +1087,6 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
     )
     clutters = _clutters(base, n0, 10000, (spec.seed, 7000))
     clutter = clutters[-1]
-    steer = steering_vector(base.geometry, base.desired[0].doa_deg)
     cells = _recursion(
         spec, presets.convergence_scenario,
         [((spec.seed, s_idx), snr_db, [0] * (len(clutters) - 1))
@@ -1065,7 +1094,7 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
         bases,
     )
     for snr_db, (config_hash, weights) in zip(spec.snr_grid_db, cells):
-        sig_power = base.noise_power * 10.0 ** (snr_db / 10.0)
+        sig_power, steer = _scored_path(base, snr_db)
         optimum = mvdr_optimum_sinr(sig_power, steer, clutter)
         for scheme, w in weights.items():
             sinr_mean = np.mean(output_sinr(w, sig_power, steer, clutter), axis=0)
@@ -1084,10 +1113,16 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
                         "scenario_hash": config_hash,
                     }
                 )
-            metadata[f"convergence_symbols_{scheme}_snr{snr_db:g}"] = converged
-    return ExperimentResult(
-        preset=spec.preset, rows=rows, patterns={}, metadata=metadata
-    )
+            summary[f"convergence_symbols_{scheme}_snr{snr_db:g}"] = converged
+    return _result(spec, rows, **summary)
+
+
+def _scored_path(base: ScenarioConfig, snr_db: float) -> tuple[float, np.ndarray]:
+    """The scored (first) desired path's despread power at snr_db, its
+    power a factor on the noise power times the SNR, and its steering."""
+    path = base.desired[0]
+    return (path.power * base.noise_power * 10.0 ** (snr_db / 10.0),
+            steering_vector(base.geometry, path.doa_deg))
 
 
 def _first_within_3db(sinr_mean: np.ndarray, optimum: float) -> int:
@@ -1112,8 +1147,7 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
 
     # clutter covariance and optimum per count of active interferers
     # (interferers join in config order)
-    steer = steering_vector(base.geometry, base.desired[0].doa_deg)
-    sig_power = base.noise_power * 10.0 ** (snr_db / 10.0)
+    sig_power, steer = _scored_path(base, snr_db)
     clutters = _clutters(base, n0, 6000, (spec.seed, 8000 + num_interferers))
     optima = [mvdr_optimum_sinr(sig_power, steer, q) for q in clutters]
 
@@ -1125,7 +1159,7 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
         {"MIC": _scheme_basis(spec, "MIC")},
     )
     rows: list[dict] = []
-    metadata = _base_metadata(spec)
+    summary: dict[str, object] = {}
     for (run_name, run_entries), (config_hash, weights) in zip(runs.items(), cells):
         num_symbols = weights["MIC"].shape[1]
         active = [sum(1 for e in run_entries if e <= k) for k in range(num_symbols)]
@@ -1148,12 +1182,10 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
                 if entry >= num_symbols:
                     continue
                 recovery, dip_db = _entry_recovery(sinr_mean, entry)
-                metadata[f"entry_{i}_symbol"] = entry
-                metadata[f"entry_{i}_recovery_symbols"] = recovery
-                metadata[f"entry_{i}_dip_db"] = f"{dip_db:.3f}"
-    return ExperimentResult(
-        preset=spec.preset, rows=rows, patterns={}, metadata=metadata
-    )
+                summary[f"entry_{i}_symbol"] = entry
+                summary[f"entry_{i}_recovery_symbols"] = recovery
+                summary[f"entry_{i}_dip_db"] = f"{dip_db:.3f}"
+    return _result(spec, rows, **summary)
 
 
 def _entry_recovery(sinr_mean: np.ndarray, entry: int) -> tuple[int, float]:
@@ -1175,10 +1207,8 @@ def run_identical_delay(spec: ExperimentSpec) -> ExperimentResult:
     if spec.preset != "identical_delay":
         raise ConfigError("run_identical_delay requires preset=identical_delay")
     rows: list[dict] = []
-    patterns: dict[str, list[PatternSample]] = {}
-    metadata = _base_metadata(spec)
-    code = generate_gold_codes(1)[0]
-    basis = make_basis("MIC", code)
+    patterns: dict[str, np.ndarray] = {}
+    basis = make_basis("MIC", generate_gold_codes(1)[0])
     for v_idx, identical in enumerate((False, True)):
         variant = "identical" if identical else "distinct"
         config, _ = _scenario(
@@ -1196,10 +1226,10 @@ def run_identical_delay(spec: ExperimentSpec) -> ExperimentResult:
             name = (
                 f"{variant}" if len(groups) == 1 else f"{variant}_path{g_idx + 1}"
             )
-            samples, beam = _beam(
+            gains, beam = _beam(
                 weight, config.geometry, (0.0, 12.0, 40.0, -10.0, -50.0)
             )
-            patterns[name] = samples
+            patterns[name] = gains
             rows.append(
                 {
                     "variant": variant,
@@ -1210,33 +1240,20 @@ def run_identical_delay(spec: ExperimentSpec) -> ExperimentResult:
                 }
             )
         del stream
-    return ExperimentResult(
-        preset=spec.preset, rows=rows, patterns=patterns, metadata=metadata
-    )
+    return _result(spec, rows, patterns)
 
 
 RUNNERS: dict[str, Callable[[ExperimentSpec], ExperimentResult]] = {
-    "threshold_sweep": run_threshold_sweep,
     "eigencurve": run_eigencurve,
+    "threshold_sweep": run_threshold_sweep,
     "pattern": run_pattern,
     "convergence": run_convergence,
     "tracking": run_tracking,
     "identical_delay": run_identical_delay,
 }
+PRESETS = tuple(RUNNERS)
 
 
 def run_preset(spec: ExperimentSpec) -> ExperimentResult:
     spec.validate()
     return RUNNERS[spec.preset](spec)
-
-
-def _base_metadata(spec: ExperimentSpec) -> dict:
-    return {
-        "seed": spec.seed,
-        "symbols": spec.symbols,
-        "trials": spec.trials,
-        "schemes": ",".join(spec.schemes),
-        "desk_scale_note": (
-            "desk-scale run; reference scale is 1e6 symbols and 1000 trials"
-        ),
-    }

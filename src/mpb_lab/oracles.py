@@ -210,7 +210,7 @@ def fft_projection_gap(seed: int = 2, num_elements: int = 8) -> float:
     """Max elementwise gap between fft_projection and core.project_stream
     on the MIC basis, over four windows at a nonzero offset."""
     rng = np.random.default_rng(seed)
-    basis = core.basis_mic(generate_gold_codes(1)[0])
+    basis = core.make_basis("MIC", generate_gold_codes(1)[0])
     shape = (num_elements, 4 * CODE_LENGTH + 5)
     samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     fft = fft_projection(samples, basis, 5)
@@ -238,7 +238,7 @@ def mic_leakage() -> float:
     from .analysis import plr_beta
 
     code = generate_gold_codes(1)[0]
-    return plr_beta(core.basis_mic(code), code)
+    return plr_beta(core.make_basis("MIC", code), code)
 
 
 def estimate_gamma1(

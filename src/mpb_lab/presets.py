@@ -27,8 +27,14 @@ PERIODIC_NOISE_WAVEFORM_SEEDS: tuple[int, int] = (1589, 51589)
 Seed = int | tuple[int, ...]
 
 
+def _desired(doa_deg: float, delay_chips: int = 0) -> PathSpec:
+    """A unit-power path of the desired user."""
+    return PathSpec(user_index=0, doa_deg=doa_deg, delay_chips=delay_chips, power=1.0)
+
+
 def _base(
     num_elements: int,
+    desired: list[PathSpec],
     snr_db: float,
     num_symbols: int,
     seed: Seed,
@@ -40,7 +46,7 @@ def _base(
         symbol_rate_hz=SYMBOL_RATE_HZ,
         num_symbols=num_symbols,
         snr_db=snr_db,
-        desired=[PathSpec(user_index=0, doa_deg=0.0, delay_chips=0, power=1.0)],
+        desired=desired,
         seed=seed,
         **kwargs,
     )
@@ -67,7 +73,7 @@ def periodic_noise_scenario(
             waveform_seed=PERIODIC_NOISE_WAVEFORM_SEEDS[1],
         ),
     ]
-    return _base(8, snr_db, num_symbols, seed, jammers=jammers)
+    return _base(8, [_desired(0.0)], snr_db, num_symbols, seed, jammers=jammers)
 
 
 def multipath_mai_scenario(
@@ -83,7 +89,7 @@ def multipath_mai_scenario(
         return PathSpec(user_index=1, doa_deg=doa, delay_chips=delay, power=power)
 
     mais = [ray(30.0, 3), ray(-20.0, 5), ray(-50.0, 4)]
-    return _base(8, snr_db, num_symbols, seed, mais=mais)
+    return _base(8, [_desired(0.0)], snr_db, num_symbols, seed, mais=mais)
 
 
 def five_tones_scenario(
@@ -96,7 +102,7 @@ def five_tones_scenario(
         JammerSpec(kind="tone", doa_deg=d, inr_db=inr_db, tone_offset_hz=f)
         for d, f in zip(doas, offsets_hz)
     ]
-    return _base(8, snr_db, num_symbols, seed, jammers=jammers)
+    return _base(8, [_desired(0.0)], snr_db, num_symbols, seed, jammers=jammers)
 
 
 SWEEP_SCENARIOS = {
@@ -126,9 +132,8 @@ def convergence_scenario(
         for i, doa in enumerate(CONVERGENCE_MAI_DOAS)
     ]
     jammers = [JammerSpec(kind="bpsk_broadband", doa_deg=60.0, inr_db=40.0)]
-    cfg = _base(10, snr_db, num_symbols, seed, mais=mais, jammers=jammers)
-    cfg.desired = [PathSpec(user_index=0, doa_deg=20.0, delay_chips=0, power=1.0)]
-    return cfg
+    return _base(10, [_desired(20.0)], snr_db, num_symbols, seed,
+                 mais=mais, jammers=jammers)
 
 
 def tracking_scenario(
@@ -151,9 +156,7 @@ def tracking_scenario(
         )
         for i, (doa, rel) in enumerate(zip(CONVERGENCE_MAI_DOAS, relative_db))
     ]
-    cfg = _base(10, snr_db, num_symbols, seed, mais=mais)
-    cfg.desired = [PathSpec(user_index=0, doa_deg=20.0, delay_chips=0, power=1.0)]
-    return cfg
+    return _base(10, [_desired(20.0)], snr_db, num_symbols, seed, mais=mais)
 
 
 def identical_delay_scenario(
@@ -170,12 +173,7 @@ def identical_delay_scenario(
     0/4 otherwise; the interferer delays (7 and 11 chips) are fixed
     choices left open by the source material.
     """
-    desired = [
-        PathSpec(user_index=0, doa_deg=0.0, delay_chips=0, power=1.0),
-        PathSpec(
-            user_index=0, doa_deg=12.0, delay_chips=0 if identical else 4, power=1.0
-        ),
-    ]
+    desired = [_desired(0.0), _desired(12.0, 0 if identical else 4)]
     path_power = 10.0 ** (snr_db / 10.0) / PROCESSING_GAIN
     mai_power = path_power * 10.0 ** (20.0 / 10.0)
     mais = [
@@ -183,6 +181,4 @@ def identical_delay_scenario(
         PathSpec(user_index=1, doa_deg=-50.0, delay_chips=11, power=mai_power),
     ]
     jammers = [JammerSpec(kind="bpsk_broadband", doa_deg=40.0, inr_db=40.0)]
-    cfg = _base(10, snr_db, num_symbols, seed, mais=mais, jammers=jammers)
-    cfg.desired = desired
-    return cfg
+    return _base(10, desired, snr_db, num_symbols, seed, mais=mais, jammers=jammers)

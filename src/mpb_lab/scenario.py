@@ -222,7 +222,6 @@ class ChipStream:
     waveforms: np.ndarray
     noise: np.ndarray
     symbols: dict[int, np.ndarray]
-    config: ScenarioConfig
 
     @property
     def num_elements(self) -> int:
@@ -454,5 +453,4 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
         waveforms=waveforms,
         noise=noise,
         symbols=symbols,
-        config=config,
     )

@@ -19,7 +19,7 @@ import pytest
 
 from mpb_lab import adaptive, oracles
 from mpb_lab.core import (
-    basis_mic,
+    make_basis,
     project_stream,
     solve_batch,
 )
@@ -271,7 +271,7 @@ def test_criterion_05_numerical_oracles(announce):
 def test_criterion_06_recursion_reaches_batch_solution(code0, announce):
     config = convergence_scenario(snr_db=20.0, num_symbols=500, seed=0)
     stream = synthesize(config)
-    x_s, x_i = project_stream(stream.samples, basis_mic(code0), 0)
+    x_s, x_i = project_stream(stream.samples, make_basis("MIC", code0), 0)
     out = adaptive.run(x_s[None], x_i[None], mu=0.999, delta=1e-3)
     _, batch_weight = solve_batch(oracles.covariances_from_arrays(x_s, x_i))
     angle = subspace_angle(out.w[0, -1], batch_weight)

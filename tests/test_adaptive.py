@@ -11,8 +11,7 @@ import pytest
 
 from mpb_lab import adaptive, linalg
 from mpb_lab.core import (
-    basis_mic,
-    basis_papc,
+    make_basis,
     project_stream,
     solve_batch,
 )
@@ -42,7 +41,7 @@ def projected(code, num_symbols, seed=4, basis=None):
     """One trial's convergence-scenario snapshots, with a trial axis of 1."""
     stream = synthesize(convergence_scenario(snr_db=20.0, num_symbols=num_symbols,
                                              seed=seed))
-    x_s, x_i = project_stream(stream.samples, basis or basis_mic(code), 0)
+    x_s, x_i = project_stream(stream.samples, basis or make_basis("MIC", code), 0)
     return x_s[None], x_i[None]
 
 
@@ -72,11 +71,11 @@ class TestInit:
 
 class TestUpdateSymbol:
     def test_output_uses_pre_update_weight(self, rng):
+        # the update moves the weight away from e1, the one that produces
+        # output 0, and returns only the per-trial P asymmetry
         state = adaptive.init(2, 6, mu=0.95, delta=1e-2)
-        x_s, x_i = random_snapshot(rng)
-        # fresh state has w = e1, so the first output is just x_s[:, 0]
-        y_o, _ = adaptive.update_symbol(state, x_s, x_i)
-        np.testing.assert_allclose(y_o, x_s[:, 0], atol=1e-12)
+        asym = adaptive.update_symbol(state, *random_snapshot(rng))
+        assert asym.shape == (2,) and np.all(asym >= 0.0)
         assert not np.array_equal(state.w[0], np.eye(6)[0])
 
     def test_zero_monitor_symbols_scale_inverse_once(self):
@@ -180,12 +179,12 @@ class TestUpdateSymbol:
     def test_symbol_count_and_output_index(self, rng):
         x_s, x_i = random_stream(rng, 3, 4, 5, 2)
         out = adaptive.run(x_s, x_i, mu=0.95, delta=1e-2)
-        assert out.y_o.shape == out.p_asymmetry.shape == (3, 5)
+        assert out.p_asymmetry.shape == (3, 5)
         assert out.w.shape == (3, 5, 4)
         state = adaptive.init(3, 4, mu=0.95, delta=1e-2)
         for k in range(5):
-            y_o, _ = adaptive.update_symbol(state, x_s[:, :, k], x_i[:, :, k])
-            np.testing.assert_array_equal(y_o, out.y_o[:, k])
+            asym = adaptive.update_symbol(state, x_s[:, :, k], x_i[:, :, k])
+            np.testing.assert_array_equal(asym, out.p_asymmetry[:, k])
 
 
 class TestRun:
@@ -193,16 +192,19 @@ class TestRun:
         x_s, x_i = projected(code0, 60)
         a = adaptive.run(x_s, x_i, mu=0.99, delta=1e-3)
         b = adaptive.run(x_s, x_i, mu=0.99, delta=1e-3)
-        assert a.y_o.shape == (1, 60)
-        np.testing.assert_array_equal(a.y_o, b.y_o)
+        assert a.w.shape == (1, 60, 10)
         np.testing.assert_array_equal(a.w, b.w)
+        np.testing.assert_array_equal(a.p_asymmetry, b.p_asymmetry)
 
     def test_weight_is_the_one_that_produced_the_output(self, rng):
+        # w[:, k] is the weight held before symbol k's update: e1 at k = 0
         x_s, x_i = random_stream(rng, 2, 4, 6, 3)
         out = adaptive.run(x_s, x_i, mu=0.95, delta=1e-2)
-        np.testing.assert_array_equal(out.w[:, 0], np.broadcast_to(np.eye(4)[0], (2, 4)))
-        produced = np.einsum("tkl,tlk->tk", out.w.conj(), x_s)
-        np.testing.assert_allclose(out.y_o, produced, rtol=1e-12)
+        state = adaptive.init(2, 4, mu=0.95, delta=1e-2)
+        np.testing.assert_array_equal(state.w, np.broadcast_to(np.eye(4)[0], (2, 4)))
+        for k in range(6):
+            np.testing.assert_array_equal(out.w[:, k], state.w)
+            adaptive.update_symbol(state, x_s[:, :, k], x_i[:, :, k])
 
     def test_stacked_trials_equal_single_trial_runs(self, code0):
         singles = [projected(code0, 40, seed=seed) for seed in range(4)]
@@ -213,7 +215,6 @@ class TestRun:
         )
         for t, (x_s, x_i) in enumerate(singles):
             single = adaptive.run(x_s, x_i, mu=0.99, delta=1e-3)
-            np.testing.assert_array_equal(stacked.y_o[t], single.y_o[0])
             np.testing.assert_array_equal(stacked.w[t], single.w[0])
             np.testing.assert_array_equal(stacked.p_asymmetry[t],
                                           single.p_asymmetry[0])
@@ -234,11 +235,11 @@ class TestRun:
                 adaptive.run(x_s, x_i, mu=0.95, delta=1e-2, out=bad)
 
     def test_explicit_single_channel_basis(self, code0):
-        x_s, x_i = projected(code0, 40, basis=basis_papc(code0, chip_index=0))
+        x_s, x_i = projected(code0, 40, basis=make_basis("PAPC", code0, chip_index=0))
         assert x_i.shape[-1] == 1
         out = adaptive.run(x_s, x_i, mu=0.99, delta=1e-3)
-        assert out.y_o.shape == (1, 40)
-        assert np.all(np.isfinite(out.y_o)) and np.all(np.isfinite(out.w))
+        assert out.w.shape == (1, 40, 10)
+        assert np.all(np.isfinite(out.w))
 
     def test_converges_to_batch_weight(self, code0):
         # with mu near one the recursion must land on the batch

@@ -28,9 +28,7 @@ from mpb_lab.analysis import (
     threshold_beta,
 )
 from mpb_lab.core import (
-    basis_maximin,
-    basis_mic,
-    basis_papc,
+    make_basis,
     project_stream,
 )
 from mpb_lab.linalg import hermitian_gevd
@@ -69,28 +67,28 @@ def plain_config(num_symbols=100, snr_db=0.0, seed=9, **overrides):
 
 class TestPlrBeta:
     def test_full_monitoring_set_leaks_nothing(self, code0):
-        assert plr_beta(basis_mic(code0), code0) <= 1e-12
+        assert plr_beta(make_basis("MIC", code0), code0) <= 1e-12
 
     @pytest.mark.parametrize("chip_index", [0, 7, 30])
     def test_single_chip_monitor_leaks_fully(self, code0, chip_index):
-        basis = basis_papc(code0, chip_index=chip_index)
+        basis = make_basis("PAPC", code0, chip_index=chip_index)
         assert plr_beta(basis, code0) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_cycle_monitor_closed_form(self, code0):
-        beta = plr_beta(basis_maximin(code0, 0.5), code0)
+        beta = plr_beta(make_basis("Maximin", code0, 0.5), code0)
         assert beta == pytest.approx(1.0 / (N * N), rel=1e-12)
         assert beta == pytest.approx(maximin_leakage_closed_form(0.5, N),
                                      rel=1e-12)
 
     @pytest.mark.parametrize("freq", [0.1, 0.25, 0.37])
     def test_shifted_monitor_matches_closed_form(self, code0, freq):
-        beta = plr_beta(basis_maximin(code0, freq), code0)
+        beta = plr_beta(make_basis("Maximin", code0, freq), code0)
         assert beta == pytest.approx(maximin_leakage_closed_form(freq, N),
                                      rel=1e-10)
 
     def test_degenerate_integer_frequency(self, code0):
         with pytest.warns(RuntimeWarning):
-            basis = basis_maximin(code0, 1.0)
+            basis = make_basis("Maximin", code0, 1.0)
         assert plr_beta(basis, code0) == pytest.approx(1.0, rel=1e-12)
         assert maximin_leakage_closed_form(1.0, N) == pytest.approx(1.0)
 
@@ -100,7 +98,7 @@ class TestPlrBeta:
             length = 7
 
         with pytest.raises(ValueError, match="does not match"):
-            plr_beta(basis_mic(code0), ShortCode())
+            plr_beta(make_basis("MIC", code0), ShortCode())
 
 
 class TestGamma0:
@@ -163,7 +161,7 @@ class TestThresholdBeta:
         # form times the monitor's N taps: 1/N at f = 0.5, N at integer f
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            basis = basis_maximin(code0, freq)
+            basis = make_basis("Maximin", code0, freq)
         direct = abs(np.sum(np.exp(2j * np.pi * freq * np.arange(N)))) ** 2 / N
         beta = threshold_beta(basis, code0)
         assert beta == pytest.approx(direct, rel=1e-10)
@@ -173,16 +171,16 @@ class TestThresholdBeta:
         assert beta == pytest.approx(plr_beta(basis, code0) * N, rel=1e-12)
 
     def test_half_chip_rate_tone_leaks_one_over_n(self, code0):
-        beta = threshold_beta(basis_maximin(code0, 0.5), code0)
+        beta = threshold_beta(make_basis("Maximin", code0, 0.5), code0)
         assert beta == pytest.approx(1.0 / N, rel=1e-12)
         # the signal eigenvalue saturates at N / beta - 1 = N^2 - 1
         assert gamma0(1e15, N, 8, beta) == pytest.approx(N * N - 1, rel=1e-9)
 
     def test_chip_and_full_monitors(self, code0):
-        assert threshold_beta(basis_papc(code0), code0) == pytest.approx(
+        assert threshold_beta(make_basis("PAPC", code0), code0) == pytest.approx(
             1.0, rel=1e-12
         )
-        assert threshold_beta(basis_mic(code0), code0) <= 1e-12
+        assert threshold_beta(make_basis("MIC", code0), code0) <= 1e-12
 
 
 class TestSignalEigenvalueRoutes:
@@ -196,9 +194,9 @@ class TestSignalEigenvalueRoutes:
         config = plain_config(num_symbols=4000, snr_db=snr_db, seed=3)
         samples = synthesize(config).samples
         bases = [
-            basis_papc(code0),
-            basis_mic(code0),
-            *(basis_maximin(code0, f) for f in (0.5, 0.25, 0.37)),
+            make_basis("PAPC", code0),
+            make_basis("MIC", code0),
+            *(make_basis("Maximin", code0, f) for f in (0.5, 0.25, 0.37)),
         ]
         for basis in bases:
             x_s, x_i = project_stream(samples, basis, 0)
@@ -216,17 +214,17 @@ class TestEstimateGamma1:
     def test_sample_size_guard(self, code0):
         config = plain_config()
         with pytest.raises(ValueError, match="num_symbols"):
-            estimate_gamma1(config, basis_papc(code0), 79)
+            estimate_gamma1(config, make_basis("PAPC", code0), 79)
 
     def test_noise_only_is_near_zero(self, code0):
         config = plain_config()
-        value = estimate_gamma1(config, basis_mic(code0), 4000)
+        value = estimate_gamma1(config, make_basis("MIC", code0), 4000)
         assert abs(value) <= 0.1
 
     def test_single_channel_grows_with_interference_power(self, code0):
         # five interferers against a rank-one monitor: the dominant
         # eigenvalue cannot be whitened away, so it scales with power
-        basis = basis_maximin(code0, 0.5)
+        basis = make_basis("Maximin", code0, 0.5)
         low = estimate_gamma1(
             five_tones_scenario(10.0, snr_db=0.0, num_symbols=100, seed=5),
             basis, 3000,
@@ -240,7 +238,7 @@ class TestEstimateGamma1:
     def test_full_monitoring_set_is_power_invariant(self, code0):
         # the full code-orthogonal basis sees every interferer, so the
         # whitened eigenvalue no longer depends on interference power
-        basis = basis_mic(code0)
+        basis = make_basis("MIC", code0)
         values = [
             estimate_gamma1(
                 five_tones_scenario(inr, snr_db=0.0, num_symbols=100, seed=5),
@@ -309,7 +307,7 @@ class TestNormalizedSinr:
         snr_db = 5.0
         config = plain_config(num_symbols=10000, snr_db=snr_db)
         stream = synthesize(config)
-        basis = basis_mic(code0)
+        basis = make_basis("MIC", code0)
         soi_s, _ = project_stream(stream.soi_steering @ stream.soi_waveforms, basis, 0)
         noise_s, _ = project_stream(stream.noise, basis, 0)
         weight = steering_vector(config.geometry, 0.0) / math.sqrt(8)
@@ -370,10 +368,9 @@ class TestArrayPattern:
     def test_matched_weight_peaks_at_steering_direction(self):
         geom = ArrayGeometry(num_elements=8)
         weight = steering_vector(geom, 0.0) / math.sqrt(8)
-        samples = array_pattern(weight, geom,
-                                np.arange(-90.0, 90.01, 0.5))
-        gains = np.array([s.gain_db for s in samples])
-        thetas = np.array([s.theta_deg for s in samples])
+        thetas = np.arange(-90.0, 90.01, 0.5)
+        gains = array_pattern(weight, geom, thetas)
+        assert gains.shape == thetas.shape
         assert thetas[int(np.argmax(gains))] == pytest.approx(0.0)
         assert gains.max() == pytest.approx(0.0, abs=1e-12)
         assert np.all(gains <= 1e-12)
@@ -385,19 +382,17 @@ class TestArrayPattern:
         geom = ArrayGeometry(num_elements=8)
         weight = steering_vector(geom, 0.0) / math.sqrt(8)
         thetas = np.arange(-90.0, 90.0, 0.02)
-        samples = array_pattern(weight, geom, thetas)
-        sidelobe = max(
-            s.gain_db for s in samples if 15.0 <= s.theta_deg <= 21.0
-        )
+        gains = array_pattern(weight, geom, thetas)
+        sidelobe = gains[(15.0 <= thetas) & (thetas <= 21.0)].max()
         assert -13.3 <= sidelobe <= -12.3
 
     def test_null_floor_is_finite(self):
         geom = ArrayGeometry(num_elements=4)
         weight = steering_vector(geom, 0.0)
         # exact null of the 4-element uniform pattern: asin(1/2) = 30 deg
-        samples = array_pattern(weight, geom, np.array([0.0, 30.0]))
-        assert np.isfinite(samples[1].gain_db)
-        assert samples[1].gain_db <= -250.0
+        gains = array_pattern(weight, geom, np.array([0.0, 30.0]))
+        assert np.isfinite(gains[1])
+        assert gains[1] <= -250.0
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError, match="zero weight"):
@@ -407,7 +402,7 @@ class TestArrayPattern:
 
 class TestConditionCheck:
     def test_full_basis_passes_both_conditions(self, rng, code0):
-        basis = basis_mic(code0)
+        basis = make_basis("MIC", code0)
         waveforms = rng.standard_normal((N, 2)) \
             + 1j * rng.standard_normal((N, 2))
         report = condition_check(basis, waveforms, basis.h_s)
@@ -420,7 +415,7 @@ class TestConditionCheck:
                                                              code0):
         # an interferer that lives along the code itself is invisible to
         # the code-orthogonal monitors
-        basis = basis_mic(code0)
+        basis = make_basis("MIC", code0)
         other = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         waveforms = np.stack([code0.chips.astype(complex), other], axis=1)
         report = condition_check(basis, waveforms, basis.h_s)
@@ -433,31 +428,31 @@ class TestConditionCheck:
         config = periodic_noise_scenario(10.0, num_symbols=10, seed=3)
         stream = synthesize(config)
         waveforms = stream.waveforms[:, :N].T
-        papc = basis_papc(code0)
+        papc = make_basis("PAPC", code0)
         report = condition_check(papc, waveforms, papc.h_s)
         assert not report.principle1  # chip monitor overlaps the code
         assert not report.principle2  # rank one cannot cover dimension two
-        mic = basis_mic(code0)
+        mic = make_basis("MIC", code0)
         report_full = condition_check(mic, waveforms, mic.h_s)
         assert report_full.principle1
         assert report_full.principle2
 
     def test_shifted_monitor_leaks_but_is_rank_sufficient_for_one(self,
                                                                   code0):
-        basis = basis_maximin(code0, 0.5)
+        basis = make_basis("Maximin", code0, 0.5)
         tone = np.exp(2j * np.pi * 0.13 * np.arange(N))
         report = condition_check(basis, tone[:, None], basis.h_s)
         assert not report.principle1
         assert report.principle2
 
     def test_no_interference_is_vacuously_fine(self, code0):
-        basis = basis_mic(code0)
+        basis = make_basis("MIC", code0)
         report = condition_check(basis, np.zeros((N, 0)), basis.h_s)
         assert report.principle2
         assert report.min_singular_ratio == math.inf
 
     def test_dimension_mismatch_rejected(self, rng, code0):
-        basis = basis_mic(code0)
+        basis = make_basis("MIC", code0)
         with pytest.raises(ValueError, match="do not match"):
             condition_check(basis, rng.standard_normal((N - 1, 2)), basis.h_s)
 

@@ -13,9 +13,6 @@ import pytest
 
 from mpb_lab.core import (
     CovariancePair,
-    basis_maximin,
-    basis_mic,
-    basis_papc,
     make_basis,
     project_stream,
     solve_batch,
@@ -57,7 +54,7 @@ class TestSegment:
 
     def test_rejects_out_of_range_requests(self, code0):
         stream = synthesize(soi_only_config(num_symbols=2))
-        basis = basis_mic(code0)
+        basis = make_basis("MIC", code0)
         for n0 in (-1, CODE_LENGTH):
             with pytest.raises(ValueError, match="offset"):
                 project_stream(stream.samples, basis, n0)
@@ -69,7 +66,7 @@ class TestSegment:
         config = soi_only_config(delay_chips=3, num_symbols=100)
         stream = synthesize(config)
         p0 = desired_path_power(config, config.desired[0])
-        basis = basis_mic(code0)
+        basis = make_basis("MIC", code0)
         soi = stream.soi_steering @ stream.soi_waveforms
 
         x_aligned, _ = project_stream(soi, basis, 3)
@@ -82,7 +79,7 @@ class TestSegment:
 
 class TestBases:
     def test_papc_monitor_is_chip_selector(self, code0):
-        basis = basis_papc(code0, chip_index=5)
+        basis = make_basis("PAPC", code0, chip_index=5)
         assert basis.scheme == "PAPC"
         assert basis.h_i.shape == (CODE_LENGTH, 1)
         expected = np.zeros(CODE_LENGTH)
@@ -94,29 +91,29 @@ class TestBases:
 
     def test_papc_chip_index_bounds(self, code0):
         with pytest.raises(ValueError, match="chip_index"):
-            basis_papc(code0, chip_index=CODE_LENGTH)
+            make_basis("PAPC", code0, chip_index=CODE_LENGTH)
         with pytest.raises(ValueError, match="chip_index"):
-            basis_papc(code0, chip_index=-1)
+            make_basis("PAPC", code0, chip_index=-1)
 
     def test_maximin_monitor_unit_norm(self, code0):
-        basis = basis_maximin(code0, monitor_freq=0.5)
+        basis = make_basis("Maximin", code0, monitor_freq=0.5)
         assert basis.h_i.shape == (CODE_LENGTH, 1)
         assert np.linalg.norm(basis.h_i[:, 0]) == pytest.approx(1.0, abs=1e-12)
         assert basis.num_channels == 1
 
     def test_maximin_integer_freq_degenerates(self, code0):
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            basis = basis_maximin(code0, monitor_freq=1.0)
+            basis = make_basis("Maximin", code0, monitor_freq=1.0)
         np.testing.assert_allclose(basis.h_i[:, 0], basis.h_s, atol=1e-12)
 
     def test_maximin_freq_bounds(self, code0):
         with pytest.raises(ValueError, match="monitor_freq"):
-            basis_maximin(code0, monitor_freq=-0.1)
+            make_basis("Maximin", code0, monitor_freq=-0.1)
         with pytest.raises(ValueError, match="monitor_freq"):
-            basis_maximin(code0, monitor_freq=1.5)
+            make_basis("Maximin", code0, monitor_freq=1.5)
 
     def test_mic_monitor_orthonormal_and_code_free(self, code0):
-        basis = basis_mic(code0)
+        basis = make_basis("MIC", code0)
         assert basis.h_i.shape == (CODE_LENGTH, CODE_LENGTH - 1)
         gram = basis.h_i.conj().T @ basis.h_i
         np.testing.assert_allclose(gram, np.eye(CODE_LENGTH - 1), atol=1e-12)
@@ -140,7 +137,7 @@ class TestBases:
     def test_mic_channels_complete_the_space(self, code0):
         # signal column + 30 monitor columns form an orthonormal basis,
         # so the two projectors must resolve the identity
-        basis = basis_mic(code0)
+        basis = make_basis("MIC", code0)
         h_s = basis.h_s[:, None]
         p_s = h_s @ h_s.conj().T
         p_i = basis.h_i @ basis.h_i.conj().T
@@ -152,14 +149,14 @@ class TestBases:
             length = CODE_LENGTH
 
         with pytest.raises(ValueError, match=r"\+-1"):
-            basis_mic(FakeCode())
+            make_basis("MIC", FakeCode())
 
 
 class TestProject:
     def test_papc_monitor_reads_raw_chip(self, rng, code0):
         samples = rng.standard_normal((4, CODE_LENGTH)) \
             + 1j * rng.standard_normal((4, CODE_LENGTH))
-        _, x_i = project_stream(samples, basis_papc(code0, chip_index=7), 0)
+        _, x_i = project_stream(samples, make_basis("PAPC", code0, chip_index=7), 0)
         np.testing.assert_allclose(x_i[:, 0, 0], samples[:, 7], atol=1e-14)
 
     def test_soi_only_block_lands_in_signal_channel(self, code0):
@@ -168,7 +165,7 @@ class TestProject:
         p0 = desired_path_power(config, config.desired[0])
         k = 4
         soi = stream.soi_steering @ stream.soi_waveforms
-        x_s, x_i = project_stream(soi, basis_mic(code0), 0)
+        x_s, x_i = project_stream(soi, make_basis("MIC", code0), 0)
         steer = steering_vector(config.geometry, 0.0)
         expected = math.sqrt(CODE_LENGTH * p0) * stream.symbols[0][k + 1] * steer
         np.testing.assert_allclose(x_s[:, k], expected, rtol=1e-10)
@@ -180,7 +177,7 @@ class TestProject:
         # a stream narrower than one code length holds no whole window
         samples = rng.standard_normal((4, CODE_LENGTH - 1))
         with pytest.raises(ValueError, match="too short"):
-            project_stream(samples, basis_mic(code0), 0)
+            project_stream(samples, make_basis("MIC", code0), 0)
 
     def test_fft_route_matches_inner_products(self):
         for seed in range(5):
@@ -211,7 +208,7 @@ class TestProject:
         # one code length plus two chips, but the offset eats the window
         samples = rng.standard_normal((4, CODE_LENGTH + 2))
         with pytest.raises(ValueError, match="too short"):
-            project_stream(samples, basis_mic(code0), 3)
+            project_stream(samples, make_basis("MIC", code0), 3)
 
 
 class TestCovariances:
@@ -254,7 +251,7 @@ class TestCovariances:
             seed=11,
         )
         stream = synthesize(config)
-        x_s, x_i = project_stream(stream.samples, basis_mic(code0), 0)
+        x_s, x_i = project_stream(stream.samples, make_basis("MIC", code0), 0)
         pair = covariances_from_arrays(x_s, x_i)
         target = 2.0 * np.eye(8)
         gap = np.linalg.norm(pair.r_i - target, "fro") / np.linalg.norm(
@@ -267,7 +264,7 @@ class TestCovariances:
         # steering direction must still read pure noise power
         config = soi_only_config(snr_db=10.0, num_symbols=5000)
         stream = synthesize(config)
-        x_s, x_i = project_stream(stream.samples, basis_mic(code0), 0)
+        x_s, x_i = project_stream(stream.samples, make_basis("MIC", code0), 0)
         pair = covariances_from_arrays(x_s, x_i)
         steer = steering_vector(config.geometry, 0.0)
         along = float(np.real(steer.conj() @ pair.r_i @ steer)) / 8.0

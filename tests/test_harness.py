@@ -21,6 +21,7 @@ from mpb_lab.core import make_basis, project_stream
 from mpb_lab.harness import (
     ConfigError,
     ExperimentResult,
+    PATTERN_GRID_DEG,
     component_grams,
     default_spec,
     load_config,
@@ -133,6 +134,18 @@ class TestDefaultSpec:
         spec.scenario = replace(five_tones_scenario(10.0), desired=[])
         with pytest.raises(ConfigError, match="desired"):
             run_preset(spec)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"noise_power": 0.0}, "noise_power"), ({"chip_rate_hz": 6.2e6}, "gain")],
+        ids=["noise_power_zero", "processing_gain"],
+    )
+    def test_code_built_scenario_errors_are_config_errors(self, change, message):
+        # as from a config file: a bad custom scenario is a ConfigError
+        spec = default_spec("threshold_sweep")
+        spec.scenario = replace(five_tones_scenario(10.0), **change)
+        with pytest.raises(ConfigError, match=f"scenario: .*{message}"):
+            spec.validate()
 
 
 class TestLoadConfig:
@@ -598,8 +611,9 @@ def assert_finite(result):
         values = [value for key, value in row.items()
                   if isinstance(value, float) and "threshold" not in key]
         assert values and np.all(np.isfinite(values)), row
-    for samples in result.patterns.values():
-        assert np.all(np.isfinite([s.gain_db for s in samples]))
+    for gains in result.patterns.values():
+        assert gains.shape == PATTERN_GRID_DEG.shape
+        assert np.all(np.isfinite(gains))
 
 
 def tiny_sweep_spec(**overrides):
@@ -747,8 +761,7 @@ class TestRunners:
             for snr in spec.snr_grid_db
         }
         assert set(result.patterns) == expected
-        for samples in result.patterns.values():
-            gains = [s.gain_db for s in samples]
+        for gains in result.patterns.values():
             assert max(gains) == pytest.approx(0.0, abs=1e-9)
         for row in result.rows:
             assert row["gain_at_0deg_db"] <= 1e-9
@@ -807,6 +820,49 @@ class TestRunners:
             e1 = np.eye(len(steering))[0]
             expected = np.mean([output_sinr(e1, power, steering, clutter)] * spec.trials)
             assert row["sinr_db"] == pytest.approx(10.0 * math.log10(expected), abs=1e-9)
+
+    @pytest.mark.parametrize("preset", ["convergence", "tracking"])
+    def test_desired_power_scales_the_scored_signal(self, preset):
+        # a custom scenario's desired power is a factor on the scored
+        # path's despread power: doubling it lifts every optimum by 3 dB
+        optima = []
+        for power in (1.0, 2.0):
+            spec = default_spec(preset)
+            spec.symbols, spec.trials = 12, 1
+            scenario = five_tones_scenario(10.0)
+            spec.scenario = replace(
+                scenario, desired=[replace(scenario.desired[0], power=power)]
+            )
+            result = run_preset(spec)
+            optima.append(np.array([row["optimum_sinr_db"] for row in result.rows]))
+        np.testing.assert_allclose(optima[1] - optima[0], 10.0 * math.log10(2.0),
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "preset, schemes, symbols",
+        [
+            ("threshold_sweep", ["MIC"], 1),
+            ("threshold_sweep", ["Maximin"], 8),
+            ("threshold_sweep", ["PAPC"], 8),
+            ("pattern", ["MIC", "Maximin", "PAPC"], 8),
+            ("identical_delay", ["MIC"], 2),
+            ("convergence", ["MIC", "PAPC"], 1),
+            ("tracking", ["MIC"], 1),
+        ],
+    )
+    def test_shortest_stream_validate_accepts_runs(self, preset, schemes, symbols):
+        # a batch solve needs windows x channels >= elements (8, or 10 for
+        # identical_delay, whose second path sits 4 chips into each
+        # window); one symbol fewer is rejected before anything runs
+        spec = default_spec(preset)
+        spec.schemes, spec.symbols = schemes, symbols
+        if "trials" not in harness._UNREAD[preset]:
+            spec.trials = 1
+        assert_finite(run_preset(spec))
+        if symbols > 1:
+            spec.symbols = symbols - 1
+            with pytest.raises(ConfigError, match="symbols"):
+                spec.validate()
 
     @pytest.mark.parametrize("preset", ["convergence", "tracking"])
     def test_one_quiet_stream_per_recursive_preset(self, preset, monkeypatch):
@@ -1085,6 +1141,13 @@ class TestCli:
             "schemes: [MIC]\nscenario:\n  noise_power: 1\n"
             "  desired:\n    - {doa_deg: 0, power: 0}\n"
             "  mais:\n    - {user_index: 2, doa_deg: -20, inr_db: 20}\n",
+            # too few windows x monitor channels for a full-rank monitor
+            # covariance: the solve would raise SingularMatrixError
+            "preset: pattern\nsymbols: 7\n",
+            "preset: threshold_sweep\nschemes: [Maximin]\nsymbols: 7\n",
+            "preset: threshold_sweep\nschemes: [PAPC]\nsymbols: 7\n",
+            # the second path's 4-chip offset leaves no whole window
+            "preset: identical_delay\nsymbols: 1\n",
         ],
         ids=[
             "papc_chip_index", "monitor_freq", "mu", "delta_scale",
@@ -1098,7 +1161,9 @@ class TestCli:
             "processing_gain", "scenario_null", "tone_offset_hz_null",
             "period_chips_null", "seed_negative", "desired_empty",
             "snr_grid_db_repeated", "noise_power_zero", "noise_power_negative",
-            "desired_power_zero",
+            "desired_power_zero", "pattern_symbols_short",
+            "maximin_symbols_short", "papc_symbols_short",
+            "identical_delay_symbols_short",
         ],
     )
     def test_validate_rejects_out_of_range_knobs(self, tmp_path, capsys, text):

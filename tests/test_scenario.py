@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from mpb_lab.core import basis_mic, project_stream
+from mpb_lab.core import make_basis, project_stream
 from mpb_lab.oracles import gold_correlation_levels
 from mpb_lab.presets import (
     PERIODIC_NOISE_WAVEFORM_SEEDS,
@@ -322,7 +322,7 @@ class TestSynthesize:
         config = make_config(snr_db=snr_db, num_symbols=10000)
         stream = synthesize(config)
         soi = stream.soi_steering @ stream.soi_waveforms
-        x_s, _ = project_stream(soi, basis_mic(code0), 0)
+        x_s, _ = project_stream(soi, make_basis("MIC", code0), 0)
         # per-element despread power over the per-element noise power
         measured = float(np.mean(np.abs(x_s) ** 2)) / config.noise_power
         expected = 10.0 ** (snr_db / 10.0)
