@@ -43,8 +43,9 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from itertools import product
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -106,7 +107,7 @@ class ExperimentSpec:
     trials: int = 1
     schemes: list[str] = field(default_factory=lambda: list(ALL_SCHEMES))
     scenario_names: list[str] = field(
-        default_factory=lambda: list(presets.SWEEP_SCENARIOS)
+        default_factory=lambda: list(_PRESETS["threshold_sweep"].builders)
     )
     snr_grid_db: list[float] = field(default_factory=list)
     inr_list_db: list[float] = field(default_factory=lambda: [10.0, 20.0, 30.0])
@@ -118,22 +119,12 @@ class ExperimentSpec:
     delta_scale: float = 1e-3
     entry_interval: int = 50
 
-    def _unread_fields(self) -> set[str]:
-        """Fields this spec's preset never reads, given its schemes and scenario."""
-        unread = set(_UNREAD[self.preset])
-        if self.scenario is not None:
-            unread |= {"scenario_names", "inr_list_db"}
-        if "Maximin" not in self.schemes:
-            unread.add("monitor_freq")
-        if "PAPC" not in self.schemes:
-            unread.add("papc_chip_index")
-        return unread
-
     def validate(self) -> None:
         if self.preset not in PRESETS:
             raise ConfigError(
                 f"preset must be one of {PRESETS}, got {self.preset!r}"
             )
+        preset = _PRESETS[self.preset]
         # a spec built in code gets a config file's kind rules on every
         # numeric field: no bool, no fraction for an int, no inf or nan
         for name, kind in _TOP.items():
@@ -146,44 +137,52 @@ class ExperimentSpec:
             raise ConfigError(f"symbols must be >= 1, got {self.symbols}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.schemes:
-            raise ConfigError("schemes must be a nonempty list")
-        if not self.snr_grid_db:
-            raise ConfigError("snr_grid_db must be nonempty")
-        if np.any(np.diff(self.snr_grid_db) <= 0):
-            raise ConfigError("snr_grid_db must be strictly ascending")
-        if not self.inr_list_db:
-            raise ConfigError("inr_list_db must be nonempty")
-        for name in self.scenario_names:
-            if name not in presets.SWEEP_SCENARIOS:
-                raise ConfigError(
-                    f"unknown scenario name {name!r}; valid: "
-                    f"{tuple(presets.SWEEP_SCENARIOS)}"
-                )
-        if self.entry_interval < 1:
-            raise ConfigError(f"entry_interval must be >= 1, got {self.entry_interval}")
-        # nothing is silently ignored: a setting the preset never reads
-        # must keep its default, and a list may not outrun what is used
+        # nothing is silently ignored: an unread setting keeps its default,
+        # and a list holds no more entries than read, no fewer than needed
         reference = _preset_spec(self.preset)
-        for name in sorted(self._unread_fields()):
+        for name in sorted(preset.unread(self)):
             if getattr(self, name) != getattr(reference, name):
                 raise ConfigError(
                     f"{self.preset} does not read {name}; leave it at "
                     f"{getattr(reference, name)!r}"
                 )
-        for name, limit in _LIST_LIMITS.get(self.preset, {}).items():
-            if len(getattr(self, name)) > limit:
+        for name, (fewest, most) in preset.lists.items():
+            count = len(getattr(self, name))
+            if count < fewest:
                 raise ConfigError(
-                    f"{self.preset} reads only {limit} entry of {name}, "
-                    f"got {len(getattr(self, name))}"
+                    f"{self.preset} needs at least {fewest} {name} "
+                    f"entr{'y' if fewest == 1 else 'ies'}, got {count}"
                 )
-        # schemes and knob ranges are the ones the basis and solver set-up check
-        try:
-            for scheme in self.schemes:
-                _scheme_basis(self, scheme)
-            adaptive_mod.init(1, 1, self.mu, self.delta_scale)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            if most is not None and count > most:
+                raise ConfigError(
+                    f"{self.preset} reads only {most} entry of {name}, got {count}"
+                )
+        if np.any(np.diff(self.snr_grid_db) <= 0):
+            raise ConfigError("snr_grid_db must be strictly ascending")
+        if "scenario_names" in preset.lists:
+            for name in self.scenario_names:
+                if name not in preset.builders:
+                    raise ConfigError(
+                        f"unknown scenario name {name!r}; valid: "
+                        f"{tuple(preset.builders)}"
+                    )
+        if self.entry_interval < 1:
+            raise ConfigError(f"entry_interval must be >= 1, got {self.entry_interval}")
+        # schemes and knob ranges are the ones the basis and solver set-up
+        # check, each error reported under the key that set the value
+        knobs = {"Maximin": "monitor_freq", "PAPC": "papc_chip_index"}
+        channels = {}
+        for scheme in self.schemes:
+            try:
+                channels[scheme] = _scheme_basis(self, scheme).num_channels
+            except ValueError as exc:
+                raise ConfigError(f"{knobs.get(scheme, 'schemes')}: {exc}") from exc
+        for key, mu, delta in (("mu", self.mu, 1.0),
+                               ("delta_scale", 0.5, self.delta_scale)):
+            try:
+                adaptive_mod.init(1, 1, mu, delta)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
         if self.scenario is not None:
             if not self.scenario.desired:
                 raise ConfigError("scenario.desired must be nonempty")
@@ -191,97 +190,146 @@ class ExperimentSpec:
                 self.scenario.validate()
             except ValueError as exc:
                 raise ConfigError(f"scenario: {exc}") from exc
-        # a batch solve needs a full-rank monitor covariance: at least as
-        # many snapshots (windows x channels) as the array has elements
-        for config, n0, schemes in self._batch_streams():
-            n = config.processing_gain
-            windows = (self.symbols * n - n0) // n
-            for scheme in schemes:
-                channels = _scheme_basis(self, scheme).num_channels
-                if windows * channels < config.geometry.num_elements:
+        # every run projects at least one whole window, and a batch solve
+        # needs a full-rank monitor covariance: at least as many
+        # snapshots (windows x channels) as the array has elements
+        for scenario in _scenarios(self):
+            n = scenario.config.processing_gain
+            needed = 1 if preset.recursive else scenario.config.geometry.num_elements
+            for n0, (scheme, count) in product(scenario.offsets, channels.items()):
+                windows = (self.symbols * n - n0) // n
+                if windows * count < needed:
                     raise ConfigError(
                         f"symbols={self.symbols} leaves {windows} whole "
-                        f"window(s) at chip offset {n0}: {windows * channels} "
-                        f"{scheme} monitor snapshots, fewer than the "
-                        f"{config.geometry.num_elements} elements"
+                        f"window(s) at chip offset {n0}: {windows * count} "
+                        f"{scheme} monitor snapshots; {self.preset} needs {needed}"
                     )
 
-    def _batch_streams(self) -> list[tuple[ScenarioConfig, int, list[str]]]:
-        """Each scenario a batch preset solves, the largest window offset
-        it projects at and the schemes it solves there, as the runners
-        choose them; none for the recursive presets."""
-        if self.preset == "identical_delay":
-            return [(config, max(path.delay_chips for path in config.desired), ["MIC"])
-                    for config in map(presets.identical_delay_scenario, (False, True))]
-        builders = {
-            "threshold_sweep": [presets.SWEEP_SCENARIOS[name]
-                                for name in self.scenario_names],
-            "eigencurve": [presets.five_tones_scenario],
-            "pattern": [presets.periodic_noise_scenario],
-        }.get(self.preset)
-        if builders is None:
-            return []
-        configs = ([self.scenario] if self.scenario is not None
-                   else [builder(0.0) for builder in builders])
-        return [(config, config.desired[0].delay_chips, self.schemes)
-                for config in configs]
+
+@dataclass(frozen=True)
+class _Preset:
+    """One preset as validation and its runner read it: its settings
+    over ExperimentSpec's defaults, the fields it never reads whatever
+    its schemes and scenario, the (fewest, most) entries it reads of
+    each list it reads (most None: no bound), its built-in scenario
+    builders by name, whether it runs the recursion (else a batch
+    solve), and whether it solves each group of identical-delay desired
+    paths at that group's window offset (else the first path's only)."""
+
+    defaults: dict
+    never_reads: tuple[str, ...]
+    lists: dict[str, tuple[int, int | None]]
+    builders: dict[str, Callable[..., ScenarioConfig]]
+    recursive: bool = False
+    path_groups: bool = False
+
+    def unread(self, spec: ExperimentSpec) -> set[str]:
+        """Fields spec never reads, given its schemes and scenario."""
+        unread = set(self.never_reads)
+        if spec.scenario is not None:
+            unread |= {"scenario_names", "inr_list_db"}
+        if "Maximin" not in spec.schemes:
+            unread.add("monitor_freq")
+        if "PAPC" not in spec.schemes:
+            unread.add("papc_chip_index")
+        return unread
 
 
-_PRESET_DEFAULTS: dict[str, dict] = {
-    "threshold_sweep": {
-        "symbols": 20000, "trials": 4,
-        "snr_grid_db": list(np.arange(-20.0, 48.0 + 1e-9, 2.0)),
-    },
-    "eigencurve": {
-        "symbols": 20000, "trials": 2, "schemes": ["MIC"],
-        "snr_grid_db": list(np.arange(-20.0, 20.0 + 1e-9, 2.0)),
-        "inr_list_db": [10.0],
-    },
-    "pattern": {
-        "symbols": 20000, "trials": 1,
-        "snr_grid_db": [10.9, 40.9], "inr_list_db": [30.0],
-    },
-    "convergence": {
-        "symbols": 60, "trials": 200, "schemes": ["MIC", "PAPC"],
-        "snr_grid_db": [10.0, 20.0, 30.0],
-    },
-    "tracking": {
-        "symbols": 450, "trials": 200, "schemes": ["MIC"],
-        "snr_grid_db": [20.0], "mu": 0.95,
-    },
-    "identical_delay": {
-        "symbols": 20000, "trials": 1, "schemes": ["MIC"],
-        "snr_grid_db": [15.0],
-    },
-}
-
-# Fields a preset never reads, whatever its schemes and scenario.
-_UNREAD: dict[str, tuple[str, ...]] = {
-    "threshold_sweep": ("mu", "delta_scale", "entry_interval"),
-    "eigencurve": ("scenario_names", "mu", "delta_scale", "entry_interval"),
-    "pattern": ("trials", "scenario_names", "mu", "delta_scale", "entry_interval"),
-    "convergence": ("scenario_names", "inr_list_db", "entry_interval"),
-    "tracking": ("schemes", "scenario_names", "inr_list_db"),
-    "identical_delay": (
-        "trials", "schemes", "scenario_names", "inr_list_db", "scenario",
-        "mu", "delta_scale", "entry_interval",
+_PRESETS: dict[str, _Preset] = {
+    "threshold_sweep": _Preset(
+        {"symbols": 20000, "trials": 4,
+         "snr_grid_db": list(np.arange(-20.0, 48.0 + 1e-9, 2.0))},
+        ("mu", "delta_scale", "entry_interval"),
+        # a threshold is measured between two grid points
+        {"schemes": (1, None), "scenario_names": (1, None),
+         "snr_grid_db": (2, None), "inr_list_db": (1, None)},
+        presets.SWEEP_SCENARIOS,
     ),
-}
-
-# Lists of which a preset reads only the leading entries.
-_LIST_LIMITS: dict[str, dict[str, int]] = {
-    "eigencurve": {"schemes": 1, "inr_list_db": 1},
-    "pattern": {"inr_list_db": 1},
-    "tracking": {"snr_grid_db": 1},
-    "identical_delay": {"snr_grid_db": 1},
+    "eigencurve": _Preset(
+        {"symbols": 20000, "trials": 2, "schemes": ["MIC"],
+         "snr_grid_db": list(np.arange(-20.0, 20.0 + 1e-9, 2.0)),
+         "inr_list_db": [10.0]},
+        ("scenario_names", "mu", "delta_scale", "entry_interval"),
+        {"schemes": (1, 1), "snr_grid_db": (1, None), "inr_list_db": (1, 1)},
+        {"five_tones": presets.five_tones_scenario},
+    ),
+    "pattern": _Preset(
+        {"symbols": 20000, "trials": 1,
+         "snr_grid_db": [10.9, 40.9], "inr_list_db": [30.0]},
+        ("trials", "scenario_names", "mu", "delta_scale", "entry_interval"),
+        {"schemes": (1, None), "snr_grid_db": (1, None), "inr_list_db": (1, 1)},
+        {"periodic_noise": presets.periodic_noise_scenario},
+    ),
+    "convergence": _Preset(
+        {"symbols": 60, "trials": 200, "schemes": ["MIC", "PAPC"],
+         "snr_grid_db": [10.0, 20.0, 30.0]},
+        ("scenario_names", "inr_list_db", "entry_interval"),
+        {"schemes": (1, None), "snr_grid_db": (1, None)},
+        {"convergence": presets.convergence_scenario}, recursive=True,
+    ),
+    "tracking": _Preset(
+        {"symbols": 450, "trials": 200, "schemes": ["MIC"],
+         "snr_grid_db": [20.0], "mu": 0.95},
+        ("schemes", "scenario_names", "inr_list_db"),
+        {"snr_grid_db": (1, 1)},
+        {"tracking": presets.tracking_scenario}, recursive=True,
+    ),
+    "identical_delay": _Preset(
+        {"symbols": 20000, "trials": 1, "schemes": ["MIC"], "snr_grid_db": [15.0]},
+        ("trials", "schemes", "scenario_names", "inr_list_db", "scenario",
+         "mu", "delta_scale", "entry_interval"),
+        {"snr_grid_db": (1, 1)},
+        {"distinct": partial(presets.identical_delay_scenario, False),
+         "identical": partial(presets.identical_delay_scenario, True)},
+        path_groups=True,
+    ),
 }
 
 
 def _preset_spec(preset: str) -> ExperimentSpec:
     spec = ExperimentSpec(preset=preset, output_dir=f"runs/{preset}")
-    for key, value in _PRESET_DEFAULTS[preset].items():
+    for key, value in _PRESETS[preset].defaults.items():
         setattr(spec, key, list(value) if isinstance(value, list) else value)
     return spec
+
+
+class _Scenario(NamedTuple):
+    """One scenario a preset solves: its name, one (INR label, builder)
+    per INR level, its first level's config at the spec's symbols and
+    seed and 0 dB, and the window offsets it is projected at."""
+
+    name: str
+    levels: list[tuple[float | str, Callable[..., ScenarioConfig]]]
+    config: ScenarioConfig
+    offsets: list[int]
+
+
+def _scenarios(spec: ExperimentSpec) -> list[_Scenario]:
+    """The scenarios spec's preset solves, in order: a custom one, named
+    custom, in place of the built-in ones; else those scenario_names
+    names where the preset reads it, or all. Where the preset reads
+    inr_list_db a built-in scenario has one level per INR, labelled with
+    it, else one level labelled ''. Each level's builder takes snr_db,
+    num_symbols and seed."""
+    preset = _PRESETS[spec.preset]
+    unread = preset.unread(spec)
+    if spec.scenario is not None:
+        named = [("custom", partial(replace, spec.scenario))]
+    elif "scenario_names" in unread:
+        named = list(preset.builders.items())
+    else:
+        named = [(name, preset.builders[name]) for name in spec.scenario_names]
+    scenarios = []
+    for name, builder in named:
+        levels = ([("", builder)] if "inr_list_db" in unread else
+                  [(float(inr_db), partial(builder, inr_db))
+                   for inr_db in spec.inr_list_db])
+        config = levels[0][1](snr_db=0.0, num_symbols=spec.symbols, seed=spec.seed)
+        groups = (group_identical_delays(config.desired) if preset.path_groups
+                  else [[0]])
+        offsets = [config.desired[group[0]].delay_chips for group in groups]
+        scenarios.append(_Scenario(name, levels, config, offsets))
+    return scenarios
 
 
 def default_spec(preset: str) -> ExperimentSpec:
@@ -455,7 +503,7 @@ def load_config(path: str | Path) -> ExperimentSpec:
     if "scenario" in values:
         spec.scenario = _parse_scenario(values["scenario"], spec)
     # a key the preset never reads is an error even at its default value
-    unread = set(values) & spec._unread_fields()
+    unread = set(values) & _PRESETS[spec.preset].unread(spec)
     if unread:
         raise ConfigError(f"{spec.preset} does not read {sorted(unread)}")
     spec.validate()
@@ -711,27 +759,6 @@ def _scheme_basis(spec: ExperimentSpec, scheme: str) -> ProjectionBasis:
     )
 
 
-def _scenario(
-    spec: ExperimentSpec,
-    builder: Callable[..., ScenarioConfig] | None,
-    seed: int | tuple[int, ...],
-    **overrides,
-) -> tuple[ScenarioConfig, int]:
-    """One trial's scenario and the window offset of its first desired path.
-
-    The spec's custom scenario if it has one, else builder's built-in
-    one; either way with spec.symbols symbols, the given seed and the
-    overrides (snr_db and the like).
-    """
-    if spec.scenario is not None:
-        config = replace(
-            spec.scenario, num_symbols=spec.symbols, seed=seed, **overrides
-        )
-    else:
-        config = builder(num_symbols=spec.symbols, seed=seed, **overrides)
-    return config, config.desired[0].delay_chips
-
-
 # ---------------------------------------------------------------------------
 # preset runners
 
@@ -782,53 +809,60 @@ def _interference_scale(reference: ScenarioConfig, config: ScenarioConfig) -> fl
 
 
 def _solve_grid(
-    spec: ExperimentSpec,
-    builders: list[Callable[..., ScenarioConfig] | None],
-    seed: tuple[int, ...],
-    bases: dict[str, ProjectionBasis],
-) -> list[tuple[ScenarioConfig, str, dict[str, GridSolution]]]:
-    """Solve the batch pencil of every scheme over all trials of one
-    scenario, at each INR level: one builder per level.
+    spec: ExperimentSpec, bases: dict[str, ProjectionBasis]
+) -> list[tuple[str, float | str, ScenarioConfig, str, dict[str, GridSolution]]]:
+    """Solve the batch pencil of every scheme over all trials of every
+    (scenario, INR level) cell of spec's preset (_scenarios).
 
     Each level's config is built once, at 0 dB and the spec's seed, and
-    must match the first builder's but for one interference amplitude s
-    (_interference_scale). Trial t is synthesized once, from the first
-    config at seed (*seed, t). One component_grams call builds every
-    basis's Grams in one pass over the stream. Per level, one GEVD call
-    solves the stack of the zero-amplitude pair (for gamma1) and one
-    pair per grid SNR, all with the interference scaled by s, and each
-    weight is scored by its normalized output SINR. Returns, per
-    builder, its config, the cell's scenario hash and each scheme's
-    GridSolution.
+    must match its scenario's first level but for one interference
+    amplitude s (_interference_scale). Trial t of scenario i is
+    synthesized once, from the first level at seed (spec.seed, i, t):
+    the INR is deliberately absent from the seed, so every level of a
+    scenario is served by the same stream, its interferers rescaled, and
+    threshold ladders reflect the power sweep alone. One component_grams
+    call builds every basis's Grams in one pass over the stream. Per
+    level, one GEVD call solves the stack of the zero-amplitude pair
+    (for gamma1) and one pair per grid SNR, all with the interference
+    scaled by s, and each weight is scored by its normalized output
+    SINR. Returns, per cell, its scenario name, INR label, config,
+    scenario hash and each scheme's GridSolution.
     """
-    setups = [_scenario(spec, builder, spec.seed, snr_db=0.0) for builder in builders]
-    (reference, n0), configs = setups[0], [config for config, _ in setups]
-    scales = [_interference_scale(reference, config) for config in configs]
     grid = np.asarray(spec.snr_grid_db, dtype=np.float64)
-    alphas = 10.0 ** (grid / 20.0) / math.sqrt(reference.snr_linear)
-    quiet_and_grid = np.concatenate(([0.0], alphas))
-    solved = [{scheme: [] for scheme in bases} for _ in builders]
-    for trial in range(spec.trials):
-        stream = synthesize(replace(reference, seed=(*seed, trial)))
-        per_basis = component_grams(stream, list(bases.values()), n0)
-        for scheme, grams in zip(bases, per_basis):
-            for cell, scale in zip(solved, scales):
-                evals, weights = solve_batch(
-                    grams.covariance_pair(quiet_and_grid, scale)
-                )
-                sinr = normalized_sinr_from_covariances(
-                    weights[1:], *grams.sinr_covariances(alphas, scale),
-                    10.0 ** (grid / 10.0), reference.geometry.num_elements,
-                )
-                cell[scheme].append((evals[0, 0] - 1.0, evals[1:], weights[1:], sinr))
-        del stream
-    return [
-        (config, scenario_hash(config), {
-            scheme: GridSolution(*map(np.array, zip(*per_trial)))
-            for scheme, per_trial in cell.items()
-        })
-        for config, cell in zip(configs, solved)
-    ]
+    cells = []
+    for s_idx, scenario in enumerate(_scenarios(spec)):
+        [n0] = scenario.offsets
+        configs = [builder(snr_db=0.0, num_symbols=spec.symbols, seed=spec.seed)
+                   for _, builder in scenario.levels]
+        reference = configs[0]
+        scales = [_interference_scale(reference, config) for config in configs]
+        alphas = 10.0 ** (grid / 20.0) / math.sqrt(reference.snr_linear)
+        quiet_and_grid = np.concatenate(([0.0], alphas))
+        solved = [{scheme: [] for scheme in bases} for _ in configs]
+        for trial in range(spec.trials):
+            stream = synthesize(replace(reference, seed=(spec.seed, s_idx, trial)))
+            per_basis = component_grams(stream, list(bases.values()), n0)
+            for scheme, grams in zip(bases, per_basis):
+                for cell, scale in zip(solved, scales):
+                    evals, weights = solve_batch(
+                        grams.covariance_pair(quiet_and_grid, scale)
+                    )
+                    sinr = normalized_sinr_from_covariances(
+                        weights[1:], *grams.sinr_covariances(alphas, scale),
+                        10.0 ** (grid / 10.0), reference.geometry.num_elements,
+                    )
+                    cell[scheme].append(
+                        (evals[0, 0] - 1.0, evals[1:], weights[1:], sinr)
+                    )
+            del stream
+        cells += [
+            (scenario.name, label, config, scenario_hash(config), {
+                scheme: GridSolution(*map(np.array, zip(*per_trial)))
+                for scheme, per_trial in cell.items()
+            })
+            for (label, _), config, cell in zip(scenario.levels, configs, solved)
+        ]
+    return cells
 
 
 def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
@@ -838,28 +872,8 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
     rows: list[dict] = []
     code = generate_gold_codes(1)[0]
     bases = {scheme: _scheme_basis(spec, scheme) for scheme in spec.schemes}
-
     # a custom scenario is one cell: it has no INR to sweep or label
-    if spec.scenario is not None:
-        scenarios = [("custom", [None], [""])]
-    else:
-        scenarios = [
-            (name, [partial(presets.SWEEP_SCENARIOS[name], inr_db)
-                    for inr_db in spec.inr_list_db],
-             [float(inr_db) for inr_db in spec.inr_list_db])
-            for name in spec.scenario_names
-        ]
-
-    cells = []
-    for s_idx, (scenario_name, builders, inr_labels) in enumerate(scenarios):
-        # the INR is deliberately absent from the seed: every INR level
-        # of a scenario is served by the same stream per trial, its
-        # interferers rescaled, so threshold ladders reflect the power
-        # sweep alone
-        solved = _solve_grid(spec, builders, (spec.seed, s_idx), bases)
-        cells += [(scenario_name, label, *cell)
-                  for label, cell in zip(inr_labels, solved)]
-
+    cells = _solve_grid(spec, bases)
     for scenario_name, inr_label, config, config_hash, solved in cells:
         n = config.processing_gain
         l = config.geometry.num_elements
@@ -898,10 +912,7 @@ def run_eigencurve(spec: ExperimentSpec) -> ExperimentResult:
     scheme = spec.schemes[0]
     basis = _scheme_basis(spec, scheme)
     beta = threshold_beta(basis, generate_gold_codes(1)[0])
-    [(config, config_hash, solved)] = _solve_grid(
-        spec, [partial(presets.five_tones_scenario, spec.inr_list_db[0])],
-        (spec.seed, 0), {scheme: basis},
-    )
+    [(_, _, config, config_hash, solved)] = _solve_grid(spec, {scheme: basis})
     solution = solved[scheme]
     lam1, lam2 = solution.eigenvalues[:, :, :2].mean(axis=0).T
     gamma1_mean = solution.gamma1.mean()
@@ -933,14 +944,10 @@ def run_pattern(spec: ExperimentSpec) -> ExperimentResult:
     """Batch beam patterns at the two periodic-noise operating points."""
     if spec.preset != "pattern":
         raise ConfigError("run_pattern requires preset=pattern")
-    inr_db = spec.inr_list_db[0]
     rows: list[dict] = []
     patterns: dict[str, np.ndarray] = {}
     bases = {scheme: _scheme_basis(spec, scheme) for scheme in spec.schemes}
-    [(config, config_hash, solved)] = _solve_grid(
-        spec, [partial(presets.periodic_noise_scenario, inr_db)], (spec.seed, 0),
-        bases,
-    )
+    [(_, inr_label, config, config_hash, solved)] = _solve_grid(spec, bases)
     for scheme, solution in solved.items():
         # pattern runs a single trial
         for snr_db, weight in zip(spec.snr_grid_db, solution.weights[0]):
@@ -950,7 +957,7 @@ def run_pattern(spec: ExperimentSpec) -> ExperimentResult:
                 {
                     "scheme": scheme,
                     "snr_db": float(snr_db),
-                    "inr_db": "" if spec.scenario is not None else float(inr_db),
+                    "inr_db": inr_label,
                     **beam,
                     "scenario_hash": config_hash,
                 }
@@ -1011,14 +1018,16 @@ _RECURSION_ROWS = 256
 def _recursion(
     spec: ExperimentSpec,
     builder: Callable[..., ScenarioConfig],
+    n0: int,
     cells: list[tuple[tuple[int, ...], float, list[int]]],
     bases: dict[str, ProjectionBasis],
 ) -> list[tuple[str, dict[str, np.ndarray]]]:
     """Run the recursion of every scheme over all trials of every cell.
 
-    A cell is (seed, snr_db, entries): trial t is synthesized once, at
-    seed (*seed, t) and snr_db, with interferer i silent before symbol
-    entries[i]. The (cell, trial) rows, cell-major, are split into
+    A cell is (seed, snr_db, entries): trial t is synthesized once, from
+    builder at seed (*seed, t) and snr_db, with interferer i silent
+    before symbol entries[i], and projected at window offset n0. The
+    (cell, trial) rows, cell-major, are split into
     ceil(rows / _RECURSION_ROWS) chunks of equal size; each chunk's
     projections fill one preallocated stack per basis and each scheme's
     adaptive.run steps the whole chunk at once. Rows never mix in the
@@ -1028,11 +1037,12 @@ def _recursion(
     (T, K, L) weights, w[:, k] the one that produced output k.
     """
     rows = [
-        (*_scenario(spec, builder, (*seed, trial), snr_db=snr_db), entries)
+        (builder(snr_db=snr_db, num_symbols=spec.symbols, seed=(*seed, trial)),
+         entries)
         for seed, snr_db, entries in cells
         for trial in range(spec.trials)
     ]
-    deltas = {spec.delta_scale * config.noise_power for config, _, _ in rows}
+    deltas = {spec.delta_scale * config.noise_power for config, _ in rows}
     if len(deltas) != 1:
         raise ValueError(
             f"recursion cells must share one delta, got {sorted(deltas)}"
@@ -1044,7 +1054,7 @@ def _recursion(
     weights: dict[str, np.ndarray] = {}
     for start in range(0, len(rows), size):
         chunk = rows[start : start + size]
-        for row, (config, n0, entries) in enumerate(chunk):
+        for row, (config, entries) in enumerate(chunk):
             received = _staggered(
                 synthesize(config),
                 [entry * config.processing_gain for entry in entries],
@@ -1081,14 +1091,15 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
     rows: list[dict] = []
     summary: dict[str, int] = {}
     bases = {scheme: _scheme_basis(spec, scheme) for scheme in spec.schemes}
+    [scenario] = _scenarios(spec)
+    [(_, builder)], [n0] = scenario.levels, scenario.offsets
     # interferer powers do not depend on the SNR, so neither does the clutter
-    base, n0 = _scenario(
-        spec, presets.convergence_scenario, spec.seed, snr_db=spec.snr_grid_db[0]
-    )
+    base = builder(snr_db=spec.snr_grid_db[0], num_symbols=spec.symbols,
+                   seed=spec.seed)
     clutters = _clutters(base, n0, 10000, (spec.seed, 7000))
     clutter = clutters[-1]
     cells = _recursion(
-        spec, presets.convergence_scenario,
+        spec, builder, n0,
         [((spec.seed, s_idx), snr_db, [0] * (len(clutters) - 1))
          for s_idx, snr_db in enumerate(spec.snr_grid_db)],
         bases,
@@ -1141,7 +1152,9 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
     if spec.preset != "tracking":
         raise ConfigError("run_tracking requires preset=tracking")
     snr_db = spec.snr_grid_db[0]
-    base, n0 = _scenario(spec, presets.tracking_scenario, spec.seed, snr_db=snr_db)
+    [scenario] = _scenarios(spec)
+    [(_, builder)], [n0] = scenario.levels, scenario.offsets
+    base = builder(snr_db=snr_db, num_symbols=spec.symbols, seed=spec.seed)
     num_interferers = len(base.mais) + len(base.jammers)
     entries = [(i + 1) * spec.entry_interval for i in range(num_interferers)]
 
@@ -1153,7 +1166,7 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
 
     runs = {"staggered": entries, "control": [0] * num_interferers}
     cells = _recursion(
-        spec, presets.tracking_scenario,
+        spec, builder, n0,
         [((spec.seed, r_idx), snr_db, run_entries)
          for r_idx, run_entries in enumerate(runs.values())],
         {"MIC": _scheme_basis(spec, "MIC")},
@@ -1209,22 +1222,18 @@ def run_identical_delay(spec: ExperimentSpec) -> ExperimentResult:
     rows: list[dict] = []
     patterns: dict[str, np.ndarray] = {}
     basis = make_basis("MIC", generate_gold_codes(1)[0])
-    for v_idx, identical in enumerate((False, True)):
-        variant = "identical" if identical else "distinct"
-        config, _ = _scenario(
-            spec, partial(presets.identical_delay_scenario, identical),
-            (spec.seed, v_idx), snr_db=spec.snr_grid_db[0],
-        )
+    for v_idx, (variant, [(_, builder)], _, offsets) in enumerate(_scenarios(spec)):
+        config = builder(snr_db=spec.snr_grid_db[0], num_symbols=spec.symbols,
+                         seed=(spec.seed, v_idx))
         config_hash = scenario_hash(replace(config, seed=spec.seed))
         stream = synthesize(config)
-        groups = group_identical_delays(config.desired)
-        for g_idx, group in enumerate(groups):
-            n0 = config.desired[group[0]].delay_chips
+        # one beam per group of identical-delay desired paths
+        for g_idx, n0 in enumerate(offsets):
             _, weight = solve_batch(
                 component_grams(stream, [basis], n0)[0].covariance_pair(1.0)
             )
             name = (
-                f"{variant}" if len(groups) == 1 else f"{variant}_path{g_idx + 1}"
+                f"{variant}" if len(offsets) == 1 else f"{variant}_path{g_idx + 1}"
             )
             gains, beam = _beam(
                 weight, config.geometry, (0.0, 12.0, 40.0, -10.0, -50.0)

@@ -1,11 +1,27 @@
 """Smoke tests of the scripts under tools/."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+from mpb_lab import harness
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tools_cover_every_preset():
+    # a preset the bench or the digests miss would go unmeasured
+    assert set(_load_tool("desk_bench").PRESETS) == set(harness.PRESETS)
+    assert set(_load_tool("preset_digests").SIZES) == set(harness.PRESETS)
 
 
 def test_desk_bench_writes_a_loadable_report(tmp_path):

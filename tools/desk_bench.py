@@ -42,8 +42,9 @@ BLAS_ENV = {
     "OMP_NUM_THREADS": "1",
     "MKL_NUM_THREADS": "1",
 }
-# harness.PRESETS, spelled out so that this process never imports the
-# package: a spawned child's ru_maxrss starts at its parent's RSS
+# the names in harness.PRESETS (tests/test_tools.py pins the set),
+# spelled out so that this process never imports the package: a spawned
+# child's ru_maxrss starts at its parent's RSS
 PRESETS = (
     "threshold_sweep",
     "eigencurve",
