@@ -143,19 +143,19 @@ class ExperimentSpec:
         for name in sorted(preset.unread(self)):
             if getattr(self, name) != getattr(reference, name):
                 raise ConfigError(
-                    f"{self.preset} does not read {name}; leave it at "
+                    f"{self.preset} does not read {_KEYS.get(name, name)}; leave it at "
                     f"{getattr(reference, name)!r}"
                 )
         for name, (fewest, most) in preset.lists.items():
-            count = len(getattr(self, name))
+            count, key = len(getattr(self, name)), _KEYS.get(name, name)
             if count < fewest:
                 raise ConfigError(
-                    f"{self.preset} needs at least {fewest} {name} "
+                    f"{self.preset} needs at least {fewest} {key} "
                     f"entr{'y' if fewest == 1 else 'ies'}, got {count}"
                 )
             if most is not None and count > most:
                 raise ConfigError(
-                    f"{self.preset} reads only {most} entry of {name}, got {count}"
+                    f"{self.preset} reads only {most} entry of {key}, got {count}"
                 )
         if np.any(np.diff(self.snr_grid_db) <= 0):
             raise ConfigError("snr_grid_db must be strictly ascending")
@@ -163,7 +163,7 @@ class ExperimentSpec:
             for name in self.scenario_names:
                 if name not in preset.builders:
                     raise ConfigError(
-                        f"unknown scenario name {name!r}; valid: "
+                        f"unknown scenarios entry {name!r}; valid: "
                         f"{tuple(preset.builders)}"
                     )
         if self.entry_interval < 1:
@@ -376,6 +376,8 @@ _TOP = {
     "monitor_freq": float, "papc_chip_index": int, "mu": float,
     "delta_scale": float, "entry_interval": int,
 }
+# the config key of each spec field that a config file names otherwise
+_KEYS = {"scenario_names": "scenarios"}
 _GRID_RANGE = {"start": float, "stop": float, "step": float}
 _SCENARIO = {
     "num_elements": int, "spacing_wavelengths": float, "chip_rate_hz": float,
@@ -485,8 +487,9 @@ def load_config(path: str | Path) -> ExperimentSpec:
     raw = _value({} if raw is None else raw, dict, "config")
     values = _section(raw, _TOP, "config", ["preset"])
     spec = default_spec(values.pop("preset"))
-    if "scenarios" in values:
-        values["scenario_names"] = values.pop("scenarios")
+    for name, key in _KEYS.items():
+        if key in values:
+            values[name] = values.pop(key)
     grid = values.get("snr_grid_db")
     if isinstance(grid, dict):
         grid = _section(grid, _GRID_RANGE, "config.snr_grid_db", list(_GRID_RANGE))
@@ -505,7 +508,8 @@ def load_config(path: str | Path) -> ExperimentSpec:
     # a key the preset never reads is an error even at its default value
     unread = set(values) & _PRESETS[spec.preset].unread(spec)
     if unread:
-        raise ConfigError(f"{spec.preset} does not read {sorted(unread)}")
+        raise ConfigError(f"{spec.preset} does not read "
+                          f"{sorted(_KEYS.get(name, name) for name in unread)}")
     spec.validate()
     return spec
 
@@ -600,10 +604,11 @@ def _format_cell(value) -> str:
 # component-Gram fast path
 
 # Windows handled at once by component_grams: bounds its working set.
-# A block's projections are small; with a complete basis in the call,
-# one raw buffer of rows x 512 windows x N chips (rows = P + D + L) is
-# allocated per call, and its Gram makes one conjugate copy: 2 x 3.6 MB
-# for five_tones at L = 8, about 7.5 MB of peak in all, 0.7 MB without.
+# A block's projections are small; one buffer of rows x 512 windows x N
+# chips is allocated per call and the [soi; interferers] rows of each
+# block are rendered into it (rows = P + D, or P + D + L with a complete
+# basis in the call, whose raw Gram makes one conjugate copy): 2 x 3.6 MB
+# for five_tones at L = 8, about 7.5 MB of peak in all, 1.6 MB without.
 _GRAM_BLOCK_SYMBOLS = 512
 
 
@@ -695,17 +700,19 @@ def component_grams(
     component; SchemeGrams applies the steering. The bases must share
     the signal channel h_s (a ValueError otherwise), so its Gram is
     taken once and serves every basis. The monitor channels of every
-    incomplete basis are stacked into one projector with h_s, so each
-    component is projected once per block however many bases there
-    are. When [h_s, h_i] is unitary (a numerical test, true for MIC)
+    incomplete basis are stacked into one projector with h_s, so the
+    rendered rows and the noise are each projected once per block
+    however many bases there are. The stream's [soi; interferers] rows
+    of each block are rendered into one buffer, allocated once per
+    call. When [h_s, h_i] is unitary (a numerical test, true for MIC)
     the monitor projectors sum to I - h_s h_s^H, so that basis's
     monitor Gram is the raw windows' Gram minus the signal Gram: the
-    raw rows [soi; interferers; noise] of each block are written into
-    one buffer, allocated once per call and only when some basis is
-    complete, and take one Gram. The rows are handled
-    _GRAM_BLOCK_SYMBOLS windows at a time and each Gram keeps one
-    running sum, so no projection of the whole stream is ever held;
-    the division comes once, at the end.
+    buffer then has room for the noise rows too, and the raw rows
+    [soi; interferers; noise] of each block take one Gram. The rows are
+    handled _GRAM_BLOCK_SYMBOLS windows at a time and each Gram keeps
+    one running sum, so no projection of the whole stream, nor any
+    rendered row, is ever held whole; the division comes once, at the
+    end.
     """
     if not bases or any(not np.array_equal(b.h_s, bases[0].h_s) for b in bases):
         raise ValueError("component_grams needs bases that share one h_s")
@@ -715,30 +722,30 @@ def component_grams(
     edges = np.cumsum([0, *(h_i.shape[1] for h_i in monitors)])
     projector = replace(bases[0], h_i=np.concatenate(
         [np.empty((n, 0), dtype=np.complex128), *monitors], axis=1))
-    components = (stream.soi_waveforms, stream.waveforms, stream.noise)
-    size = sum(len(rows) for rows in components)
+    waves = len(stream.rows)
+    size = waves + stream.num_elements
     s_sum = np.zeros((size, size), dtype=np.complex128)
     i_sums = np.zeros((len(monitors), size, size), dtype=np.complex128)
     raw_sum = np.zeros_like(s_sum)
-    raw = (np.empty((size, _GRAM_BLOCK_SYMBOLS * n), dtype=np.complex128)
-           if any(complete) else None)
+    height = size if any(complete) else waves
+    buffer = np.empty((height, _GRAM_BLOCK_SYMBOLS * n + n0), dtype=np.complex128)
     windows = (stream.noise.shape[1] - n0) // n
     # at least one block: its projection rejects a bad n0 or a stream
     # shorter than one window
     for start in range(0, max(windows, 1), _GRAM_BLOCK_SYMBOLS):
         stop = min(start + _GRAM_BLOCK_SYMBOLS, windows)
+        block = buffer[:, : n0 + (stop - start) * n]
+        rows = stream.render(start * n, n0 + stop * n, out=block[:waves])
+        noise = stream.noise[:, start * n : n0 + stop * n]
         x_s, x_i = (np.concatenate(side) for side in zip(*(
-            project_stream(rows[:, start * n : n0 + stop * n], projector, n0)
-            for rows in components
+            project_stream(component, projector, n0) for component in (rows, noise)
         )))
         s_sum += gram(x_s, x_s)
         for i_sum, a, b in zip(i_sums, edges, edges[1:]):
             i_sum += gram(x_i[..., a:b], x_i[..., a:b])
-        if raw is not None:
-            block = raw[:, : (stop - start) * n]
-            np.concatenate([rows[:, n0 + start * n : n0 + stop * n]
-                            for rows in components], out=block)
-            raw_sum += gram(block, block)
+        if any(complete):
+            block[waves:] = noise
+            raw_sum += gram(block[:, n0:], block[:, n0:])
     monitor_sums = iter(i_sums)
     return [
         SchemeGrams(
@@ -994,17 +1001,24 @@ def _clutters(
     grams = component_grams(
         quiet, [make_basis("PAPC", generate_gold_codes(1)[0])], n0
     )[0]
-    rows = np.arange(len(quiet.waveforms))
+    rows = np.arange(quiet.steering.shape[1])
     return np.stack([grams.covariance_pair(0.0, rows < k).r_s
                      for k in range(rows.size + 1)])
 
 
+def _silenced(fill: Callable, entry: int, out: np.ndarray, start: int) -> None:
+    """A ChipStream row's fill with every chip before entry set to zero."""
+    fill(out, start)
+    out[: max(entry - start, 0)] = 0.0
+
+
 def _staggered(stream: ChipStream, entries: list[int]) -> np.ndarray:
     """The stream's samples with interferer i silent before chip entries[i]."""
-    waveforms = stream.waveforms.copy()
-    for row, entry in zip(waveforms, entries):
-        row[:entry] = 0.0
-    return replace(stream, waveforms=waveforms).samples
+    rows = list(stream.rows)
+    p = stream.soi_steering.shape[1]
+    for i, entry in enumerate(entries):
+        rows[p + i] = partial(_silenced, rows[p + i], entry)
+    return replace(stream, rows=tuple(rows)).samples
 
 
 # (cell, trial) rows stepped by one adaptive.run call: bounds the

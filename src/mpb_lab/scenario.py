@@ -5,8 +5,11 @@ additive term (desired-user paths, other users' paths, jammers, noise)
 is generated separately and recorded, so experiments can form exact
 signal/interference/noise decompositions of anything computed downstream.
 Every path and jammer is a rank-one term a(theta) s(t) and is kept as
-its steering vector and waveform; only receiver noise is stored as a
-full element-by-chip array.
+its steering vector and what determines its waveform (an amplitude and
+the symbols, code and delay of a path; the frequency and phase of a
+tone; one period of periodic noise; the +-1 chips of a broadband
+jammer); any chip range of the waveforms is rendered on demand. Only
+receiver noise is stored as a full element-by-chip array.
 
 Conventions used throughout:
   * spreading codes are real +-1 chips of length 31 (degree-5 Gold family),
@@ -24,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -213,13 +217,15 @@ class ChipStream:
     (P, chips), one row per desired path; the interference is steering
     (L, D) times waveforms (D, chips), one row per interferer, the
     interfering paths first and then the jammers, in config order. Only
-    noise is an (L, chips) array.
+    noise is an (L, chips) array: the P + D waveform rows are kept as
+    rows[i], which fills out (a row of any length) with row i's chips
+    from start on, called as rows[i](out, start), and render is the one
+    route to their values.
     """
 
     soi_steering: np.ndarray
-    soi_waveforms: np.ndarray
     steering: np.ndarray
-    waveforms: np.ndarray
+    rows: tuple[Callable[[np.ndarray, int], None], ...]
     noise: np.ndarray
     symbols: dict[int, np.ndarray]
 
@@ -227,11 +233,35 @@ class ChipStream:
     def num_elements(self) -> int:
         return int(self.noise.shape[0])
 
+    def render(
+        self, start: int, stop: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Chips [start, stop) of the rows [soi; interferers], (P + D,
+        stop - start), written into out when it is given. Equal bit for
+        bit to the same columns of a render of the whole stream."""
+        if out is None:
+            out = np.empty((len(self.rows), stop - start), dtype=np.complex128)
+        for row, fill in zip(out, self.rows):
+            fill(row, start)
+        return out
+
+    @property
+    def soi_waveforms(self) -> np.ndarray:
+        """The (P, chips) desired rows, rendered anew on every access."""
+        return self.render(0, self.noise.shape[1])[: self.soi_steering.shape[1]]
+
+    @property
+    def waveforms(self) -> np.ndarray:
+        """The (D, chips) interferer rows, rendered anew on every access."""
+        return self.render(0, self.noise.shape[1])[self.soi_steering.shape[1] :]
+
     @property
     def samples(self) -> np.ndarray:
         """The received (L, chips) stream, built anew on every access."""
-        out = self.steering @ self.waveforms
-        out += self.soi_steering @ self.soi_waveforms
+        rows = self.render(0, self.noise.shape[1])
+        p = self.soi_steering.shape[1]
+        out = self.steering @ rows[p:]
+        out += self.soi_steering @ rows[:p]
         out += self.noise
         return out
 
@@ -323,17 +353,19 @@ def desired_path_power(config: ScenarioConfig, path: PathSpec) -> float:
 # synthesis
 
 
-def _path_chip_sequence(
-    symbols: np.ndarray, chips: np.ndarray, delay: int, total: int
-) -> np.ndarray:
-    """Chip-rate +-1 waveform of one path over samples 0..total-1.
+def _path(
+    out: np.ndarray, start: int, amplitude: float, symbols: np.ndarray,
+    chips: np.ndarray, delay: int,
+) -> None:
+    """Fill out with amplitude times one path's +-1 chips from sample start.
 
     symbols holds k = -1..K-1 so delayed paths are defined from sample 0.
     """
     n = chips.size
-    extended = np.repeat(symbols, n) * np.tile(chips, symbols.size)
-    start = n - delay
-    return extended[start : start + total]
+    first, skip = divmod(start + n - delay, n)
+    count = -(-(skip + out.size) // n)
+    extended = np.repeat(symbols[first : first + count], n) * np.tile(chips, count)
+    out[:] = amplitude * extended[skip : skip + out.size]
 
 
 def group_identical_delays(paths: list[PathSpec]) -> list[list[int]]:
@@ -354,22 +386,35 @@ def group_identical_delays(paths: list[PathSpec]) -> list[list[int]]:
 _TONE_BLOCK = 1024
 
 
-def _tone(row: np.ndarray, amplitude: float, freq: float, phase: float) -> None:
-    """Fill row with amplitude * exp(j(2 pi freq n + phase)), n = 0, 1, ...
+def _tone(
+    out: np.ndarray, start: int, amplitude: float, freq: float, phase: float
+) -> None:
+    """Fill out with amplitude * exp(j(2 pi freq n + phase)), n = start, ...
 
     Chip bB + q is the coarse phasor of block b, exp(j(2 pi freq bB +
-    phase)), times the fine ramp exp(j 2 pi freq q), B = _TONE_BLOCK.
-    B is a power of two, so freq B and its fractional part are exact and
-    the coarse phases stay accurate to roundoff of b, not of bB.
+    phase)), times the fine ramp exp(j 2 pi freq q), B = _TONE_BLOCK,
+    whatever the range, so every range matches the whole row bit for
+    bit. B is a power of two, so freq B and its fractional part are
+    exact and the coarse phases stay accurate to roundoff of b, not of bB.
     """
-    whole = row.size - row.size % _TONE_BLOCK
+    first, skip = divmod(start, _TONE_BLOCK)
     fine = np.exp(2j * np.pi * freq * np.arange(_TONE_BLOCK))
     step = math.fmod(freq * _TONE_BLOCK, 1.0)
-    blocks = np.arange(whole // _TONE_BLOCK + 1)
+    blocks = np.arange(first, first + -(-(skip + out.size) // _TONE_BLOCK))
     coarse = amplitude * np.exp(1j * (2.0 * np.pi * (step * blocks % 1.0) + phase))
-    np.multiply(coarse[:-1, None], fine,
-                out=row[:whole].reshape(-1, _TONE_BLOCK))
-    np.multiply(coarse[-1], fine[: row.size - whole], out=row[whole:])
+    out[:] = (coarse[:, None] * fine).ravel()[skip : skip + out.size]
+
+
+def _periodic(
+    out: np.ndarray, start: int, amplitude: float, period: np.ndarray
+) -> None:
+    """Fill out with amplitude times period repeated, from chip start."""
+    out[:] = amplitude * np.resize(np.roll(period, -start), out.size)
+
+
+def _chips(out: np.ndarray, start: int, amplitude: float, chips: np.ndarray) -> None:
+    """Fill out with amplitude times chips[start:]."""
+    out[:] = amplitude * chips[start : start + out.size]
 
 
 def synthesize(config: ScenarioConfig) -> ChipStream:
@@ -401,26 +446,26 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
             column[:] = steering_vector(config.geometry, path.doa_deg)
         return out
 
-    waveforms = np.empty((len(config.mais) + len(config.jammers), total),
-                         dtype=np.complex128)
-    soi_waveforms = np.empty((len(config.desired), total), dtype=np.complex128)
-    for row, path in zip(soi_waveforms, config.desired):
-        row[:] = math.sqrt(desired_path_power(config, path)) * _path_chip_sequence(
-            symbols[0], codes[0].chips, path.delay_chips, total
-        )
-    for row, path in zip(waveforms, config.mais):
-        row[:] = math.sqrt(path.power) * _path_chip_sequence(
-            symbols[path.user_index], codes[path.user_index].chips,
-            path.delay_chips, total,
+    def path(amplitude: float, spec: PathSpec) -> Callable:
+        return functools.partial(
+            _path, amplitude=amplitude, symbols=symbols[spec.user_index],
+            chips=codes[spec.user_index].chips, delay=spec.delay_chips,
         )
 
-    for row, jam in zip(waveforms[len(config.mais):], config.jammers):
+    rows = [path(math.sqrt(desired_path_power(config, p)), p) for p in config.desired]
+    rows += [path(math.sqrt(p.power), p) for p in config.mais]
+    for jam in config.jammers:
         amplitude = math.sqrt(config.noise_power * 10.0 ** (jam.inr_db / 10.0))
         if jam.kind == "tone":
             freq = jam.tone_offset_hz / config.chip_rate_hz
-            _tone(row, amplitude, freq, rng.uniform(0.0, 2.0 * np.pi))
+            rows.append(functools.partial(
+                _tone, amplitude=amplitude, freq=freq,
+                phase=rng.uniform(0.0, 2.0 * np.pi),
+            ))
         elif jam.kind == "bpsk_broadband":
-            row[:] = amplitude * (rng.integers(0, 2, size=total) * 2.0 - 1.0)
+            # drawn as int64 (an int8 draw gives other bits), kept as int8
+            chips = (rng.integers(0, 2, size=total) * 2 - 1).astype(np.int8)
+            rows.append(functools.partial(_chips, amplitude=amplitude, chips=chips))
         else:  # periodic_white_noise
             period = jam.period_chips if jam.period_chips is not None else n
             # waveform_seed pins the repeated period itself, making the
@@ -433,8 +478,8 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
             seg = seg_rng.standard_normal(period) + 1j * seg_rng.standard_normal(period)
             # exact unit RMS per period keeps the INR calibration tight
             seg /= np.sqrt(np.mean(np.abs(seg) ** 2))
-            reps = -(-total // period)
-            row[:] = amplitude * np.tile(seg, reps)[:total]
+            rows.append(functools.partial(_periodic, amplitude=amplitude,
+                                          period=seg))
 
     # filled in place row by row through one reused draw buffer, all real
     # parts then all imaginary parts: the draws of
@@ -448,9 +493,8 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
             np.multiply(rng.standard_normal(out=draws), sigma, out=row)
     return ChipStream(
         soi_steering=steering(config.desired),
-        soi_waveforms=soi_waveforms,
         steering=steering([*config.mais, *config.jammers]),
-        waveforms=waveforms,
+        rows=tuple(rows),
         noise=noise,
         symbols=symbols,
     )

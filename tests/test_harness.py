@@ -125,8 +125,6 @@ class TestDefaultSpec:
             # a threshold is measured between two grid points: one point
             # was solved in full and then failed in measure_threshold
             ("threshold_sweep", "snr_grid_db", [0.0]),
-            # no scenario ran and wrote an empty results.csv
-            ("threshold_sweep", "scenario_names", []),
             # a knob's range error names the key that set it
             ("threshold_sweep", "papc_chip_index", 31),
             ("convergence", "delta_scale", 0.0),
@@ -135,6 +133,12 @@ class TestDefaultSpec:
             setattr(spec, field, value)
             with pytest.raises(ConfigError, match=field):
                 spec.validate()
+        # no scenario ran and wrote an empty results.csv; the error
+        # names the config key, scenarios, not the field
+        spec = default_spec("threshold_sweep")
+        spec.scenario_names = []
+        with pytest.raises(ConfigError, match=r"at least 1 scenarios entry"):
+            spec.validate()
         spec = default_spec("threshold_sweep")
         spec.symbols = "400"
         spec.validate()
@@ -527,15 +531,15 @@ class TestGramFastPath:
         channels.clear()
         component_grams(stream, [maximin], 0)
         assert channels and set(channels) == {1}, channels
-        # mixed: only Maximin's channel is projected, in one
-        # project_stream call per component (soi, interferers, noise)
-        # per block
+        # mixed: only Maximin's channel is projected, in two
+        # project_stream calls per block (the rendered soi and interferer
+        # rows, then the noise)
         channels.clear()
         component_grams(stream, [mic, maximin], 0)
         blocks = math.ceil(stream.noise.shape[1] // mic.h_s.size
                            / harness._GRAM_BLOCK_SYMBOLS)
         assert blocks == 2
-        assert channels == [1] * 3 * blocks, channels
+        assert channels == [1] * 2 * blocks, channels
 
     def test_rejects_bad_offset_and_short_stream(self):
         basis = make_basis("MIC", generate_gold_codes(1)[0])
@@ -573,6 +577,27 @@ class TestGramFastPath:
         assert peaks[1] <= 1.25 * peaks[0], peaks
         assert peaks[1] < 0.5 * stream.noise.nbytes, (peaks, stream.noise.nbytes)
 
+    def test_synthesis_and_grams_are_flat_beyond_the_noise(self):
+        # the noise is the one chip-length array: synthesizing a stream
+        # and taking every scheme's Grams from it must peak at the noise
+        # plus a working set that does not grow with the stream (about
+        # 8 MB at both sizes; stored waveform rows added 17 and 43 MB)
+        bases = [make_basis(scheme, generate_gold_codes(1)[0])
+                 for scheme in ("MIC", "Maximin", "PAPC")]
+        excess = []
+        for symbols in (3000, 12000):
+            config = five_tones_scenario(30.0, num_symbols=symbols,
+                                         seed=(81, 0, 0))
+            tracemalloc.start()
+            try:
+                stream = synthesize(config)
+                component_grams(stream, bases, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            excess.append(peak - stream.noise.nbytes)
+        assert excess[1] <= 1.25 * excess[0], excess
+
     def test_incomplete_bases_hold_no_raw_block(self):
         # the raw block buffer is for complete bases only: a PAPC-only
         # call (the recursive presets' clutter) must peak below one raw
@@ -603,9 +628,11 @@ def check_clutters(symbols):
                                seed=(6, 1)))
     assert len(clutters) == len(quiet.waveforms) + 1
     for k, clutter in enumerate(clutters):
-        waveforms = quiet.waveforms.copy()
+        waveforms = quiet.waveforms
         waveforms[k:] = 0.0
-        samples = replace(quiet, waveforms=waveforms).samples
+        samples = quiet.steering @ waveforms
+        samples += quiet.soi_steering @ quiet.soi_waveforms
+        samples += quiet.noise
         direct = covariances_from_arrays(
             *project_stream(samples, basis, 0)
         ).r_s
@@ -1142,7 +1169,7 @@ def _edge_cases():
     for preset in harness.PRESETS:
         unread = harness._PRESETS[preset].unread(default_spec(preset))
         for key, values in _EDGES.items():
-            if {"scenarios": "scenario_names"}.get(key, key) in unread:
+            if key in unread:
                 continue
             for value in values:
                 overflows = (harness._PRESETS[preset].recursive
@@ -1274,7 +1301,7 @@ class TestCli:
     @pytest.mark.parametrize("preset, key, value", list(_edge_cases()))
     def test_single_key_edge_walk(self, tmp_path, monkeypatch, preset, key, value):
         # one key set to an edge value on a short run: a ConfigError that
-        # names the key (scenarios sets scenario_names), or finite cells
+        # names the key, or finite cells
         # but for a threshold (crossover_db is eigencurve's predicted
         # one), which is +inf where the signal can never win
         monkeypatch.setattr(harness, "_clutters", _shared_clutters)
@@ -1285,7 +1312,7 @@ class TestCli:
         try:
             spec = load_config(path)
         except ConfigError as exc:
-            assert re.search(rf"\b{key}\b|scenario_names", str(exc)), exc
+            assert re.search(rf"\b{key}\b", str(exc)), exc
             return
         result = run_preset(spec)
         write_result(result, tmp_path / "run")

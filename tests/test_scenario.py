@@ -6,8 +6,10 @@ synthesized streams are checked against their analytic per-component
 forms and calibration targets.
 """
 
+import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +351,104 @@ class TestSynthesize:
         np.testing.assert_array_equal(quiet.steering, loud.steering)
         np.testing.assert_array_equal(quiet.waveforms, loud.waveforms)
         np.testing.assert_array_equal(quiet.noise, loud.noise)
+
+
+class TestRender:
+    """Every [soi; interferer] row is kept as what determines it and
+    rendered on demand: any chip range must equal the same columns of
+    the whole row, bit for bit."""
+
+    @staticmethod
+    def ranges(total, n=CODE_LENGTH):
+        # single chips, ranges across a tone block boundary, the stream's
+        # end, and the Gram blocks of component_grams (512 windows at
+        # offset 3; 512 * 31 chips is a multiple of no row's period)
+        block = 512 * n
+        return [(0, 1), (total - 1, total), (_TONE_BLOCK - 5, _TONE_BLOCK + 7),
+                (2 * _TONE_BLOCK - 1, 3 * _TONE_BLOCK + 1), (17, total),
+                (total - 40, total), (0, 3 + block), (block, 3 + 2 * block)]
+
+    @pytest.mark.parametrize("kind", [
+        "tone", "tone_0hz", "periodic", "periodic_pinned", "bpsk_broadband",
+        "delayed_mai", "soi",
+    ])
+    def test_any_range_equals_the_whole_row(self, kind):
+        jammers = {
+            "tone": [JammerSpec(kind="tone", doa_deg=25.0, inr_db=20.0,
+                                tone_offset_hz=123456.7)],
+            "tone_0hz": [JammerSpec(kind="tone", doa_deg=25.0, inr_db=20.0,
+                                    tone_offset_hz=0.0)],
+            "periodic": [JammerSpec(kind="periodic_white_noise", doa_deg=30.0,
+                                    inr_db=10.0, period_chips=37)],
+            "periodic_pinned": [JammerSpec(kind="periodic_white_noise",
+                                           doa_deg=30.0, inr_db=10.0,
+                                           period_chips=37, waveform_seed=1589)],
+            "bpsk_broadband": [JammerSpec(kind="bpsk_broadband", doa_deg=40.0,
+                                          inr_db=20.0)],
+        }.get(kind, [])
+        mais = ([PathSpec(user_index=2, doa_deg=20.0, delay_chips=7, power=1.5)]
+                if kind == "delayed_mai" else [])
+        desired = [PathSpec(user_index=0, doa_deg=0.0, delay_chips=4)]
+        stream = synthesize(make_config(num_symbols=1200, desired=desired,
+                                        mais=mais, jammers=jammers))
+        total = stream.noise.shape[1]
+        assert total % 512 and total > 2 * 512 * CODE_LENGTH + 3
+        row = len(stream.soi_steering.T) if kind != "soi" else 0
+        whole = stream.render(0, total)[row]
+        assert np.any(whole != 0.0)
+        for start, stop in self.ranges(total):
+            part = stream.render(start, stop)
+            assert part.shape == (len(stream.rows), stop - start)
+            np.testing.assert_array_equal(part[row], whole[start:stop])
+        np.testing.assert_array_equal(
+            stream.samples,
+            stream.soi_steering @ stream.soi_waveforms
+            + stream.steering @ stream.waveforms
+            + stream.noise,
+        )
+
+    def test_render_writes_into_a_given_buffer(self):
+        stream = synthesize(make_config(jammers=[
+            JammerSpec(kind="tone", doa_deg=25.0, inr_db=10.0, tone_offset_hz=1e5)
+        ]))
+        out = np.zeros((3, 40), dtype=np.complex128)
+        assert stream.render(100, 140, out=out[:2]).base is out
+        np.testing.assert_array_equal(out[:2], stream.render(100, 140))
+        assert np.all(out[2] == 0.0)
+
+    @staticmethod
+    def arrays(value):
+        """Every array a stream field holds, looking into the partial
+        objects that keep its rows."""
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, functools.partial):
+            for item in (*value.args, *value.keywords.values()):
+                yield from TestRender.arrays(item)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from TestRender.arrays(item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from TestRender.arrays(item)
+
+    def test_the_stream_holds_no_waveform_array(self):
+        # the noise is the only complex array of chip length a stream
+        # holds, and synthesis peaks within 10 % of it (the soi row
+        # alone would add 12.5 %, five stored tone rows 62.5 %)
+        config = five_tones_scenario(30.0, num_symbols=12000, seed=(81, 0, 0))
+        tracemalloc.start()
+        try:
+            stream = synthesize(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * stream.noise.nbytes, (peak, stream.noise.nbytes)
+        total = stream.noise.shape[1]
+        chip_long = [array for field in stream.__dataclass_fields__
+                     for array in self.arrays(getattr(stream, field))
+                     if np.iscomplexobj(array) and total in array.shape]
+        assert len(chip_long) == 1 and chip_long[0] is stream.noise
 
 
 class TestValidation:

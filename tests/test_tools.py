@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mpb_lab import harness
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -39,6 +41,58 @@ def test_desk_bench_writes_a_loadable_report(tmp_path):
     assert len(pattern["wall_s"]) == len(pattern["peak_rss_mb"]) == 1
     assert 0.0 < pattern["median_wall_s"] == pattern["wall_s"][0]
     assert pattern["median_peak_rss_mb"] > 0.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--pairs", "2"], "--pairs needs --against"),
+    (["--against", "no-such-dir"], "no src/mpb_lab there"),
+    (["--against", str(TOOLS.parent), "--repeat", "2"], "not --repeat"),
+    (["--against", str(TOOLS.parent), "--pairs", "0"], "at least 1"),
+], ids=["pairs_alone", "not_a_checkout", "with_repeat", "zero_pairs"])
+def test_desk_bench_rejects_bad_pairing(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _load_tool("desk_bench").main(["--label", "x", *argv])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_desk_bench_wins_count_lower_values_and_no_ties():
+    this = [{"wall_s": 1.0, "peak_rss_mb": 5.0}, {"wall_s": 3.0, "peak_rss_mb": 5.0},
+            {"wall_s": 4.0, "peak_rss_mb": 2.0}]
+    against = [{"wall_s": 2.0, "peak_rss_mb": 5.0}, {"wall_s": 3.0, "peak_rss_mb": 6.0},
+               {"wall_s": 3.5, "peak_rss_mb": 9.0}]
+    tally = _load_tool("desk_bench").wins(this, against)
+    assert tally == {
+        "wall_s": {"wins": 1, "pairs": 3, "median_this": 3.0, "median_against": 3.0},
+        "peak_rss_mb": {"wins": 2, "pairs": 3, "median_this": 5.0,
+                        "median_against": 6.0},
+    }
+
+
+def test_desk_bench_pairs_one_run_with_another_checkout(tmp_path):
+    # this checkout against itself, one pair: both sides' runs, the
+    # tally and its printed line
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "desk_bench.py"), "--label", "paired",
+         "--preset", "pattern", "--against", str(TOOLS.parent), "--pairs", "1",
+         "--out-dir", str(tmp_path)],
+        check=True, capture_output=True, text=True,
+    )
+    with (tmp_path / "BENCH_paired.json").open() as handle:
+        report = json.load(handle)
+    against = report["against"]
+    assert against["dir"] == str(TOOLS.parent)
+    assert len(report["presets"]["pattern"]["wall_s"]) == 1
+    assert len(against["presets"]["pattern"]["wall_s"]) == 1
+    tally = against["wins"]["pattern"]
+    assert set(tally) == {"wall_s", "peak_rss_mb"}
+    for key, counts in tally.items():
+        assert counts["pairs"] == 1 and counts["wins"] in (0, 1)
+        assert counts["median_this"] == report["presets"]["pattern"][key][0]
+        assert counts["median_against"] == against["presets"]["pattern"][key][0]
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("pattern: wall_s ") and "peak_rss_mb" in lines[0]
+    assert lines[-1] == str(tmp_path / "BENCH_paired.json")
 
 
 def _write_csv(root, text):

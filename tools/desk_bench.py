@@ -4,6 +4,7 @@ Usage:
     python3 tools/desk_bench.py --label before
     python3 tools/desk_bench.py --label after --preset threshold_sweep --preset pattern
     taskset -c 1 python3 tools/desk_bench.py --label after --repeat 3
+    python3 tools/desk_bench.py --label paired --against ../parent --pairs 10
 
 Each preset runs at its ``harness.default_spec`` size in a fresh Python
 process with BLAS held to one thread, one process at a time. The child
@@ -22,6 +23,16 @@ and CPU counts, and per preset the runs' ``wall_s`` and
 ``peak_rss_mb`` lists and their medians. Run it in two checkouts on the
 same machine and compare the medians. Per-stage times are not recorded
 here; they join once runs write them next to their results.
+
+Medians of separate invocations drift with the host (about 20 % on a
+shared desk machine). ``--against DIR --pairs N`` measures a change
+against another checkout instead: every pair runs a preset once in this
+checkout and once in DIR, back to back, the first of the two
+alternating from pair to pair. DIR's runs use DIR's ``src/`` and this
+script. The report adds DIR, its git HEAD and its runs per preset (run
+i of each side is pair i), and per preset and metric the pairs this
+checkout won (a lower value; ties count for neither side) and both
+medians, which are also printed, one line per preset.
 """
 
 from __future__ import annotations
@@ -72,8 +83,9 @@ def child(preset: str) -> int:
     return 0
 
 
-def run_child(preset: str) -> dict:
-    env = {**os.environ, **BLAS_ENV, "PYTHONPATH": str(ROOT / "src")}
+def run_child(preset: str, root: Path = ROOT) -> dict:
+    """One child run of preset on the package in root/src."""
+    env = {**os.environ, **BLAS_ENV, "PYTHONPATH": str(root / "src")}
     done = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--child", preset],
         capture_output=True, text=True, env=env, check=True,
@@ -81,13 +93,13 @@ def run_child(preset: str) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def git_head() -> str | None:
+def git_head(root: Path = ROOT) -> str | None:
     """HEAD's short hash, with -dirty when tracked files are modified."""
     try:
         return subprocess.run(
-            ["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
+            ["git", "-C", str(root), "describe", "--always", "--dirty"],
             capture_output=True, text=True, check=True,
-            env={**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)},
+            env={**os.environ, "GIT_CEILING_DIRECTORIES": str(root.parent)},
         ).stdout.strip()
     except (OSError, subprocess.SubprocessError):
         return None
@@ -103,14 +115,38 @@ def summary(samples: list[dict]) -> dict:
     return out
 
 
-def bench(label: str, presets: list[str], repeat: int, out_dir: Path) -> Path:
-    runs: dict[str, list[dict]] = {preset: [] for preset in presets}
-    for _ in range(repeat):
+def wins(this: list[dict], against: list[dict]) -> dict:
+    """Per metric, the pairs this side won and both sides' medians."""
+    return {
+        key: {
+            "wins": sum(a[key] < b[key] for a, b in zip(this, against)),
+            "pairs": len(this),
+            "median_this": statistics.median(run[key] for run in this),
+            "median_against": statistics.median(run[key] for run in against),
+        }
+        for key in ("wall_s", "peak_rss_mb")
+    }
+
+
+def wins_line(preset: str, tally: dict) -> str:
+    wall, rss = tally["wall_s"], tally["peak_rss_mb"]
+    return (f"{preset}: wall_s {wall['wins']}/{wall['pairs']} wins "
+            f"({wall['median_this']:.3f} vs {wall['median_against']:.3f} s), "
+            f"peak_rss_mb {rss['wins']}/{rss['pairs']} wins "
+            f"({rss['median_this']:.1f} vs {rss['median_against']:.1f} MB)")
+
+
+def bench(label: str, presets: list[str], repeat: int, out_dir: Path,
+          against: Path | None = None) -> Path:
+    roots = {"this": ROOT, **({"against": against} if against else {})}
+    runs = {side: {preset: [] for preset in presets} for side in roots}
+    for count in range(repeat):
         for preset in presets:
-            runs[preset].append(run_child(preset))
-            last = runs[preset][-1]
-            print(f"{preset}: {last['wall_s']:.3f} s, "
-                  f"{last['peak_rss_mb']:.1f} MB", file=sys.stderr)
+            for side in list(roots)[:: -1 if count % 2 else 1]:
+                runs[side][preset].append(run_child(preset, roots[side]))
+                last = runs[side][preset][-1]
+                print(f"{preset} ({side}): {last['wall_s']:.3f} s, "
+                      f"{last['peak_rss_mb']:.1f} MB", file=sys.stderr)
     import numpy  # only after the children ran, as above
 
     report = {
@@ -122,8 +158,21 @@ def bench(label: str, presets: list[str], repeat: int, out_dir: Path) -> Path:
         "blas_threads": 1,
         "nproc": os.cpu_count(),
         "affinity_cpus": len(os.sched_getaffinity(0)),
-        "presets": {preset: summary(samples) for preset, samples in runs.items()},
+        "presets": {preset: summary(samples)
+                    for preset, samples in runs["this"].items()},
     }
+    if against:
+        tallies = {preset: wins(runs["this"][preset], runs["against"][preset])
+                   for preset in presets}
+        report["against"] = {
+            "dir": str(against),
+            "git_head": git_head(against),
+            "presets": {preset: summary(samples)
+                        for preset, samples in runs["against"].items()},
+            "wins": tallies,
+        }
+        for preset, tally in tallies.items():
+            print(wins_line(preset, tally))
     path = out_dir / f"BENCH_{label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     return path
@@ -139,6 +188,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="runs per preset (default 1)")
     parser.add_argument("--out-dir", type=Path, default=ROOT,
                         help="where BENCH_<label>.json goes (default: repo root)")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="another checkout to pair every run with")
+    parser.add_argument("--pairs", type=int,
+                        help="pairs per preset with --against (default 1)")
     parser.add_argument("--child", choices=PRESETS, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -147,8 +200,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--label is required: letters, digits, '-' and '_'")
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    print(bench(args.label, args.preset or list(PRESETS), args.repeat,
-                args.out_dir))
+    if args.against is None and args.pairs is not None:
+        parser.error("--pairs needs --against")
+    if args.against is not None:
+        if args.repeat != 1:
+            parser.error("--against pairs runs with --pairs, not --repeat")
+        if not (args.against / "src" / "mpb_lab").is_dir():
+            parser.error(f"--against {args.against}: no src/mpb_lab there")
+        if args.pairs is not None and args.pairs < 1:
+            parser.error("--pairs must be at least 1")
+        args.against = args.against.resolve()
+    repeat = (args.pairs or 1) if args.against else args.repeat
+    print(bench(args.label, args.preset or list(PRESETS), repeat, args.out_dir,
+                args.against))
     return 0
 
 
