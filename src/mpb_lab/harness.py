@@ -27,12 +27,11 @@ sweep-style presets build every scheme's G in one call per (scenario,
 trial) and, since only alpha changes across the SNR grid and only s
 across the INR levels, mix the covariance pairs of every SNR and INR
 from it and solve each INR's SNR grid as one stack; identical_delay
-mixes its stream at amplitude one. The clutter covariances of the
-recursive presets come from one G of one quiet stream per preset, at
-alpha = 0 and with only the first k interferer rows kept (s_i = 1 for
-i < k, else 0). This matches direct estimation on the summed stream
-(ChipStream.samples, built only for the recursion's raw snapshots) to
-roundoff, as the test suite verifies.
+mixes its stream at amplitude one. The clutter covariances the
+recursive presets score against are closed-form expectations over the
+scenario's random draws (scenario.interference_moments), not sample
+Grams: no stream is synthesized for them, and the test suite checks
+them against direct estimation on quiet streams.
 """
 
 from __future__ import annotations
@@ -80,6 +79,7 @@ from .scenario import (
     ScenarioConfig,
     generate_gold_codes,
     group_identical_delays,
+    interference_moments,
     steering_vector,
     synthesize,
 )
@@ -985,25 +985,28 @@ def _beam(
     return gains, columns
 
 
-def _clutters(
-    base: ScenarioConfig, n0: int, num_symbols: int, seed: tuple[int, ...]
-) -> np.ndarray:
-    """Signal-channel interference+noise covariances from one quiet run.
+def _clutters(base: ScenarioConfig, n0: int) -> np.ndarray:
+    """Signal-channel interference+noise covariances of base, in closed form.
 
     Entry k of the (D+1, L, L) stack has only the first k interferers
-    (in config order) present, so entry D is the whole scenario's clutter:
-    one set of Grams, mixed with interferer row i at amplitude (i < k).
+    (in config order) present, so entry D is the whole scenario's
+    clutter: noise_power |h_s|^2 I + A_k C_k A_k^H, with h_s the signal
+    channel every basis shares, A_k the first k interferer steering
+    columns and C_k the first k rows and columns of their despread
+    moment (scenario.interference_moments). Nothing is synthesized.
     """
-    quiet = synthesize(
-        replace(base.signal_free(), num_symbols=num_symbols, seed=seed)
-    )
-    # every basis shares the signal channel h_s; PAPC's monitor is one channel
-    grams = component_grams(
-        quiet, [make_basis("PAPC", generate_gold_codes(1)[0])], n0
-    )[0]
-    rows = np.arange(quiet.steering.shape[1])
-    return np.stack([grams.covariance_pair(0.0, rows < k).r_s
-                     for k in range(rows.size + 1)])
+    h_s = make_basis("PAPC", generate_gold_codes(1)[0]).h_s
+    moments = interference_moments(base, h_s, n0)
+    steering = np.zeros((base.geometry.num_elements, len(moments)),
+                        dtype=np.complex128)
+    for column, source in zip(steering.T, [*base.mais, *base.jammers]):
+        column[:] = steering_vector(base.geometry, source.doa_deg)
+    noise = base.noise_power * np.vdot(h_s, h_s).real * np.eye(len(steering))
+    stack = np.stack([
+        noise + steering[:, :k] @ moments[:k, :k] @ steering[:, :k].conj().T
+        for k in range(len(moments) + 1)
+    ])
+    return 0.5 * (stack + stack.conj().swapaxes(-1, -2))
 
 
 def _silenced(fill: Callable, entry: int, out: np.ndarray, start: int) -> None:
@@ -1021,12 +1024,20 @@ def _staggered(stream: ChipStream, entries: list[int]) -> np.ndarray:
     return replace(stream, rows=tuple(rows)).samples
 
 
-# (cell, trial) rows stepped by one adaptive.run call: bounds the
-# snapshot stacks in trials. One MIC update_symbol (10 elements, 30
-# channels) costs about 17-18 us per row at 64-256 rows, 19-26 us at
-# 512-800 (the stack leaves the cache) and 41 us at 8 (fixed call
-# overhead), one BLAS thread.
+# (cell, trial) rows stepped by one adaptive.run call, at most
+# _RECURSION_ROWS and at most _RECURSION_BYTES of snapshot stacks
+# (elements x windows x (1 + channels) complex values per row and
+# basis): bounds the stacks in trials and in memory. One MIC
+# update_symbol (10 elements, 30 channels) costs about 17-18 us per row
+# at 64-256 rows, 19-26 us at 512-800 (the stack leaves the cache) and
+# 41 us at 8 (fixed call overhead), one BLAS thread, so every chunk
+# adds a fixed cost per symbol. A default tracking row holds 2.2 MB: its
+# 400 rows go in 4 chunks of 100 (223 MB of stacks), where the row cap
+# alone gives 2 chunks of 200 (446 MB); at 128 MiB (7 chunks of 58) its
+# desk wall time grew by about a tenth in paired runs, at 256 MiB by
+# less than the host's spread.
 _RECURSION_ROWS = 256
+_RECURSION_BYTES = 256 * 2**20
 
 
 def _recursion(
@@ -1041,14 +1052,15 @@ def _recursion(
     A cell is (seed, snr_db, entries): trial t is synthesized once, from
     builder at seed (*seed, t) and snr_db, with interferer i silent
     before symbol entries[i], and projected at window offset n0. The
-    (cell, trial) rows, cell-major, are split into
-    ceil(rows / _RECURSION_ROWS) chunks of equal size; each chunk's
-    projections fill one preallocated stack per basis and each scheme's
-    adaptive.run steps the whole chunk at once. Rows never mix in the
-    recursion, so a row's weights do not depend on the chunking. Every
-    cell must share one delta = delta_scale * noise_power, else
-    ValueError. Returns per cell its scenario hash and each scheme's
-    (T, K, L) weights, w[:, k] the one that produced output k.
+    (cell, trial) rows, cell-major, are split into the fewest chunks of
+    equal size that keep each within _RECURSION_ROWS rows and
+    _RECURSION_BYTES of stacks; each chunk's projections fill one
+    preallocated stack per basis and each scheme's adaptive.run steps
+    the whole chunk at once. Rows never mix in the recursion, so a row's
+    weights do not depend on the chunking. Every cell must share one
+    delta = delta_scale * noise_power, else ValueError. Returns per cell
+    its scenario hash and each scheme's (T, K, L) weights, w[:, k] the
+    one that produced output k.
     """
     rows = [
         (builder(snr_db=snr_db, num_symbols=spec.symbols, seed=(*seed, trial)),
@@ -1062,7 +1074,13 @@ def _recursion(
             f"recursion cells must share one delta, got {sorted(deltas)}"
         )
     (delta,) = deltas
-    chunks = -(-len(rows) // _RECURSION_ROWS)
+    config = rows[0][0]
+    n = config.processing_gain
+    snapshots = config.geometry.num_elements * ((config.num_symbols * n - n0) // n)
+    row_bytes = sum(16 * snapshots * (1 + basis.num_channels)
+                    for basis in bases.values())
+    most = max(1, min(_RECURSION_ROWS, _RECURSION_BYTES // max(row_bytes, 1)))
+    chunks = -(-len(rows) // most)
     size = -(-len(rows) // chunks)
     stacks: dict[str, list[np.ndarray]] = {}
     weights: dict[str, np.ndarray] = {}
@@ -1110,7 +1128,7 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
     # interferer powers do not depend on the SNR, so neither does the clutter
     base = builder(snr_db=spec.snr_grid_db[0], num_symbols=spec.symbols,
                    seed=spec.seed)
-    clutters = _clutters(base, n0, 10000, (spec.seed, 7000))
+    clutters = _clutters(base, n0)
     clutter = clutters[-1]
     cells = _recursion(
         spec, builder, n0,
@@ -1175,7 +1193,7 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
     # clutter covariance and optimum per count of active interferers
     # (interferers join in config order)
     sig_power, steer = _scored_path(base, snr_db)
-    clutters = _clutters(base, n0, 6000, (spec.seed, 8000 + num_interferers))
+    clutters = _clutters(base, n0)
     optima = [mvdr_optimum_sinr(sig_power, steer, q) for q in clutters]
 
     runs = {"staggered": entries, "control": [0] * num_interferers}

@@ -264,6 +264,31 @@ def estimate_gamma1(
     return core.solve_batch(covariances_from_arrays(x_s, x_i))[0][0] - 1.0
 
 
+def sampled_clutters(
+    config: ScenarioConfig, n0: int, num_symbols: int, seed: int | tuple[int, ...]
+) -> np.ndarray:
+    """The clutter stack of harness._clutters, estimated from one
+    signal-free stream of num_symbols symbols at seed.
+
+    The sampled reference for the closed form: entry k of the
+    (D+1, L, L) stack is the signal-channel sample covariance of the
+    summed stream with only the first k interferer rows (config order)
+    and the noise kept, estimated directly from its projected windows.
+    """
+    quiet = synthesize(
+        replace(config.signal_free(), num_symbols=num_symbols, seed=seed)
+    )
+    basis = core.make_basis("PAPC", generate_gold_codes(1)[0])
+    waveforms = quiet.waveforms
+    stack = []
+    for k in range(len(waveforms) + 1):
+        samples = quiet.steering[:, :k] @ waveforms[:k] + quiet.noise
+        x_s, _ = core.project_stream(samples, basis, n0)
+        r_s = core.gram(x_s, x_s) / x_s.shape[1]
+        stack.append(0.5 * (r_s + r_s.conj().T))
+    return np.stack(stack)
+
+
 def subspace_angle(u: np.ndarray, v: np.ndarray) -> float:
     """Angle in radians between two complex vectors, ignoring global phase."""
     u = np.asarray(u, dtype=np.complex128).ravel()

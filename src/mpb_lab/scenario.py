@@ -9,7 +9,9 @@ its steering vector and what determines its waveform (an amplitude and
 the symbols, code and delay of a path; the frequency and phase of a
 tone; one period of periodic noise; the +-1 chips of a broadband
 jammer); any chip range of the waveforms is rendered on demand. Only
-receiver noise is stored as a full element-by-chip array.
+receiver noise is stored as a full element-by-chip array. The same
+description of the rows gives their despread second moments in closed
+form (interference_moments), with no stream synthesized.
 
 Conventions used throughout:
   * spreading codes are real +-1 chips of length 31 (degree-5 Gold family),
@@ -25,6 +27,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -417,6 +420,19 @@ def _chips(out: np.ndarray, start: int, amplitude: float, chips: np.ndarray) -> 
     out[:] = amplitude * chips[start : start + out.size]
 
 
+def _jammer_amplitude(config: ScenarioConfig, jam: JammerSpec) -> float:
+    """A jammer row's amplitude: its INR on the noise power, as an rms."""
+    return math.sqrt(config.noise_power * 10.0 ** (jam.inr_db / 10.0))
+
+
+def _unit_period(rng: np.random.Generator, period: int) -> np.ndarray:
+    """One period of complex white noise, scaled to exact unit rms."""
+    seg = rng.standard_normal(period) + 1j * rng.standard_normal(period)
+    # exact unit RMS per period keeps the INR calibration tight
+    seg /= np.sqrt(np.mean(np.abs(seg) ** 2))
+    return seg
+
+
 def synthesize(config: ScenarioConfig) -> ChipStream:
     """Generate one chip-rate array stream and its exact decomposition.
 
@@ -455,7 +471,7 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
     rows = [path(math.sqrt(desired_path_power(config, p)), p) for p in config.desired]
     rows += [path(math.sqrt(p.power), p) for p in config.mais]
     for jam in config.jammers:
-        amplitude = math.sqrt(config.noise_power * 10.0 ** (jam.inr_db / 10.0))
+        amplitude = _jammer_amplitude(config, jam)
         if jam.kind == "tone":
             freq = jam.tone_offset_hz / config.chip_rate_hz
             rows.append(functools.partial(
@@ -475,11 +491,8 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
                 rng if jam.waveform_seed is None
                 else np.random.default_rng(jam.waveform_seed)
             )
-            seg = seg_rng.standard_normal(period) + 1j * seg_rng.standard_normal(period)
-            # exact unit RMS per period keeps the INR calibration tight
-            seg /= np.sqrt(np.mean(np.abs(seg) ** 2))
             rows.append(functools.partial(_periodic, amplitude=amplitude,
-                                          period=seg))
+                                          period=_unit_period(seg_rng, period)))
 
     # filled in place row by row through one reused draw buffer, all real
     # parts then all imaginary parts: the draws of
@@ -498,3 +511,75 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
         noise=noise,
         symbols=symbols,
     )
+
+
+def interference_moments(
+    config: ScenarioConfig, h: np.ndarray, n0: int
+) -> np.ndarray:
+    """The (D, D) moment E[y_i conj(y_j)] of the interferer rows despread
+    by h at window offset n0, in closed form.
+
+    Row i of ChipStream.steering's order (the interfering paths, then
+    the jammers) gives y_i(k) = sum_m conj(h[m]) row_i[k N + n0 + m] in
+    window k. The moment is averaged over the data symbols, broadband
+    chips, tone phases and unpinned periodic waveforms synthesize draws,
+    and over windows:
+      * a path of amplitude a and delay d spans the symbols j = -1, 0, 1
+        of its window, symbol j with the lag weight
+        g_j = sum of conj(h[m]) c[(n0 + m - d) mod N] over the m with
+        floor((n0 + m - d) / N) = j; two paths of one user give
+        a_i a_j sum_j g_j(d_i) conj(g_j(d_j)), of two users 0;
+      * a broadband jammer gives a^2 |h|^2, a tone of f cycles/chip
+        a^2 |sum_m conj(h[m]) exp(j 2 pi f m)|^2, a periodic jammer of
+        unpinned period P a^2 sum over c mod P of |sum_{m = c mod P} h[m]|^2;
+      * the rows of pinned periodic jammers average over the cycle of
+        Q = P / gcd(N, P) window offsets (k N + n0) mod P they visit,
+        the joint cycle for a pair;
+      * every other pair is independent and zero-mean: 0.
+    """
+    n = config.processing_gain
+    if not 0 <= n0 < n:
+        raise ValueError(f"window offset must lie in [0, {n}), got {n0}")
+    chips = np.arange(n)
+    weights = np.conj(np.asarray(h, dtype=np.complex128))
+    paths = len(config.mais)
+    out = np.zeros((paths + len(config.jammers),) * 2, dtype=np.complex128)
+    users = np.array([path.user_index for path in config.mais], dtype=np.int64)
+    codes = generate_gold_codes(int(users.max(initial=0)) + 1)
+    lags = np.zeros((paths, 3), dtype=np.complex128)
+    for row, path in zip(lags, config.mais):
+        t = n0 + chips - path.delay_chips
+        np.add.at(row, t // n + 1, weights * codes[path.user_index].chips[t % n])
+        row *= math.sqrt(path.power)
+    out[:paths, :paths] = (users[:, None] == users) * (lags @ lags.conj().T)
+    # each pinned row's outputs over its cycle of window offsets
+    cycles: dict[int, np.ndarray] = {}
+    for i, jam in enumerate(config.jammers, start=paths):
+        amplitude = _jammer_amplitude(config, jam)
+        period = jam.period_chips if jam.period_chips is not None else n
+        if jam.kind == "tone":
+            freq = jam.tone_offset_hz / config.chip_rate_hz
+            power = abs(weights @ np.exp(2j * np.pi * freq * chips)) ** 2
+        elif jam.kind == "bpsk_broadband":
+            power = np.vdot(weights, weights).real
+        elif jam.waveform_seed is None:
+            folded = np.zeros(period, dtype=np.complex128)
+            np.add.at(folded, chips % period, weights)
+            power = np.vdot(folded, folded).real
+        else:
+            seg = _unit_period(np.random.default_rng(jam.waveform_seed), period)
+            starts = np.arange(period // math.gcd(n, period)) * n + n0
+            cycles[i] = amplitude * sum(
+                w * seg[(starts + m) % period] for m, w in enumerate(weights))
+            continue
+        out[i, i] = amplitude**2 * power
+    # over a pair's joint cycle, lcm(Q_i, Q_j) windows, (k mod Q_i,
+    # k mod Q_j) takes each pair of residues that agree mod
+    # g = gcd(Q_i, Q_j) once (Chinese remainder theorem): the joint
+    # average is the mean over r mod g of the product of each row's mean
+    # over the k = r mod g of its own cycle
+    for (i, y_i), (j, y_j) in itertools.product(cycles.items(), repeat=2):
+        g = math.gcd(y_i.size, y_j.size)
+        out[i, j] = np.vdot(y_j.reshape(-1, g).mean(axis=0),
+                            y_i.reshape(-1, g).mean(axis=0)) / g
+    return out

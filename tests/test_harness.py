@@ -36,7 +36,7 @@ from mpb_lab.harness import (
     scenario_hash,
     write_result,
 )
-from mpb_lab.oracles import covariances_from_arrays
+from mpb_lab.oracles import covariances_from_arrays, sampled_clutters
 from mpb_lab.presets import (
     SWEEP_SCENARIOS,
     convergence_scenario,
@@ -600,8 +600,8 @@ class TestGramFastPath:
 
     def test_incomplete_bases_hold_no_raw_block(self):
         # the raw block buffer is for complete bases only: a PAPC-only
-        # call (the recursive presets' clutter) must peak below one raw
-        # block of [soi; interferers; noise] rows
+        # call must peak below one raw block of [soi; interferers; noise]
+        # rows
         basis = make_basis("PAPC", generate_gold_codes(1)[0])
         stream = synthesize(five_tones_scenario(
             30.0, num_symbols=3 * harness._GRAM_BLOCK_SYMBOLS, seed=(81, 0, 0)))
@@ -611,33 +611,43 @@ class TestGramFastPath:
         assert peak < raw_block, (peak, raw_block)
 
     def test_clutters_match_direct_estimation_per_interferer_count(self):
-        check_clutters(300)
+        # entry k of the closed-form clutter stack against direct
+        # estimation on quiet streams with only their first k interferer
+        # rows kept, averaged over independent streams; the tolerance is
+        # fixed at five standard errors of one snapshot's product,
+        # relative to sqrt(R_pp R_qq)
+        streams, symbols = 4, 4000
+        for builder in (tracking_scenario, convergence_scenario):
+            base = builder(num_symbols=12, seed=(6, 0, 0))
+            clutters = harness._clutters(base, 0)
+            assert len(clutters) == len(base.mais) + len(base.jammers) + 1
+            np.testing.assert_allclose(
+                clutters[0], base.noise_power * np.eye(base.geometry.num_elements),
+                rtol=0.0, atol=1e-12)
+            sampled = np.mean([sampled_clutters(base, 0, symbols, (6, seed))
+                               for seed in range(streams)], axis=0)
+            power = np.real(np.diagonal(clutters, axis1=1, axis2=2))
+            gap = np.abs(sampled - clutters) / np.sqrt(power[:, :, None]
+                                                        * power[:, None, :])
+            assert gap.max() <= 5.0 / math.sqrt(streams * symbols), (builder, gap.max())
 
     def test_clutters_match_direct_estimation_across_blocks(self):
-        check_clutters(harness._GRAM_BLOCK_SYMBOLS + 300)
-
-
-def check_clutters(symbols):
-    # entry k of the recursive presets' clutter stack keeps the quiet
-    # stream's first k interferer rows; the reference zeroes the rest
-    # and estimates from the summed stream
-    base = tracking_scenario(num_symbols=12, seed=(6, 0, 0))
-    basis = make_basis("PAPC", generate_gold_codes(1)[0])
-    clutters = harness._clutters(base, 0, symbols, (6, 1))
-    quiet = synthesize(replace(base.signal_free(), num_symbols=symbols,
-                               seed=(6, 1)))
-    assert len(clutters) == len(quiet.waveforms) + 1
-    for k, clutter in enumerate(clutters):
-        waveforms = quiet.waveforms
-        waveforms[k:] = 0.0
-        samples = quiet.steering @ waveforms
-        samples += quiet.soi_steering @ quiet.soi_waveforms
-        samples += quiet.noise
-        direct = covariances_from_arrays(
-            *project_stream(samples, basis, 0)
-        ).r_s
-        gap = np.linalg.norm(clutter - direct) / np.linalg.norm(direct)
-        assert gap <= 1e-12, (k, gap)
+        # the sampled clutter stack is the component Grams of one quiet
+        # stream mixed with only the first k interferer rows (s_i = 1 for
+        # i < k, else 0), to roundoff, over more than one Gram block
+        symbols = harness._GRAM_BLOCK_SYMBOLS + 300
+        base = tracking_scenario(num_symbols=12, seed=(6, 0, 0))
+        quiet = synthesize(replace(base.signal_free(), num_symbols=symbols,
+                                   seed=(6, 1)))
+        grams = component_grams(
+            quiet, [make_basis("PAPC", generate_gold_codes(1)[0])], 0)[0]
+        rows = np.arange(quiet.steering.shape[1])
+        direct = sampled_clutters(base, 0, symbols, (6, 1))
+        assert len(direct) == rows.size + 1
+        for k, clutter in enumerate(direct):
+            mixed = grams.covariance_pair(0.0, rows < k).r_s
+            gap = np.linalg.norm(mixed - clutter) / np.linalg.norm(clutter)
+            assert gap <= 1e-12, (k, gap)
 
 
 def assert_finite(result):
@@ -918,9 +928,12 @@ class TestRunners:
                 spec.validate()
 
     @pytest.mark.parametrize("preset", ["convergence", "tracking"])
-    def test_one_quiet_stream_per_recursive_preset(self, preset, monkeypatch):
-        # each trial of each cell or run is synthesized once, and one quiet
-        # stream serves every SNR (convergence) or interferer count (tracking)
+    def test_one_stream_per_recursion_row_and_none_for_clutter(
+        self, preset, monkeypatch
+    ):
+        # each trial of each cell or run is synthesized once, and the
+        # clutter of every SNR (convergence) or interferer count
+        # (tracking) is closed-form: no quiet stream, no component Grams
         calls, grams = [], []
         original, original_grams = harness.synthesize, harness.component_grams
 
@@ -939,15 +952,14 @@ class TestRunners:
         if preset == "convergence":
             spec.symbols, spec.snr_grid_db = 40, [10.0, 20.0]
             run_convergence(spec)
-            expected = spec.trials * len(spec.snr_grid_db) + 1
+            expected = spec.trials * len(spec.snr_grid_db)
         else:
             spec.symbols, spec.entry_interval = 120, 40
             run_tracking(spec)
-            expected = 2 * spec.trials + 1
+            expected = 2 * spec.trials
         assert len(calls) == expected
-        assert sum(math.isinf(c.snr_db) for c in calls) == 1
-        # and one set of Grams of it serves every interferer count
-        assert len(grams) == 1
+        assert not any(math.isinf(c.snr_db) for c in calls)
+        assert not grams
 
     def test_interferer_free_custom_scenario(self):
         # no interferer at all: the interference component has zero
@@ -1039,6 +1051,27 @@ class TestRecursionDriver:
                 assert w.shape[0] == spec.trials
                 assert np.array_equal(w, single[1][scheme])
         assert stacked[0][0] != stacked[1][0]
+
+    def test_chunks_stay_within_the_byte_budget(self, monkeypatch):
+        # a budget of two rows' stacks (MIC: 10 x 30 x 31, PAPC: 10 x 30
+        # x 2 complex values per row) splits six rows into three chunks
+        spec, bases = self.spec_and_bases()
+        cells = [((spec.seed, 0), 10.0, [0, 0]), ((spec.seed, 1), 20.0, [5, 12])]
+        chunks = []
+        run = harness.adaptive_mod.run
+
+        def counting(x_s, *args, **kwargs):
+            chunks.append(len(x_s))
+            return run(x_s, *args, **kwargs)
+
+        monkeypatch.setattr(harness.adaptive_mod, "run", counting)
+        monkeypatch.setattr(harness, "_RECURSION_BYTES", 2 * 16 * 10 * 30 * 33)
+        harness._recursion(spec, convergence_scenario, 0, cells, bases)
+        assert chunks == [2] * 3 * len(bases)
+        chunks.clear()
+        monkeypatch.setattr(harness, "_RECURSION_BYTES", 2 * 16 * 10 * 30 * 33 - 1)
+        harness._recursion(spec, convergence_scenario, 0, cells, bases)
+        assert chunks == [1] * 6 * len(bases)
 
     def test_cells_must_share_one_delta(self, monkeypatch):
         # a scenario whose noise power follows the cell's SNR gives each
@@ -1147,20 +1180,6 @@ _EDGES = {
 _RECURSION_OVERFLOWS = pytest.mark.xfail(
     raises=ValueError, strict=True, reason="recursion overflows to a non-finite weight"
 )
-
-
-# clutter covariances by the quiet stream they come from: most walked
-# keys leave a recursive preset's quiet stream as it is
-_CLUTTERS: dict = {}
-_unshared_clutters = harness._clutters
-
-
-def _shared_clutters(base, n0, num_symbols, seed):
-    quiet = replace(base.signal_free(), num_symbols=num_symbols, seed=seed)
-    key = (scenario_hash(quiet), n0)
-    if key not in _CLUTTERS:
-        _CLUTTERS[key] = _unshared_clutters(base, n0, num_symbols, seed)
-    return _CLUTTERS[key]
 
 
 def _edge_cases():
@@ -1299,12 +1318,11 @@ class TestCli:
         assert set(_EDGES) == set(harness._TOP) - {"preset", "output_dir"}
 
     @pytest.mark.parametrize("preset, key, value", list(_edge_cases()))
-    def test_single_key_edge_walk(self, tmp_path, monkeypatch, preset, key, value):
+    def test_single_key_edge_walk(self, tmp_path, preset, key, value):
         # one key set to an edge value on a short run: a ConfigError that
         # names the key, or finite cells
         # but for a threshold (crossover_db is eigencurve's predicted
         # one), which is +inf where the signal can never win
-        monkeypatch.setattr(harness, "_clutters", _shared_clutters)
         config = {"preset": preset, "symbols": 60}
         if "trials" not in harness._PRESETS[preset].never_reads:
             config["trials"] = 1

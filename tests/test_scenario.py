@@ -10,11 +10,12 @@ import functools
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mpb_lab.core import make_basis, project_stream
+from mpb_lab.core import gram, make_basis, project_stream
 from mpb_lab.oracles import gold_correlation_levels
 from mpb_lab.presets import (
     PERIODIC_NOISE_WAVEFORM_SEEDS,
@@ -35,6 +36,7 @@ from mpb_lab.scenario import (
     generate_gold_codes,
     gold_family_bits,
     group_identical_delays,
+    interference_moments,
     steering_vector,
     synthesize,
 )
@@ -449,6 +451,98 @@ class TestRender:
                      for array in self.arrays(getattr(stream, field))
                      if np.iscomplexobj(array) and total in array.shape]
         assert len(chip_long) == 1 and chip_long[0] is stream.noise
+
+
+class TestInterferenceMoments:
+    """The closed-form despread moment against the sampled Gram of the
+    interferer rows despread by h_s, averaged over independent streams."""
+
+    # windows per stream (a multiple of the pinned rows' joint cycle, 60)
+    # and streams: the tolerance is fixed at five standard errors of one
+    # snapshot's product, relative to sqrt(C_ii C_jj)
+    WINDOWS, STREAMS, N0 = 4020, 8, 5
+
+    @staticmethod
+    def config(seed):
+        # every row kind, windows at a nonzero offset: user 1's two paths
+        # at distinct delays and one path of user 2, a broadband and a
+        # tone jammer, a periodic jammer of unpinned period P != N (P at
+        # least the window count, so each stream sees distinct offsets)
+        # and two pinned ones whose cycles of window offsets, 12 and 20
+        # windows, share a factor of 4
+        return make_config(
+            geometry=ArrayGeometry(num_elements=10),
+            num_symbols=TestInterferenceMoments.WINDOWS + 1,
+            seed=seed,
+            desired=[PathSpec(user_index=0, doa_deg=0.0, delay_chips=5)],
+            mais=[PathSpec(1, 30.0, 2, 2.0), PathSpec(1, -20.0, 9, 1.0),
+                  PathSpec(2, 50.0, 0, 0.5)],
+            jammers=[
+                JammerSpec("bpsk_broadband", -50.0, 3.0),
+                JammerSpec("tone", -35.0, 0.0, tone_offset_hz=37e3),
+                JammerSpec("periodic_white_noise", 65.0, 2.0, period_chips=8009),
+                JammerSpec("periodic_white_noise", 10.0, 1.0, period_chips=12,
+                           waveform_seed=5),
+                JammerSpec("periodic_white_noise", -70.0, -1.0, period_chips=20,
+                           waveform_seed=6),
+            ],
+        )
+
+    @pytest.fixture(scope="class")
+    def moments(self):
+        basis = make_basis("PAPC", generate_gold_codes(1)[0])
+        exact = interference_moments(self.config(0), basis.h_s, self.N0)
+        sampled = np.zeros_like(exact)
+        for seed in range(self.STREAMS):
+            rows, _ = project_stream(
+                synthesize(self.config(seed)).waveforms, basis, self.N0)
+            assert rows.shape[1] == self.WINDOWS
+            sampled += gram(rows, rows) / (self.WINDOWS * self.STREAMS)
+        return exact, sampled
+
+    def test_every_row_kind_matches_sampled_grams(self, moments):
+        exact, sampled = moments
+        power = exact.diagonal().real
+        gap = np.abs(sampled - exact) / np.sqrt(np.outer(power, power))
+        assert gap.max() <= 5.0 / math.sqrt(self.WINDOWS * self.STREAMS), gap
+
+    def test_pinned_pair_is_its_joint_cycle_average(self, moments):
+        # the pinned rows are deterministic and every stream holds whole
+        # joint cycles, so the sample Gram is their cycle average
+        exact, sampled = moments
+        np.testing.assert_allclose(sampled[6:, 6:], exact[6:, 6:],
+                                   rtol=1e-12, atol=1e-12 * abs(exact[6, 6]))
+
+    def test_independent_rows_do_not_couple(self, moments):
+        # only paths of one user and the pinned pair have cross moments
+        exact, _ = moments
+        coupled = np.eye(len(exact), dtype=bool)
+        coupled[0, 1] = coupled[1, 0] = coupled[6, 7] = coupled[7, 6] = True
+        assert np.all(exact[~coupled] == 0.0)
+        assert np.all(np.abs(exact[coupled]) > 0.0)
+        np.testing.assert_array_equal(exact, exact.conj().T)
+
+    def test_short_unpinned_period_averages_over_its_waveforms(self):
+        # a period P < N folds the window onto P residue classes; each
+        # stream's draw of the period is one snapshot of a cycle average
+        # whose relative spread is at most one, so the tolerance is five
+        # standard errors over the streams
+        streams = 1000
+        config = make_config(num_symbols=6, jammers=[JammerSpec(
+            "periodic_white_noise", 30.0, 0.0, period_chips=5)])
+        basis = make_basis("PAPC", generate_gold_codes(1)[0])
+        [[exact]] = interference_moments(config, basis.h_s, 3)
+        sampled = 0.0
+        for seed in range(streams):
+            stream = synthesize(replace(config, seed=seed))
+            rows, _ = project_stream(stream.waveforms, basis, 3)
+            sampled += np.mean(np.abs(rows) ** 2) / streams
+        assert abs(sampled / exact.real - 1.0) <= 5.0 / math.sqrt(streams)
+
+    def test_rejects_a_window_offset_outside_the_code(self):
+        h = np.ones(CODE_LENGTH) / math.sqrt(CODE_LENGTH)
+        with pytest.raises(ValueError, match="window offset"):
+            interference_moments(self.config(0), h, CODE_LENGTH)
 
 
 class TestValidation:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mpb_lab import harness
@@ -41,6 +42,33 @@ def test_desk_bench_writes_a_loadable_report(tmp_path):
     assert len(pattern["wall_s"]) == len(pattern["peak_rss_mb"]) == 1
     assert 0.0 < pattern["median_wall_s"] == pattern["wall_s"][0]
     assert pattern["median_peak_rss_mb"] > 0.0
+    expected = "VmHWM" if Path("/proc/self/status").is_file() else "ru_maxrss"
+    assert pattern["peak_rss_source"] == expected
+
+
+def test_desk_bench_peak_falls_back_to_ru_maxrss(tmp_path):
+    # no status file, or one without a VmHWM line: ru_maxrss
+    tool = _load_tool("desk_bench")
+    (tmp_path / "status").write_text("Name:\tpython\nVmRSS:\t 100 kB\n")
+    for status in (tmp_path / "missing", tmp_path / "status"):
+        peak, source = tool.peak_rss(str(status))
+        assert source == "ru_maxrss" and peak > 0.0
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="needs /proc/self/status")
+def test_desk_bench_child_peak_excludes_its_parent():
+    # the child's VmHWM restarts at exec: this process holds 100 MB more
+    # than a bare interpreter needs, and the child's peak shows none of it
+    held = np.ones(100 * 2**20 // 8)
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import desk_bench; print(json.dumps(desk_bench.peak_rss()))")
+    done = subprocess.run([sys.executable, "-c", code, str(TOOLS)], check=True,
+                          capture_output=True, text=True)
+    peak, source = json.loads(done.stdout)
+    own, _ = _load_tool("desk_bench").peak_rss()
+    assert source == "VmHWM"
+    assert peak < 50.0 < own, (peak, own, held.nbytes)
 
 
 @pytest.mark.parametrize("argv, message", [

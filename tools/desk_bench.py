@@ -11,18 +11,23 @@ process with BLAS held to one thread, one process at a time. The child
 imports the package from the ``src/`` directory next to this script, so
 each checkout measures its own code. It times ``run_preset`` plus
 ``write_result`` (into a temporary directory), not the interpreter start
-or the imports, and reports its peak RSS (``ru_maxrss``, imports
-included). ``--repeat N`` runs every preset N times, round-robin, and
-records every run with the median. Children inherit the CPU affinity,
-so ``taskset`` pins them all.
+or the imports, and reports its own peak RSS, imports included: the
+``VmHWM`` line of ``/proc/self/status``, which restarts at exec, or
+``ru_maxrss`` where ``/proc`` is absent (on Linux ``ru_maxrss`` keeps
+the high-water mark of the image before exec, so it can read the
+spawning process's RSS). ``--repeat N`` runs every preset N times,
+round-robin, and records every run with the median. Children inherit
+the CPU affinity, so ``taskset`` pins them all.
 
 The script writes ``BENCH_<label>.json`` at the repository root (or in
 ``--out-dir``): the label, the time it was written, the git HEAD
 (``-dirty`` when tracked files differ from it), the interpreter, numpy
 and CPU counts, and per preset the runs' ``wall_s`` and
-``peak_rss_mb`` lists and their medians. Run it in two checkouts on the
-same machine and compare the medians. Per-stage times are not recorded
-here; they join once runs write them next to their results.
+``peak_rss_mb`` lists, their medians and ``peak_rss_source``, the
+source of the peaks (``VmHWM`` or ``ru_maxrss``). Run it in two
+checkouts on the same machine and compare the medians. Per-stage times
+are not recorded here; they join once runs write them next to their
+results.
 
 Medians of separate invocations drift with the host (about 20 % on a
 shared desk machine). ``--against DIR --pairs N`` measures a change
@@ -54,8 +59,8 @@ BLAS_ENV = {
     "MKL_NUM_THREADS": "1",
 }
 # the names in harness.PRESETS (tests/test_tools.py pins the set),
-# spelled out so that this process never imports the package: a spawned
-# child's ru_maxrss starts at its parent's RSS
+# spelled out so that this process never imports the package: where a
+# child's peak falls back to ru_maxrss, it starts at its parent's RSS
 PRESETS = (
     "threshold_sweep",
     "eigencurve",
@@ -66,9 +71,24 @@ PRESETS = (
 )
 
 
-def child(preset: str) -> int:
-    """Run one preset at its default spec and print {wall_s, peak_rss_mb}."""
+def peak_rss(status: str = "/proc/self/status") -> tuple[float, str]:
+    """This process's peak RSS in MB and its source: the VmHWM line of
+    status, else (no such file or line) ru_maxrss."""
+    try:
+        with open(status) as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0, "VmHWM"
+    except OSError:
+        pass
     import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "ru_maxrss"
+
+
+def child(preset: str) -> int:
+    """Run one preset at its default spec and print {wall_s,
+    peak_rss_mb, peak_rss_source}."""
     import tempfile
 
     from mpb_lab import harness
@@ -78,8 +98,8 @@ def child(preset: str) -> int:
         start = time.perf_counter()
         harness.write_result(harness.run_preset(spec), tmp)
         wall = time.perf_counter() - start
-    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    print(json.dumps({"wall_s": wall, "peak_rss_mb": rss_kb / 1024.0}))
+    peak, source = peak_rss()
+    print(json.dumps({"wall_s": wall, "peak_rss_mb": peak, "peak_rss_source": source}))
     return 0
 
 
@@ -106,12 +126,15 @@ def git_head(root: Path = ROOT) -> str | None:
 
 
 def summary(samples: list[dict]) -> dict:
-    """Every run's wall_s and peak_rss_mb, and the median of each."""
+    """Every run's wall_s and peak_rss_mb, the median of each, and the
+    peaks' sources (comma-joined if the runs differ)."""
     out = {}
     for key in ("wall_s", "peak_rss_mb"):
         values = [run[key] for run in samples]
         out[key] = values
         out[f"median_{key}"] = statistics.median(values)
+    out["peak_rss_source"] = ",".join(sorted({run["peak_rss_source"]
+                                              for run in samples}))
     return out
 
 
