@@ -5,18 +5,22 @@ power-iteration weight step per symbol.
 Per symbol k the update is
 
     R_S <- mu R_S + x_s x_s^H
-    F = R^H / sqrt(r), with x_i^H = Q R the QR factorization of the
-        r monitoring channels' snapshots, so F F^H = x_i x_i^H / r
-    for each column t = 1..min(L, r) of the rank-min(L, r) factor F:
-        P <- rank-one inverse update of (mu_t R_I + F[:, t] F[:, t]^H),
+    for each row f_t, t = 1..m, of the symbol's monitor factor, the m
+    vectors with sum_t f_t f_t^H = x_i x_i^H / r:
+        P <- rank-one inverse update of (mu_t R_I + f_t f_t^H),
              with mu_t = mu at t = 1 and mu_t = 1 afterwards
     w <- P R_S (w / ||w||)
 
 so the forgetting factor is applied exactly once per symbol on each
 covariance and R_I gains exactly the monitor increment x_i x_i^H / r of
-the paper's one-update-per-channel recursion. Output k is produced by
-the weight held before symbol k's update, the weight that the data of
-symbol k could not influence: y_o[k] = w[k]^H x_s[k].
+the paper's one-update-per-channel recursion, in m = min(L, r) rank-one
+steps. The factors are built for every symbol of a stream before the
+recursion starts (monitor_factors): with r <= L its rows are the r
+monitoring snapshots over sqrt(r), no decomposition needed; with r > L
+they are the columns of the Cholesky factor of the L x L monitor Gram
+over r, one batched factorization for all symbols. Output k is
+produced by the weight held before symbol k's update, the weight that
+the data of symbol k could not influence: y_o[k] = w[k]^H x_s[k].
 
 Every array carries a leading trial axis: independent Monte-Carlo
 trials advance together, one symbol at a time, and a single trial is
@@ -75,23 +79,44 @@ def init(num_trials: int, num_elements: int, mu: float, delta: float) -> Adaptiv
     return AdaptiveState(r_s=delta * eye, p=(1.0 / delta) * eye, w=w, mu=mu)
 
 
+def monitor_factors(x_i: np.ndarray) -> np.ndarray:
+    """Monitor factor rows of snapshots: (..., L, r) -> (..., min(L, r), L).
+
+    The rows f_t satisfy sum_t f_t f_t^H = x_i x_i^H / r. With r <= L
+    they are the r snapshots over sqrt(r), no decomposition needed. With
+    r > L they are the columns of the Cholesky factor of x_i x_i^H / r,
+    one batched factorization over the leading axes, so that Gram must
+    be positive definite: rank-deficient (all-zero, say) or non-finite
+    snapshots with r > L raise ValueError naming the recursion input.
+    """
+    x_i = np.asarray(x_i, dtype=np.complex128)
+    elements, channels = x_i.shape[-2:]
+    if channels <= elements:
+        return x_i.swapaxes(-1, -2) * (1.0 / math.sqrt(channels))
+    try:
+        lower = np.linalg.cholesky(x_i @ x_i.conj().swapaxes(-1, -2) / channels)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            "recursion input: a monitor Gram x_i x_i^H is not positive definite"
+        ) from exc
+    return lower.swapaxes(-1, -2)
+
+
 def update_symbol(
-    state: AdaptiveState, x_s: np.ndarray, x_i: np.ndarray
+    state: AdaptiveState, x_s: np.ndarray, factor: np.ndarray
 ) -> np.ndarray:
     """Advance all T trials by one symbol's snapshots.
 
-    x_s is the (T, L) signal snapshot and x_i the (T, L, r) monitoring
-    snapshots; with the full code-orthogonal basis r = N-1 this is the
-    per-symbol recursion of the multi-channel scheme, and with a single
-    channel it reduces to classic exponentially weighted RLS on that
-    channel. Returns the (T,) P asymmetries. The snapshots are taken as
-    given: run checks them before any symbol.
+    x_s is the (T, L) signal snapshot and factor the (T, m, L) rows f_t
+    of the symbol's monitor factor, sum_t f_t f_t^H = x_i x_i^H / r
+    (monitor_factors); with the full code-orthogonal basis r = N-1 this
+    is the per-symbol recursion of the multi-channel scheme, and with a
+    single channel it reduces to classic exponentially weighted RLS on
+    that channel. Returns the (T,) P asymmetries. The inputs are taken
+    as given: run checks them before any symbol.
     """
     r_s = state.mu * state.r_s + x_s[:, :, None] * x_s[:, None, :].conj()
 
-    # row t of R, conjugated, is column t of R^H: (T, min(L, r), L)
-    factor = np.linalg.qr(x_i.conj().swapaxes(-1, -2), mode="r").conj()
-    factor *= 1.0 / math.sqrt(x_i.shape[-1])
     p = state.p
     for t in range(factor.shape[-2]):
         mu_t = state.mu if t == 0 else 1.0
@@ -111,31 +136,36 @@ def update_symbol(
 
 def run(
     x_s: np.ndarray,
-    x_i: np.ndarray,
+    factors: np.ndarray,
     mu: float,
     delta: float,
     out: np.ndarray | None = None,
 ) -> AdaptiveOutput:
-    """Drive the recursion over every symbol of T trials' projected snapshots.
+    """Drive the recursion over every symbol of T trials' inputs.
 
-    x_s is (T, L, K) and x_i is (T, L, K, r), the per-trial outputs of
-    core.project_stream stacked on a leading trial axis; the monitoring
-    channels of x_i choose the scheme (all N-1 code-orthogonal channels
-    for MIC, one channel for single-channel RLS). Shapes and finiteness
-    are checked before any symbol is processed. The (T, K, L) weights,
-    w[:, k] the one that produces output k, are written into out when it
-    is given (a caller's preallocated block), else into a new array.
+    x_s is the (T, L, K) stack of signal snapshots (core.project_stream's
+    x_s on a leading trial axis) and factors the (T, K, m, L) monitor
+    factor rows of every trial and symbol (monitor_factors of the
+    snapshots); the monitoring channels behind them choose the scheme
+    (all N-1 code-orthogonal channels for MIC, one channel for
+    single-channel RLS). Shapes and finiteness are checked before any
+    symbol is processed. The (T, K, L) weights, w[:, k] the one that
+    produces output k, are written into out when it is given (a
+    caller's preallocated block), else into a new array.
     """
     x_s = np.asarray(x_s, dtype=np.complex128)
-    x_i = np.asarray(x_i, dtype=np.complex128)
-    if x_s.ndim != 3 or x_i.ndim != 4 or x_i.shape[:3] != x_s.shape:
+    factors = np.asarray(factors, dtype=np.complex128)
+    if (x_s.ndim != 3 or factors.ndim != 4
+            or factors.shape[:2] != (x_s.shape[0], x_s.shape[2])
+            or factors.shape[3] != x_s.shape[1]):
         raise ValueError(
-            f"snapshot stacks have inconsistent shapes {x_s.shape} / {x_i.shape}"
+            f"input stacks have inconsistent shapes {x_s.shape} / {factors.shape}"
         )
-    if x_s.shape[2] < 1 or x_i.shape[3] < 1:
-        raise ValueError(f"need at least one symbol and one channel, got {x_i.shape}")
+    if x_s.shape[2] < 1 or factors.shape[2] < 1:
+        raise ValueError("need at least one symbol and one channel's factor row, "
+                         f"got {factors.shape}")
     # trial by trial, so the check's temporary is one trial's, not the stack's
-    if not all(np.isfinite(x).all() for x in (*x_s, *x_i)):
+    if not all(np.isfinite(x).all() for x in (*x_s, *factors)):
         raise ValueError("snapshots contain non-finite entries")
 
     trials, elements, symbols = x_s.shape
@@ -147,5 +177,5 @@ def run(
     asym = np.empty((trials, symbols))
     for k in range(symbols):
         w[:, k] = state.w
-        asym[:, k] = update_symbol(state, x_s[:, :, k], x_i[:, :, k, :])
+        asym[:, k] = update_symbol(state, x_s[:, :, k], factors[:, k])
     return AdaptiveOutput(w=w, p_asymmetry=asym)

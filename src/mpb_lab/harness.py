@@ -558,11 +558,8 @@ def write_result(result: ExperimentResult, out_dir: str | Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
 
     rows = result.rows
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    # every key of every row, in order of first appearance
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     results_path = out / "results.csv"
     with results_path.open("w", newline="") as handle:
         handle.write(f"# schema={SCHEMA_VERSION}\n")
@@ -1025,19 +1022,19 @@ def _staggered(stream: ChipStream, entries: list[int]) -> np.ndarray:
 
 
 # (cell, trial) rows stepped by one adaptive.run call, at most
-# _RECURSION_ROWS and at most _RECURSION_BYTES of snapshot stacks
-# (elements x windows x (1 + channels) complex values per row and
-# basis): bounds the stacks in trials and in memory. One MIC
-# update_symbol (10 elements, 30 channels) costs about 17-18 us per row
-# at 64-256 rows, 19-26 us at 512-800 (the stack leaves the cache) and
-# 41 us at 8 (fixed call overhead), one BLAS thread, so every chunk
-# adds a fixed cost per symbol. A default tracking row holds 2.2 MB: its
-# 400 rows go in 4 chunks of 100 (223 MB of stacks), where the row cap
-# alone gives 2 chunks of 200 (446 MB); at 128 MiB (7 chunks of 58) its
-# desk wall time grew by about a tenth in paired runs, at 256 MiB by
-# less than the host's spread.
+# _RECURSION_ROWS and at most _RECURSION_BYTES of input stacks: per row
+# and basis, x_s and the monitor factor rows, 16 K L (1 + m) bytes
+# (m = min(L, r)). Bounds the stacks in trials and in memory. One MIC
+# update_symbol (10 elements, 10 factor rows) costs about 8.6-9.7 us
+# per row at 64-512 rows and 36 us at 8 (fixed call overhead), one BLAS
+# thread, so every chunk adds a fixed cost per symbol; building a MIC
+# row's inputs costs about 3 ms per 450 symbols (projection 1.2 ms,
+# monitor Grams 1.0 ms, Cholesky 0.6 ms). A default tracking row holds
+# 792 kB: its 400 rows go in 4 chunks of 100 (79 MB of stacks), with a
+# desk peak of 153 MB; at 256 MiB the row cap alone would give 2 chunks
+# of 200 and twice the stacks.
 _RECURSION_ROWS = 256
-_RECURSION_BYTES = 256 * 2**20
+_RECURSION_BYTES = 80 * 2**20
 
 
 def _recursion(
@@ -1054,10 +1051,12 @@ def _recursion(
     before symbol entries[i], and projected at window offset n0. The
     (cell, trial) rows, cell-major, are split into the fewest chunks of
     equal size that keep each within _RECURSION_ROWS rows and
-    _RECURSION_BYTES of stacks; each chunk's projections fill one
-    preallocated stack per basis and each scheme's adaptive.run steps
-    the whole chunk at once. Rows never mix in the recursion, so a row's
-    weights do not depend on the chunking. Every cell must share one
+    _RECURSION_BYTES of stacks. Per row and basis, the projection's x_s
+    and the monitor factor rows of its x_i (adaptive.monitor_factors)
+    fill one preallocated pair of stacks, so no stack holds the r
+    monitor channels; each scheme's adaptive.run steps the whole chunk
+    at once. Rows never mix in the recursion, so a row's weights do not
+    depend on the chunking. Every cell must share one
     delta = delta_scale * noise_power, else ValueError. Returns per cell
     its scenario hash and each scheme's (T, K, L) weights, w[:, k] the
     one that produced output k.
@@ -1076,14 +1075,21 @@ def _recursion(
     (delta,) = deltas
     config = rows[0][0]
     n = config.processing_gain
-    snapshots = config.geometry.num_elements * ((config.num_symbols * n - n0) // n)
-    row_bytes = sum(16 * snapshots * (1 + basis.num_channels)
-                    for basis in bases.values())
+    elements = config.geometry.num_elements
+    symbols = (config.num_symbols * n - n0) // n
+    ranks = {scheme: min(elements, basis.num_channels)
+             for scheme, basis in bases.items()}
+    row_bytes = sum(16 * symbols * elements * (1 + m) for m in ranks.values())
     most = max(1, min(_RECURSION_ROWS, _RECURSION_BYTES // max(row_bytes, 1)))
     chunks = -(-len(rows) // most)
     size = -(-len(rows) // chunks)
-    stacks: dict[str, list[np.ndarray]] = {}
-    weights: dict[str, np.ndarray] = {}
+    stacks = {
+        scheme: (np.empty((size, elements, symbols), dtype=np.complex128),
+                 np.empty((size, symbols, m, elements), dtype=np.complex128))
+        for scheme, m in ranks.items()
+    }
+    weights = {scheme: np.empty((len(rows), symbols, elements), dtype=np.complex128)
+               for scheme in bases}
     for start in range(0, len(rows), size):
         chunk = rows[start : start + size]
         for row, (config, entries) in enumerate(chunk):
@@ -1092,19 +1098,14 @@ def _recursion(
                 [entry * config.processing_gain for entry in entries],
             )
             for scheme, basis in bases.items():
-                projected = project_stream(received, basis, n0)
-                if scheme not in stacks:
-                    stacks[scheme] = [np.empty((size, *x.shape), dtype=x.dtype)
-                                      for x in projected]
-                    elements, symbols = projected[0].shape
-                    weights[scheme] = np.empty(
-                        (len(rows), symbols, elements), dtype=np.complex128
-                    )
-                for stack, x in zip(stacks[scheme], projected):
-                    stack[row] = x
+                x_s, x_i = project_stream(received, basis, n0)
+                stacks[scheme][0][row] = x_s
+                stacks[scheme][1][row] = adaptive_mod.monitor_factors(
+                    x_i.swapaxes(0, 1)
+                )
         for scheme in bases:
-            x_s, x_i = (stack[: len(chunk)] for stack in stacks[scheme])
-            adaptive_mod.run(x_s, x_i, spec.mu, delta,
+            x_s, factors = (stack[: len(chunk)] for stack in stacks[scheme])
+            adaptive_mod.run(x_s, factors, spec.mu, delta,
                              out=weights[scheme][start : start + len(chunk)])
     trials = spec.trials
     return [

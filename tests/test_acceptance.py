@@ -272,7 +272,8 @@ def test_criterion_06_recursion_reaches_batch_solution(code0, announce):
     config = convergence_scenario(snr_db=20.0, num_symbols=500, seed=0)
     stream = synthesize(config)
     x_s, x_i = project_stream(stream.samples, make_basis("MIC", code0), 0)
-    out = adaptive.run(x_s[None], x_i[None], mu=0.999, delta=1e-3)
+    factors = adaptive.monitor_factors(x_i.swapaxes(0, 1))
+    out = adaptive.run(x_s[None], factors[None], mu=0.999, delta=1e-3)
     _, batch_weight = solve_batch(oracles.covariances_from_arrays(x_s, x_i))
     angle = subspace_angle(out.w[0, -1], batch_weight)
     ok = angle <= 0.05

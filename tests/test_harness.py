@@ -1053,8 +1053,9 @@ class TestRecursionDriver:
         assert stacked[0][0] != stacked[1][0]
 
     def test_chunks_stay_within_the_byte_budget(self, monkeypatch):
-        # a budget of two rows' stacks (MIC: 10 x 30 x 31, PAPC: 10 x 30
-        # x 2 complex values per row) splits six rows into three chunks
+        # a budget of two rows' stacks (x_s and min(L, r) factor rows per
+        # symbol and element: MIC 10 x 30 x 11, PAPC 10 x 30 x 2 complex
+        # values per row) splits six rows into three chunks
         spec, bases = self.spec_and_bases()
         cells = [((spec.seed, 0), 10.0, [0, 0]), ((spec.seed, 1), 20.0, [5, 12])]
         chunks = []
@@ -1065,13 +1066,30 @@ class TestRecursionDriver:
             return run(x_s, *args, **kwargs)
 
         monkeypatch.setattr(harness.adaptive_mod, "run", counting)
-        monkeypatch.setattr(harness, "_RECURSION_BYTES", 2 * 16 * 10 * 30 * 33)
+        monkeypatch.setattr(harness, "_RECURSION_BYTES", 2 * 16 * 10 * 30 * 13)
         harness._recursion(spec, convergence_scenario, 0, cells, bases)
         assert chunks == [2] * 3 * len(bases)
         chunks.clear()
-        monkeypatch.setattr(harness, "_RECURSION_BYTES", 2 * 16 * 10 * 30 * 33 - 1)
+        monkeypatch.setattr(harness, "_RECURSION_BYTES", 2 * 16 * 10 * 30 * 13 - 1)
         harness._recursion(spec, convergence_scenario, 0, cells, bases)
         assert chunks == [1] * 6 * len(bases)
+
+    def test_no_stack_holds_every_monitor_channel(self):
+        # the chunk holds x_s and min(L, r) factor rows per symbol, never
+        # a (rows, L, K, r) stack of the 30 MIC channels' projections:
+        # the whole recursion's traced peak stays below that one stack
+        spec = default_spec("convergence")
+        spec.symbols, spec.trials = 100, 32
+        basis = harness._scheme_basis(spec, "MIC")
+        channel_stack = 16 * spec.trials * 10 * spec.symbols * basis.num_channels
+        tracemalloc.start()
+        try:
+            harness._recursion(spec, convergence_scenario, 0,
+                               [((spec.seed, 0), 10.0, [0, 0])], {"MIC": basis})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < channel_stack, (peak, channel_stack)
 
     def test_cells_must_share_one_delta(self, monkeypatch):
         # a scenario whose noise power follows the cell's SNR gives each

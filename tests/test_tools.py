@@ -44,6 +44,17 @@ def test_desk_bench_writes_a_loadable_report(tmp_path):
     assert pattern["median_peak_rss_mb"] > 0.0
     expected = "VmHWM" if Path("/proc/self/status").is_file() else "ru_maxrss"
     assert pattern["peak_rss_source"] == expected
+    assert len(pattern["minor_faults"]) == 1
+    assert 0 < pattern["median_minor_faults"] == pattern["minor_faults"][0]
+
+
+def test_desk_bench_counts_minor_faults_of_fresh_pages():
+    # 64 MiB touched for the first time fault at least once per page, or
+    # per 2 MiB where the kernel backs them with huge pages
+    tool = _load_tool("desk_bench")
+    before = tool.minor_faults()
+    fresh = np.ones(64 * 2**20 // 8)
+    assert tool.minor_faults() - before >= fresh.nbytes // 2**21
 
 
 def test_desk_bench_peak_falls_back_to_ru_maxrss(tmp_path):

@@ -15,7 +15,10 @@ or the imports, and reports its own peak RSS, imports included: the
 ``VmHWM`` line of ``/proc/self/status``, which restarts at exec, or
 ``ru_maxrss`` where ``/proc`` is absent (on Linux ``ru_maxrss`` keeps
 the high-water mark of the image before exec, so it can read the
-spawning process's RSS). ``--repeat N`` runs every preset N times,
+spawning process's RSS). It also reports the minor page faults
+(``ru_minflt``) taken over the timed region: pages the allocator
+handed back to the system and touched afresh show there, not in the
+peak. ``--repeat N`` runs every preset N times,
 round-robin, and records every run with the median. Children inherit
 the CPU affinity, so ``taskset`` pins them all.
 
@@ -24,7 +27,8 @@ The script writes ``BENCH_<label>.json`` at the repository root (or in
 (``-dirty`` when tracked files differ from it), the interpreter, numpy
 and CPU counts, and per preset the runs' ``wall_s`` and
 ``peak_rss_mb`` lists, their medians and ``peak_rss_source``, the
-source of the peaks (``VmHWM`` or ``ru_maxrss``). Run it in two
+source of the peaks (``VmHWM`` or ``ru_maxrss``), and the runs'
+``minor_faults`` with their median. Run it in two
 checkouts on the same machine and compare the medians. Per-stage times
 are not recorded here; they join once runs write them next to their
 results.
@@ -86,20 +90,30 @@ def peak_rss(status: str = "/proc/self/status") -> tuple[float, str]:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "ru_maxrss"
 
 
+def minor_faults() -> int:
+    """This process's minor page faults so far (ru_minflt)."""
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def child(preset: str) -> int:
     """Run one preset at its default spec and print {wall_s,
-    peak_rss_mb, peak_rss_source}."""
+    peak_rss_mb, peak_rss_source, minor_faults}."""
     import tempfile
 
     from mpb_lab import harness
 
     spec = harness.default_spec(preset)
     with tempfile.TemporaryDirectory() as tmp:
+        faults = minor_faults()
         start = time.perf_counter()
         harness.write_result(harness.run_preset(spec), tmp)
         wall = time.perf_counter() - start
+        faults = minor_faults() - faults
     peak, source = peak_rss()
-    print(json.dumps({"wall_s": wall, "peak_rss_mb": peak, "peak_rss_source": source}))
+    print(json.dumps({"wall_s": wall, "peak_rss_mb": peak, "peak_rss_source": source,
+                      "minor_faults": faults}))
     return 0
 
 
@@ -126,10 +140,10 @@ def git_head(root: Path = ROOT) -> str | None:
 
 
 def summary(samples: list[dict]) -> dict:
-    """Every run's wall_s and peak_rss_mb, the median of each, and the
-    peaks' sources (comma-joined if the runs differ)."""
+    """Every run's wall_s, peak_rss_mb and minor_faults, the median of
+    each, and the peaks' sources (comma-joined if the runs differ)."""
     out = {}
-    for key in ("wall_s", "peak_rss_mb"):
+    for key in ("wall_s", "peak_rss_mb", "minor_faults"):
         values = [run[key] for run in samples]
         out[key] = values
         out[f"median_{key}"] = statistics.median(values)
@@ -169,7 +183,8 @@ def bench(label: str, presets: list[str], repeat: int, out_dir: Path,
                 runs[side][preset].append(run_child(preset, roots[side]))
                 last = runs[side][preset][-1]
                 print(f"{preset} ({side}): {last['wall_s']:.3f} s, "
-                      f"{last['peak_rss_mb']:.1f} MB", file=sys.stderr)
+                      f"{last['peak_rss_mb']:.1f} MB, "
+                      f"{last['minor_faults']} minor faults", file=sys.stderr)
     import numpy  # only after the children ran, as above
 
     report = {
