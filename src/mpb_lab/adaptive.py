@@ -5,22 +5,23 @@ power-iteration weight step per symbol.
 Per symbol k the update is
 
     R_S <- mu R_S + x_s x_s^H
-    for each row f_t, t = 1..m, of the symbol's monitor factor, the m
-    vectors with sum_t f_t f_t^H = x_i x_i^H / r:
-        P <- rank-one inverse update of (mu_t R_I + f_t f_t^H),
-             with mu_t = mu at t = 1 and mu_t = 1 afterwards
-    w <- P R_S (w / ||w||)
+    P   <- inverse update of (mu R_I + sum_t f_t f_t^H), over the rows
+           f_t, t = 1..m, of the symbol's monitor factor, the m vectors
+           with sum_t f_t f_t^H = x_i x_i^H / r
+    w   <- P R_S (w / ||w||)
 
 so the forgetting factor is applied exactly once per symbol on each
 covariance and R_I gains exactly the monitor increment x_i x_i^H / r of
-the paper's one-update-per-channel recursion, in m = min(L, r) rank-one
-steps. The factors are built for every symbol of a stream before the
-recursion starts (monitor_factors): with r <= L its rows are the r
-monitoring snapshots over sqrt(r), no decomposition needed; with r > L
-they are the columns of the Cholesky factor of the L x L monitor Gram
-over r, one batched factorization for all symbols. Output k is
-produced by the weight held before symbol k's update, the weight that
-the data of symbol k could not influence: y_o[k] = w[k]^H x_s[k].
+the paper's one-update-per-channel recursion, in one rank-m step of the
+matrix inversion lemma with one m x m solve, m = min(L, r) (the scalar
+rank-one step when m = 1). The factors are built for every symbol of a
+stream before the recursion starts (monitor_factors): with r <= L its
+rows are the r monitoring snapshots over sqrt(r), no decomposition
+needed; with r > L they are the columns of the Cholesky factor of the
+L x L monitor Gram over r, one batched factorization for all symbols.
+Output k is produced by the weight held before symbol k's update, the
+weight that the data of symbol k could not influence:
+y_o[k] = w[k]^H x_s[k].
 
 Every array carries a leading trial axis: independent Monte-Carlo
 trials advance together, one symbol at a time, and a single trial is
@@ -112,15 +113,17 @@ def update_symbol(
     (monitor_factors); with the full code-orthogonal basis r = N-1 this
     is the per-symbol recursion of the multi-channel scheme, and with a
     single channel it reduces to classic exponentially weighted RLS on
-    that channel. Returns the (T,) P asymmetries. The inputs are taken
-    as given: run checks them before any symbol.
+    that channel. P takes the whole increment in one
+    linalg.rank_one_inverse_update call: the (T, m, L) block when m > 1,
+    the (T, L) row when m = 1, which keeps the scalar rank-one
+    arithmetic. Returns the (T,) P asymmetries. The inputs are taken as
+    given: run checks them before any symbol.
     """
     r_s = state.mu * state.r_s + x_s[:, :, None] * x_s[:, None, :].conj()
 
-    p = state.p
-    for t in range(factor.shape[-2]):
-        mu_t = state.mu if t == 0 else 1.0
-        _, p = linalg.rank_one_inverse_update(p, factor[..., t, :], mu_t)
+    if factor.shape[-2] == 1:
+        factor = factor[..., 0, :]
+    _, p = linalg.rank_one_inverse_update(state.p, factor, state.mu)
 
     p_h = p.conj().swapaxes(-1, -2)
     asym = np.max(np.abs(p - p_h), axis=(-2, -1)) / np.maximum(

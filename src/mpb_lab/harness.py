@@ -1025,14 +1025,14 @@ def _staggered(stream: ChipStream, entries: list[int]) -> np.ndarray:
 # _RECURSION_ROWS and at most _RECURSION_BYTES of input stacks: per row
 # and basis, x_s and the monitor factor rows, 16 K L (1 + m) bytes
 # (m = min(L, r)). Bounds the stacks in trials and in memory. One MIC
-# update_symbol (10 elements, 10 factor rows) costs about 8.6-9.7 us
-# per row at 64-512 rows and 36 us at 8 (fixed call overhead), one BLAS
-# thread, so every chunk adds a fixed cost per symbol; building a MIC
-# row's inputs costs about 3 ms per 450 symbols (projection 1.2 ms,
-# monitor Grams 1.0 ms, Cholesky 0.6 ms). A default tracking row holds
-# 792 kB: its 400 rows go in 4 chunks of 100 (79 MB of stacks), with a
-# desk peak of 153 MB; at 256 MiB the row cap alone would give 2 chunks
-# of 200 and twice the stacks.
+# update_symbol (10 elements, one rank-10 inverse update) costs about
+# 8.5-10.5 us per row at 64-512 rows, 14-17 us at 8 and 55-80 us at 1
+# (fixed call overhead), one BLAS thread, so every chunk adds a fixed
+# cost per symbol; building a MIC row's inputs costs about 3 ms per 450
+# symbols (projection 1.2 ms, monitor Grams 1.0 ms, Cholesky 0.6 ms).
+# A default tracking row holds 792 kB: its 400 rows go in 4 chunks of
+# 100 (79 MB of stacks), with a desk peak of 153 MB; at 256 MiB the row
+# cap alone would give 2 chunks of 200 and twice the stacks.
 _RECURSION_ROWS = 256
 _RECURSION_BYTES = 80 * 2**20
 

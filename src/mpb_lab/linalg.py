@@ -165,13 +165,27 @@ def rank_one_inverse_update(
     update, so p_next = (mu R + x x^H)^-1 without ever forming R.
     p is (..., L, L) and x is (..., L): leading axes are independent
     problems (one per trial) stepped together.
+
+    x may instead be a block (..., m, L) of rows f_t, for the rank-m
+    step R <- mu R + sum_t f_t f_t^H = mu R + U U^H with U = block^T
+    (L x m). The lemma is then applied once, with one m x m solve:
+
+        S      = I_m + U^H P' U
+        gain   = (P' U S^-1)^T, (..., m, L), one gain vector per row
+        p_next = P' - gain^T (P' U)^H
+
+    which for m = 1 is the vector form up to roundoff (the vector call
+    keeps the scalar division).
     """
     p = np.asarray(p, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
     if p.ndim < 2 or p.shape[-1] != p.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {p.shape}")
-    if x.shape != p.shape[:-1]:
-        raise ValueError(f"vector shape {x.shape} does not match matrix {p.shape}")
+    block = x.ndim == p.ndim
+    lead = x.shape[:-2] if block else x.shape[:-1]
+    if (lead != p.shape[:-2] or x.shape[-1:] != p.shape[-1:]
+            or block and x.shape[-2] < 1):
+        raise ValueError(f"update shape {x.shape} does not match matrix {p.shape}")
     if not math.isfinite(mu) or mu <= 0.0:
         raise ValueError(f"forgetting factor must be positive, got {mu}")
     if not np.isfinite(x).all():
@@ -179,6 +193,19 @@ def rank_one_inverse_update(
 
     if mu != 1.0:
         p = p / mu
+    if block:
+        # (P' U)^H = conj(block) P', P' Hermitian; S is Hermitian positive
+        # definite for Hermitian positive definite P'
+        pu_h = x.conj() @ p
+        s = pu_h @ x.swapaxes(-1, -2)
+        m = x.shape[-2]
+        # S = I + U^H P' U: s is a fresh contiguous product, so the
+        # reshape is a view and this adds 1 to every diagonal entry
+        s.reshape(*s.shape[:-2], m * m)[..., :: m + 1] += 1.0
+        gain = np.linalg.solve(s, pu_h)
+        np.conjugate(gain, out=gain)
+        p_next = gain.swapaxes(-1, -2) @ pu_h
+        return gain, np.subtract(p, p_next, out=p_next)
     px = (p @ x[..., None])[..., 0]
     # x^H P x is real for Hermitian P; drop the roundoff imaginary part.
     quad = np.real(x[..., None, :].conj() @ px[..., None])[..., 0]

@@ -184,23 +184,25 @@ class TestUpdateSymbol:
 
     @pytest.mark.parametrize("num_elements, channels",
                              [(6, 1), (6, 3), (6, 9), (10, 30)])
-    def test_one_rank_one_step_per_factor_column(self, rng, monkeypatch,
-                                                 num_elements, channels):
-        # x_i x_i^H has rank min(L, r): one inverse update per column of its
-        # factor, with the forgetting factor on the first only
-        mus = []
+    def test_one_inverse_update_per_symbol(self, rng, monkeypatch,
+                                           num_elements, channels):
+        # x_i x_i^H has rank m = min(L, r): one inverse update per symbol,
+        # carrying mu, on the (T, m, L) factor block, or on the (T, L)
+        # row when m = 1 (the scalar rank-one arithmetic)
+        calls = []
         inverse_update = linalg.rank_one_inverse_update
 
         def spy(p, x, mu):
-            mus.append(mu)
+            calls.append((x.shape, mu))
             return inverse_update(p, x, mu)
 
         monkeypatch.setattr(linalg, "rank_one_inverse_update", spy)
         state = adaptive.init(2, num_elements, mu=0.9, delta=1e-2)
         for k in range(3):
             step(state, *random_snapshot(rng, 2, num_elements, channels))
-        steps = min(num_elements, channels)
-        assert mus == 3 * ([0.9] + [1.0] * (steps - 1))
+        m = min(num_elements, channels)
+        shape = (2, m, num_elements) if m > 1 else (2, num_elements)
+        assert calls == 3 * [(shape, 0.9)]
 
     def test_signal_covariance_recursion(self, rng):
         mu, delta = 0.9, 1e-3

@@ -27,6 +27,10 @@ from mpb_lab.presets import five_tones_scenario
 from mpb_lab.scenario import generate_gold_codes, synthesize
 
 
+def random_block(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def random_hermitian_pd(rng, size, ridge=1.0):
     m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     return m @ m.conj().T + ridge * np.eye(size)
@@ -342,9 +346,11 @@ class TestRankOneInverseUpdate:
     def test_zero_vector_scales_inverse(self, rng):
         p = random_hermitian_pd(rng, 4)
         mu = 0.97
-        gain, p_next = rank_one_inverse_update(p, np.zeros(4, dtype=complex), mu)
-        np.testing.assert_allclose(gain, np.zeros(4), atol=1e-15)
-        np.testing.assert_allclose(p_next, p / mu, rtol=1e-14)
+        # a vector, and a block of three zero rows
+        for shape in ((4,), (3, 4)):
+            gain, p_next = rank_one_inverse_update(p, np.zeros(shape, dtype=complex), mu)
+            np.testing.assert_allclose(gain, np.zeros(shape), atol=1e-15)
+            np.testing.assert_allclose(p_next, p / mu, rtol=1e-14)
 
     def test_identity_basis_vector_sherman_morrison(self):
         e0 = np.zeros(2, dtype=complex)
@@ -388,18 +394,93 @@ class TestRankOneInverseUpdate:
             bad[0] = entry
             with pytest.raises(ValueError, match="non-finite"):
                 rank_one_inverse_update(p, bad, 0.9)
+        # the block form: wrong L, no rows, a leading axis p lacks
+        block = np.zeros((2, 3), dtype=complex)
+        for shape in ((2, 4), (0, 3), (1, 2, 3)):
+            with pytest.raises(ValueError, match="does not match"):
+                rank_one_inverse_update(p, np.zeros(shape, dtype=complex), 0.9)
+        for mu in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="forgetting factor"):
+                rank_one_inverse_update(p, block, mu)
+        # NaN in a real part, inf in an imaginary part alone
+        for entry in (complex(np.nan, 0.0), complex(1.0, np.inf)):
+            bad = block.copy()
+            bad[1, 2] = entry
+            with pytest.raises(ValueError, match="non-finite"):
+                rank_one_inverse_update(p, bad, 0.9)
 
     def test_leading_axis_equals_per_slice_calls(self, rng):
         p = np.stack([np.linalg.inv(random_hermitian_pd(rng, 5)) for _ in range(4)])
-        x = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        gains, p_next = rank_one_inverse_update(p, x, 0.95)
-        assert gains.shape == (4, 5) and p_next.shape == (4, 5, 5)
-        for t in range(4):
-            gain, p_t = rank_one_inverse_update(p[t], x[t], 0.95)
-            np.testing.assert_array_equal(gains[t], gain)
-            np.testing.assert_array_equal(p_next[t], p_t)
-        with pytest.raises(ValueError, match="does not match"):
-            rank_one_inverse_update(p, x[:3], 0.95)
+        # (4, 5) vectors and (4, 3, 5) blocks, equal to the per-entry calls
+        # bit for bit
+        for shape in ((4, 5), (4, 3, 5)):
+            x = random_block(rng, *shape)
+            gains, p_next = rank_one_inverse_update(p, x, 0.95)
+            assert gains.shape == shape and p_next.shape == (4, 5, 5)
+            for t in range(4):
+                gain, p_t = rank_one_inverse_update(p[t], x[t], 0.95)
+                np.testing.assert_array_equal(gains[t], gain)
+                np.testing.assert_array_equal(p_next[t], p_t)
+            for bad in (x[:3], x[..., :4], x[None]):
+                with pytest.raises(ValueError, match="does not match"):
+                    rank_one_inverse_update(p, bad, 0.95)
+
+
+class TestBlockInverseUpdate:
+    """The rank-m form: one lemma step for R <- mu R + U U^H, U = block^T."""
+
+    # relative to the largest entry of the reference, fixed before
+    # comparing: inputs are well conditioned (cond R well under 1e3)
+    RTOL = 1e-11
+
+    def assert_close(self, actual, expected):
+        np.testing.assert_allclose(
+            actual, expected, rtol=0, atol=self.RTOL * np.abs(expected).max()
+        )
+
+    @pytest.mark.parametrize("size", [4, 10])
+    @pytest.mark.parametrize("rank", [2, 5, "L"])
+    def test_equals_sequential_steps_and_dense_inverse(self, rng, size, rank):
+        m = size if rank == "L" else rank
+        mu = 0.9
+        r = random_hermitian_pd(rng, size, ridge=1.0)
+        block = random_block(rng, m, size)
+        gain, p_next = rank_one_inverse_update(np.linalg.inv(r), block, mu)
+        assert gain.shape == (m, size) and p_next.shape == (size, size)
+        # m rank-one steps, the forgetting factor on the first only
+        p = np.linalg.inv(r)
+        for t in range(m):
+            _, p = rank_one_inverse_update(p, block[t], mu if t == 0 else 1.0)
+        self.assert_close(p_next, p)
+        u = block.T
+        dense = np.linalg.inv(mu * r + u @ u.conj().T)
+        self.assert_close(p_next, dense)
+        # the gain vectors are the columns of P' U S^-1 = p_next U
+        self.assert_close(gain, (dense @ u).T)
+
+    def test_one_row_block_equals_the_vector_call(self, rng):
+        p = np.stack([np.linalg.inv(random_hermitian_pd(rng, 6)) for _ in range(3)])
+        x = random_block(rng, 3, 6)
+        gain, p_next = rank_one_inverse_update(p, x[:, None, :], 0.95)
+        vector_gain, vector_p = rank_one_inverse_update(p, x, 0.95)
+        assert gain.shape == (3, 1, 6) and p_next.shape == (3, 6, 6)
+        self.assert_close(gain[:, 0], vector_gain)
+        self.assert_close(p_next, vector_p)
+
+    def test_long_chain_matches_dense_inverse(self):
+        # woodbury_drift's check (criterion 05's 1e-8) with rank-8 blocks:
+        # 2,000 steps, each re-symmetrized as the recursion does
+        rng = np.random.default_rng(1)
+        size, rank, mu, delta = 10, 8, 0.99, 1e-3
+        p = np.eye(size, dtype=complex) / delta
+        dense = delta * np.eye(size, dtype=complex)
+        for _ in range(2000):
+            block = random_block(rng, rank, size) / np.sqrt(2.0)
+            dense = mu * dense + block.T @ block.conj()
+            _, p = rank_one_inverse_update(p, block, mu)
+            p = 0.5 * (p + p.conj().T)
+        direct = np.linalg.inv(dense)
+        assert np.linalg.norm(p - direct) / np.linalg.norm(direct) <= 1e-8
 
 
 class TestPowerIterationStep:

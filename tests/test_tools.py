@@ -46,6 +46,10 @@ def test_desk_bench_writes_a_loadable_report(tmp_path):
     assert pattern["peak_rss_source"] == expected
     assert len(pattern["minor_faults"]) == 1
     assert 0 < pattern["median_minor_faults"] == pattern["minor_faults"][0]
+    # the recursion layer: one MIC step at 1, 8 and 100 rows
+    step = report["mic_step_us_per_row_symbol"]
+    assert list(step) == ["1", "8", "100"]
+    assert all(us > 0.0 for us in step.values())
 
 
 def test_desk_bench_counts_minor_faults_of_fresh_pages():

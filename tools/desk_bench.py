@@ -22,26 +22,33 @@ peak. ``--repeat N`` runs every preset N times,
 round-robin, and records every run with the median. Children inherit
 the CPU affinity, so ``taskset`` pins them all.
 
+Before the presets, one more child times the recursion layer alone: one
+MIC ``adaptive.update_symbol`` (10 elements, 10 monitor factor rows of
+random well-conditioned snapshots) stepping a stack of 1, 8 and 100
+rows, in under a second. Its median microseconds per row·symbol at each
+size go into the report as ``mic_step_us_per_row_symbol``.
+
 The script writes ``BENCH_<label>.json`` at the repository root (or in
 ``--out-dir``): the label, the time it was written, the git HEAD
 (``-dirty`` when tracked files differ from it), the interpreter, numpy
 and CPU counts, and per preset the runs' ``wall_s`` and
 ``peak_rss_mb`` lists, their medians and ``peak_rss_source``, the
 source of the peaks (``VmHWM`` or ``ru_maxrss``), and the runs'
-``minor_faults`` with their median. Run it in two
-checkouts on the same machine and compare the medians. Per-stage times
-are not recorded here; they join once runs write them next to their
-results.
+``minor_faults`` with their median, plus the recursion step's
+figures. Run it in two checkouts on the same machine and compare the
+medians. Per-stage times are not recorded here; they join once runs
+write them next to their results.
 
 Medians of separate invocations drift with the host (about 20 % on a
 shared desk machine). ``--against DIR --pairs N`` measures a change
 against another checkout instead: every pair runs a preset once in this
 checkout and once in DIR, back to back, the first of the two
 alternating from pair to pair. DIR's runs use DIR's ``src/`` and this
-script. The report adds DIR, its git HEAD and its runs per preset (run
-i of each side is pair i), and per preset and metric the pairs this
-checkout won (a lower value; ties count for neither side) and both
-medians, which are also printed, one line per preset.
+script. The report adds DIR, its git HEAD, its recursion step figures
+and its runs per preset (run i of each side is pair i), and per preset
+and metric the pairs this checkout won (a lower value; ties count for
+neither side) and both medians, which are also printed, one line per
+preset.
 """
 
 from __future__ import annotations
@@ -73,6 +80,9 @@ PRESETS = (
     "tracking",
     "identical_delay",
 )
+# the recursion-step child's name, and the stack sizes (rows) it times
+STEP = "update_symbol"
+STEP_ROWS = (1, 8, 100)
 
 
 def peak_rss(status: str = "/proc/self/status") -> tuple[float, str]:
@@ -117,8 +127,38 @@ def child(preset: str) -> int:
     return 0
 
 
+def step_child() -> int:
+    """Time one MIC adaptive.update_symbol (10 elements, 10 factor rows)
+    at every STEP_ROWS stack size on fixed random snapshots and print
+    {rows: median us per row·symbol} over 5 samples of about 400
+    row·symbols each, after one warm-up step."""
+    import numpy as np
+
+    from mpb_lab import adaptive
+
+    rng = np.random.default_rng(0)
+    figures = {}
+    for rows in STEP_ROWS:
+        shape = (rows, 10, 30)
+        x_i = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        factor = adaptive.monitor_factors(x_i)
+        state = adaptive.init(rows, 10, mu=0.95, delta=1e-2)
+        adaptive.update_symbol(state, x_i[..., 0], factor)
+        calls = -(-400 // rows)
+        samples = []
+        for _ in range(5):
+            start = time.perf_counter()
+            for _ in range(calls):
+                adaptive.update_symbol(state, x_i[..., 0], factor)
+            samples.append((time.perf_counter() - start) * 1e6 / (calls * rows))
+        figures[str(rows)] = statistics.median(samples)
+    print(json.dumps(figures))
+    return 0
+
+
 def run_child(preset: str, root: Path = ROOT) -> dict:
-    """One child run of preset on the package in root/src."""
+    """One child run of preset (or of the STEP timing) on the package
+    in root/src."""
     env = {**os.environ, **BLAS_ENV, "PYTHONPATH": str(root / "src")}
     done = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--child", preset],
@@ -176,6 +216,11 @@ def wins_line(preset: str, tally: dict) -> str:
 def bench(label: str, presets: list[str], repeat: int, out_dir: Path,
           against: Path | None = None) -> Path:
     roots = {"this": ROOT, **({"against": against} if against else {})}
+    steps = {side: run_child(STEP, root) for side, root in roots.items()}
+    for side, figures in steps.items():
+        print(f"{STEP} ({side}): " + ", ".join(
+            f"{rows} rows {us:.2f}" for rows, us in figures.items())
+            + " us per row-symbol", file=sys.stderr)
     runs = {side: {preset: [] for preset in presets} for side in roots}
     for count in range(repeat):
         for preset in presets:
@@ -196,6 +241,7 @@ def bench(label: str, presets: list[str], repeat: int, out_dir: Path,
         "blas_threads": 1,
         "nproc": os.cpu_count(),
         "affinity_cpus": len(os.sched_getaffinity(0)),
+        "mic_step_us_per_row_symbol": steps["this"],
         "presets": {preset: summary(samples)
                     for preset, samples in runs["this"].items()},
     }
@@ -205,6 +251,7 @@ def bench(label: str, presets: list[str], repeat: int, out_dir: Path,
         report["against"] = {
             "dir": str(against),
             "git_head": git_head(against),
+            "mic_step_us_per_row_symbol": steps["against"],
             "presets": {preset: summary(samples)
                         for preset, samples in runs["against"].items()},
             "wins": tallies,
@@ -230,10 +277,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="another checkout to pair every run with")
     parser.add_argument("--pairs", type=int,
                         help="pairs per preset with --against (default 1)")
-    parser.add_argument("--child", choices=PRESETS, help=argparse.SUPPRESS)
+    parser.add_argument("--child", choices=(*PRESETS, STEP), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        return child(args.child)
+        return step_child() if args.child == STEP else child(args.child)
     if not args.label or not args.label.replace("-", "").replace("_", "").isalnum():
         parser.error("--label is required: letters, digits, '-' and '_'")
     if args.repeat < 1:
