@@ -41,13 +41,12 @@ import hashlib
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import yaml
 
 from . import adaptive as adaptive_mod
 from . import presets
@@ -80,6 +79,7 @@ from .scenario import (
     generate_gold_codes,
     group_identical_delays,
     interference_moments,
+    rebind_desired,
     steering_vector,
     synthesize,
 )
@@ -345,11 +345,7 @@ def default_spec(preset: str) -> ExperimentSpec:
 # config files
 
 
-class _StrictLoader(yaml.SafeLoader):
-    """SafeLoader that refuses duplicate mapping keys."""
-
-
-def _construct_mapping(loader: _StrictLoader, node, deep: bool = False):
+def _construct_mapping(loader, node, deep: bool = False):
     mapping = {}
     for key_node, value_node in node.value:
         key = loader.construct_object(key_node, deep=deep)
@@ -361,9 +357,20 @@ def _construct_mapping(loader: _StrictLoader, node, deep: bool = False):
     return mapping
 
 
-_StrictLoader.add_constructor(
-    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping
-)
+@cache
+def _strict_loader() -> type:
+    """A SafeLoader that refuses duplicate mapping keys, built on first
+    use: only load_config reads YAML, so importing the package does not
+    import yaml."""
+    import yaml
+
+    class _StrictLoader(yaml.SafeLoader):
+        pass
+
+    _StrictLoader.add_constructor(
+        yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping
+    )
+    return _StrictLoader
 
 
 # Each config section maps its keys to kinds: int, float, str, dict (a
@@ -480,8 +487,10 @@ def load_config(path: str | Path) -> ExperimentSpec:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    import yaml
+
     try:
-        raw = yaml.load(text, Loader=_StrictLoader)
+        raw = yaml.load(text, Loader=_strict_loader())
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     raw = _value({} if raw is None else raw, dict, "config")
@@ -1046,26 +1055,34 @@ def _recursion(
 ) -> list[tuple[str, dict[str, np.ndarray]]]:
     """Run the recursion of every scheme over all trials of every cell.
 
-    A cell is (seed, snr_db, entries): trial t is synthesized once, from
-    builder at seed (*seed, t) and snr_db, with interferer i silent
-    before symbol entries[i], and projected at window offset n0. The
-    (cell, trial) rows, cell-major, are split into the fewest chunks of
-    equal size that keep each within _RECURSION_ROWS rows and
-    _RECURSION_BYTES of stacks. Per row and basis, the projection's x_s
+    A cell is (seed, snr_db, entries): its trial t is builder's config at
+    seed (*seed, t) and snr_db, with interferer i silent before symbol
+    entries[i], projected at window offset n0. The cells that share a
+    seed share each trial's draws: the trial is synthesized once, and
+    every such cell rebinds that stream's desired rows at its own SNR
+    (scenario.rebind_desired, bit for bit a synthesis at that SNR). The
+    (cell, trial) rows go trial-major, the cells of one seed adjacent,
+    so one (seed, trial)'s rows are consecutive and only one trial's
+    stream is held at a time, freed once its last row is rendered; the
+    rows are split into the fewest chunks of equal size that keep each
+    within _RECURSION_ROWS rows and _RECURSION_BYTES of stacks. Per row
+    and basis, the projection's x_s
     and the monitor factor rows of its x_i (adaptive.monitor_factors)
     fill one preallocated pair of stacks, so no stack holds the r
     monitor channels; each scheme's adaptive.run steps the whole chunk
     at once. Rows never mix in the recursion, so a row's weights do not
-    depend on the chunking. Every cell must share one
-    delta = delta_scale * noise_power, else ValueError. Returns per cell
-    its scenario hash and each scheme's (T, K, L) weights, w[:, k] the
-    one that produced output k.
+    depend on the chunking or on which cells share its stream. Every
+    cell must share one delta = delta_scale * noise_power, else
+    ValueError. Returns per cell its scenario hash and each scheme's
+    (T, K, L) weights, w[:, k] the one that produced output k.
     """
+    seeds = list(dict.fromkeys(seed for seed, _, _ in cells))
+    order = sorted(range(len(cells)), key=lambda c: seeds.index(cells[c][0]))
     rows = [
         (builder(snr_db=snr_db, num_symbols=spec.symbols, seed=(*seed, trial)),
          entries)
-        for seed, snr_db, entries in cells
         for trial in range(spec.trials)
+        for seed, snr_db, entries in (cells[c] for c in order)
     ]
     deltas = {spec.delta_scale * config.noise_power for config, _ in rows}
     if len(deltas) != 1:
@@ -1090,13 +1107,20 @@ def _recursion(
     }
     weights = {scheme: np.empty((len(rows), symbols, elements), dtype=np.complex128)
                for scheme in bases}
+    stream = None
     for start in range(0, len(rows), size):
         chunk = rows[start : start + size]
         for row, (config, entries) in enumerate(chunk):
+            if stream is None:
+                stream = synthesize(config)
             received = _staggered(
-                synthesize(config),
+                rebind_desired(stream, config),
                 [entry * config.processing_gain for entry in entries],
             )
+            # free the trial's draws after its last row, before projecting
+            following = start + row + 1
+            if following == len(rows) or rows[following][0].seed != config.seed:
+                stream = None
             for scheme, basis in bases.items():
                 x_s, x_i = project_stream(received, basis, n0)
                 stacks[scheme][0][row] = x_s
@@ -1107,13 +1131,13 @@ def _recursion(
             x_s, factors = (stack[: len(chunk)] for stack in stacks[scheme])
             adaptive_mod.run(x_s, factors, spec.mu, delta,
                              out=weights[scheme][start : start + len(chunk)])
-    trials = spec.trials
+    # cell c's trial t is row t * len(cells) + order.index(c)
     return [
         (
-            scenario_hash(replace(rows[c * trials][0], seed=spec.seed)),
-            {scheme: w[c * trials : (c + 1) * trials] for scheme, w in weights.items()},
+            scenario_hash(replace(rows[slot][0], seed=spec.seed)),
+            {scheme: w[slot :: len(cells)] for scheme, w in weights.items()},
         )
-        for c in range(len(cells))
+        for slot in map(order.index, range(len(cells)))
     ]
 
 
@@ -1131,10 +1155,11 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
                    seed=spec.seed)
     clutters = _clutters(base, n0)
     clutter = clutters[-1]
+    # every SNR cell of a trial shares its draws (common random numbers)
     cells = _recursion(
         spec, builder, n0,
-        [((spec.seed, s_idx), snr_db, [0] * (len(clutters) - 1))
-         for s_idx, snr_db in enumerate(spec.snr_grid_db)],
+        [((spec.seed, 0), snr_db, [0] * (len(clutters) - 1))
+         for snr_db in spec.snr_grid_db],
         bases,
     )
     for snr_db, (config_hash, weights) in zip(spec.snr_grid_db, cells):
@@ -1179,8 +1204,9 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
     """Per-symbol SINR of the MIC recursion through staggered interferer entries.
 
     Interferer i becomes active at symbol (i+1) * entry_interval. A
-    control run with every interferer active from the start is included
-    for the stationarity reference.
+    control run with every interferer active from the start, on each
+    staggered trial's own draws, is included for the stationarity
+    reference.
     """
     if spec.preset != "tracking":
         raise ConfigError("run_tracking requires preset=tracking")
@@ -1197,11 +1223,11 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
     clutters = _clutters(base, n0)
     optima = [mvdr_optimum_sinr(sig_power, steer, q) for q in clutters]
 
+    # the control run is each staggered trial's stream with nothing silenced
     runs = {"staggered": entries, "control": [0] * num_interferers}
     cells = _recursion(
         spec, builder, n0,
-        [((spec.seed, r_idx), snr_db, run_entries)
-         for r_idx, run_entries in enumerate(runs.values())],
+        [((spec.seed, 0), snr_db, run_entries) for run_entries in runs.values()],
         {"MIC": _scheme_basis(spec, "MIC")},
     )
     rows: list[dict] = []

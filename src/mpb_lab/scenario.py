@@ -433,6 +433,28 @@ def _unit_period(rng: np.random.Generator, period: int) -> np.ndarray:
     return seg
 
 
+def _steering(geometry: ArrayGeometry, sources: list) -> np.ndarray:
+    """(L, len(sources)) matrix of the sources' array responses."""
+    out = np.empty((geometry.num_elements, len(sources)), dtype=np.complex128)
+    for column, source in zip(out.T, sources):
+        column[:] = steering_vector(geometry, source.doa_deg)
+    return out
+
+
+def _desired_rows(config: ScenarioConfig, symbols: np.ndarray) -> list[Callable]:
+    """The rows of config's desired paths at its SNR over the desired
+    user's symbols (k = -1..K-1): synthesize's and rebind_desired's one
+    binding of them."""
+    chips = generate_gold_codes(1)[0].chips
+    return [
+        functools.partial(
+            _path, amplitude=math.sqrt(desired_path_power(config, p)),
+            symbols=symbols, chips=chips, delay=p.delay_chips,
+        )
+        for p in config.desired
+    ]
+
+
 def synthesize(config: ScenarioConfig) -> ChipStream:
     """Generate one chip-rate array stream and its exact decomposition.
 
@@ -455,21 +477,14 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
         for u in user_indices
     }
 
-    def steering(paths) -> np.ndarray:
-        """(L, len(paths)) matrix of the paths' array responses."""
-        out = np.empty((num_elements, len(paths)), dtype=np.complex128)
-        for column, path in zip(out.T, paths):
-            column[:] = steering_vector(config.geometry, path.doa_deg)
-        return out
-
-    def path(amplitude: float, spec: PathSpec) -> Callable:
-        return functools.partial(
-            _path, amplitude=amplitude, symbols=symbols[spec.user_index],
-            chips=codes[spec.user_index].chips, delay=spec.delay_chips,
+    rows = _desired_rows(config, symbols[0])
+    rows += [
+        functools.partial(
+            _path, amplitude=math.sqrt(p.power), symbols=symbols[p.user_index],
+            chips=codes[p.user_index].chips, delay=p.delay_chips,
         )
-
-    rows = [path(math.sqrt(desired_path_power(config, p)), p) for p in config.desired]
-    rows += [path(math.sqrt(p.power), p) for p in config.mais]
+        for p in config.mais
+    ]
     for jam in config.jammers:
         amplitude = _jammer_amplitude(config, jam)
         if jam.kind == "tone":
@@ -505,11 +520,35 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
         for row in part:
             np.multiply(rng.standard_normal(out=draws), sigma, out=row)
     return ChipStream(
-        soi_steering=steering(config.desired),
-        steering=steering([*config.mais, *config.jammers]),
+        soi_steering=_steering(config.geometry, config.desired),
+        steering=_steering(config.geometry, [*config.mais, *config.jammers]),
         rows=tuple(rows),
         noise=noise,
         symbols=symbols,
+    )
+
+
+def rebind_desired(stream: ChipStream, config: ScenarioConfig) -> ChipStream:
+    """stream with its desired rows and their steering bound anew to
+    config's desired paths and SNR, over the desired user's symbols the
+    stream drew; every interferer row and the noise array are shared.
+
+    No draw depends on the desired paths or the SNR, so when stream was
+    synthesized from a config that differs from config in those alone,
+    the result equals synthesize(config) bit for bit with no second draw.
+    """
+    config.validate()
+    chips = config.num_symbols * config.processing_gain
+    if stream.noise.shape != (config.geometry.num_elements, chips):
+        raise ValueError(
+            f"stream of shape {stream.noise.shape} cannot serve a config of "
+            f"{config.geometry.num_elements} elements and {chips} chips"
+        )
+    p = stream.soi_steering.shape[1]
+    return replace(
+        stream,
+        soi_steering=_steering(config.geometry, config.desired),
+        rows=(*_desired_rows(config, stream.symbols[0]), *stream.rows[p:]),
     )
 
 

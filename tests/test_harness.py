@@ -7,7 +7,10 @@ reproducibility.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -220,6 +223,18 @@ class TestLoadConfig:
         text = "preset: pattern\nseed: 1\nseed: 2\n"
         with pytest.raises(ConfigError, match="line 3"):
             load_config(write_config(tmp_path, text))
+
+    def test_importing_the_package_imports_no_yaml(self):
+        # only load_config reads YAML: a run that loads no config file
+        # never imports yaml
+        src = Path(harness.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, mpb_lab.cli; print('yaml' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.stdout.strip() == "False"
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -931,9 +946,10 @@ class TestRunners:
     def test_one_stream_per_recursion_row_and_none_for_clutter(
         self, preset, monkeypatch
     ):
-        # each trial of each cell or run is synthesized once, and the
-        # clutter of every SNR (convergence) or interferer count
-        # (tracking) is closed-form: no quiet stream, no component Grams
+        # each trial is synthesized once for every SNR cell (convergence)
+        # or both runs (tracking), and the clutter of every SNR or
+        # interferer count is closed-form: no quiet stream, no component
+        # Grams
         calls, grams = [], []
         original, original_grams = harness.synthesize, harness.component_grams
 
@@ -952,12 +968,10 @@ class TestRunners:
         if preset == "convergence":
             spec.symbols, spec.snr_grid_db = 40, [10.0, 20.0]
             run_convergence(spec)
-            expected = spec.trials * len(spec.snr_grid_db)
         else:
             spec.symbols, spec.entry_interval = 120, 40
             run_tracking(spec)
-            expected = 2 * spec.trials
-        assert len(calls) == expected
+        assert len(calls) == spec.trials
         assert not any(math.isinf(c.snr_db) for c in calls)
         assert not grams
 
@@ -1051,6 +1065,42 @@ class TestRecursionDriver:
                 assert w.shape[0] == spec.trials
                 assert np.array_equal(w, single[1][scheme])
         assert stacked[0][0] != stacked[1][0]
+
+    def test_cells_sharing_a_seed_match_one_cell_runs(self, monkeypatch):
+        # cells 0 and 2 share a seed, so each of their trials is one
+        # synthesis rebound at each cell's SNR; nine (cell, trial) rows,
+        # trial-major, in chunks of two put one trial's cells in
+        # different chunks. Every cell's weights and hash are those of a
+        # run of that cell alone.
+        spec, bases = self.spec_and_bases()
+        cells = [((spec.seed, 0), 10.0, [0, 0]), ((spec.seed, 1), 20.0, [0, 0]),
+                 ((spec.seed, 0), 30.0, [5, 12])]
+        singles = [harness._recursion(spec, convergence_scenario, 0, [cell], bases)[0]
+                   for cell in cells]
+        seeds = []
+        original = harness.synthesize
+
+        def counting(config):
+            seeds.append(config.seed)
+            return original(config)
+
+        monkeypatch.setattr(harness, "synthesize", counting)
+        monkeypatch.setattr(harness, "_RECURSION_ROWS", 2)
+        stacked = harness._recursion(spec, convergence_scenario, 0, cells, bases)
+        assert sorted(seeds) == sorted(
+            (*seed, t) for seed in {cell[0] for cell in cells}
+            for t in range(spec.trials))
+        for (seed, snr_db, _), single, (config_hash, weights) in zip(
+            cells, singles, stacked
+        ):
+            config = convergence_scenario(
+                snr_db=snr_db, num_symbols=spec.symbols, seed=(*seed, 0)
+            )
+            assert config_hash == single[0]
+            assert config_hash == scenario_hash(replace(config, seed=spec.seed))
+            for scheme, w in weights.items():
+                assert w.shape[0] == spec.trials
+                assert np.array_equal(w, single[1][scheme])
 
     def test_chunks_stay_within_the_byte_budget(self, monkeypatch):
         # a budget of two rows' stacks (x_s and min(L, r) factor rows per

@@ -19,6 +19,7 @@ from mpb_lab.core import gram, make_basis, project_stream
 from mpb_lab.oracles import gold_correlation_levels
 from mpb_lab.presets import (
     PERIODIC_NOISE_WAVEFORM_SEEDS,
+    convergence_scenario,
     five_tones_scenario,
     multipath_mai_scenario,
     periodic_noise_scenario,
@@ -37,6 +38,7 @@ from mpb_lab.scenario import (
     gold_family_bits,
     group_identical_delays,
     interference_moments,
+    rebind_desired,
     steering_vector,
     synthesize,
 )
@@ -342,6 +344,45 @@ class TestSynthesize:
         sym1 = stream.symbols[1]
         expected = 2.0 * sym1[1] * chips1
         np.testing.assert_allclose(wave[:CODE_LENGTH], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("other", ["snr", "paths", "convergence"])
+    def test_rebound_desired_rows_equal_a_synthesis(self, other):
+        # the draws do not depend on the desired paths or the SNR: the
+        # rebound stream renders bit for bit like a synthesis of the
+        # other config at the same seed and shares the noise array and
+        # every interferer row, with no second draw
+        if other == "convergence":
+            config = convergence_scenario(10.0, num_symbols=60, seed=(9, 0, 1))
+            target = convergence_scenario(30.0, num_symbols=60, seed=(9, 0, 1))
+        else:
+            config = make_config(
+                num_symbols=60, snr_db=3.0,
+                desired=[PathSpec(user_index=0, doa_deg=0.0, delay_chips=3),
+                         PathSpec(user_index=0, doa_deg=25.0, delay_chips=9,
+                                  power=0.5)],
+                mais=[PathSpec(user_index=2, doa_deg=-20.0, delay_chips=7)],
+                jammers=[JammerSpec(kind="tone", doa_deg=40.0, inr_db=10.0,
+                                    tone_offset_hz=1e5)],
+            )
+            target = replace(config, snr_db=-7.5) if other == "snr" else replace(
+                config, snr_db=12.0,
+                desired=[PathSpec(user_index=0, doa_deg=-12.0, delay_chips=5)])
+        stream = synthesize(config)
+        rebound = rebind_desired(stream, target)
+        fresh = synthesize(target)
+        total = fresh.noise.shape[1]
+        p = stream.soi_steering.shape[1]
+        assert rebound.noise is stream.noise
+        assert rebound.symbols is stream.symbols
+        assert rebound.rows[len(target.desired):] == stream.rows[p:]
+        np.testing.assert_array_equal(rebound.noise, fresh.noise)
+        np.testing.assert_array_equal(rebound.soi_steering, fresh.soi_steering)
+        np.testing.assert_array_equal(rebound.steering, fresh.steering)
+        np.testing.assert_array_equal(rebound.render(0, total),
+                                      fresh.render(0, total))
+        np.testing.assert_array_equal(rebound.samples, fresh.samples)
+        with pytest.raises(ValueError, match="cannot serve"):
+            rebind_desired(stream, replace(target, num_symbols=61))
 
     def test_signal_free_removes_soi_only(self):
         config = make_config(jammers=[

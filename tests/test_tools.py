@@ -177,3 +177,41 @@ def test_preset_digests_compare_passes_roundoff_only(tmp_path):
         "sweep results.csv 1 5e-11",
         "  column g_db: 1 cell(s), worst 5e-11",
     ]
+
+
+def test_preset_digests_compare_counts_changed_cells_by_column(tmp_path):
+    _write_csv(tmp_path / "a", "# preset=tracking\n# entry_0_symbol=50\n"
+               "run,symbol,sinr_db\nstaggered,0,1.0\nstaggered,1,2.0\n"
+               "control,0,3.0\ncontrol,1,4.0\n")
+    _write_csv(tmp_path / "b", "# preset=tracking\n# entry_0_symbol=50\n"
+               "run,symbol,sinr_db\nstaggered,0,1.0\nstaggered,1,2.0\n"
+               "control,0,3.5\ncontrol,1,4.5\n")
+    command = [sys.executable, str(TOOLS / "preset_digests.py"), "--compare",
+               str(tmp_path / "a"), str(tmp_path / "b"), "--by"]
+    done = subprocess.run([*command, "run"], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.splitlines() == [
+        "sweep results.csv 2 0.143",
+        "  column sinr_db: 2 cell(s), worst 0.143",
+        "  by run #: 0 cell(s)",
+        "  by run staggered: 0 cell(s)",
+        "  by run control: 2 cell(s)",
+    ]
+    done = subprocess.run([*command, "snr_db"], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.splitlines()[-1] == "  no column snr_db"
+    # --by counts cells; it does not forgive a changed non-numeric one
+    _write_csv(tmp_path / "c", "run,symbol,sinr_db\nstaggered,0,1.0\n")
+    _write_csv(tmp_path / "d", "run,symbol,sinr_db\ncontrol,0,1.0\n")
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "preset_digests.py"), "--compare",
+         str(tmp_path / "c"), str(tmp_path / "d"), "--by", "run"],
+        capture_output=True, text=True,
+    )
+    assert done.stdout.splitlines()[-1] == "  by run staggered: 1 cell(s)"
+    assert done.returncode == 1
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "preset_digests.py"), "--by", "run"],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 2 and "--compare" in done.stderr

@@ -6,6 +6,7 @@ Usage:
     python3 tools/preset_digests.py --keep DIR --default-scale
     python3 tools/preset_digests.py --default-scale --preset convergence --preset tracking
     python3 tools/preset_digests.py --compare DIR_A DIR_B
+    python3 tools/preset_digests.py --compare DIR_A DIR_B --by run
 
 Each preset runs once at a fixed size far below desk scale (a few
 seconds in all) and the script prints one line per CSV it wrote:
@@ -32,9 +33,15 @@ their first changed cell), one line per cell that reads ``inf`` or
 ``-inf`` on one side and differs on the other (``inf column NAME row I:
 'A' vs 'B'``, rows counted from 0 after the header, ``#`` for a comment
 line) and one line per column with differing non-numeric cells, giving
-how many differ and the first pair. It exits with status 1 when a CSV is
-missing on one side, a header, a row count or a non-numeric cell
-differs, or an inf cell changed.
+how many differ and the first pair. ``--by COLUMN`` adds, for each CSV
+with that column, one line per value it takes on side A (``by COLUMN
+VALUE: N cell(s)``, in order of first appearance, ``#`` for the comment
+lines) counting the cells of its rows whose text differs, so it shows
+which rows of a CSV moved (say, ``--by run`` on tracking or ``--by
+snr_db`` on convergence); a CSV without it gets ``no column COLUMN``.
+It exits with status 1 when a CSV is missing on one side, a header, a
+row count or a non-numeric cell differs, or an inf cell changed;
+``--by`` changes no status.
 """
 
 from __future__ import annotations
@@ -107,37 +114,47 @@ _INF_TEXTS = ("inf", "-inf")
 
 
 def compare_csv(
-    path_a: Path, path_b: Path
-) -> tuple[dict[str, tuple[int, float]], list[str]]:
+    path_a: Path, path_b: Path, by: str | None = None
+) -> tuple[dict[str, tuple[int, float]], list[str], dict[str, int] | None]:
     """Cell-by-cell comparison of two copies of one CSV: every column with
     a changed numeric cell mapped to (changed cells, worst relative gap),
-    and the problems: structural differences, one line per changed cell
-    that reads inf or -inf on either side and one per column of differing
-    non-numeric cells."""
+    the problems (structural differences, one line per changed cell that
+    reads inf or -inf on either side and one per column of differing
+    non-numeric cells) and, when the CSV has the column by, the changed
+    cells of the rows of each of its values on side A ("#": the comment
+    lines), else None."""
     comments_a, header_a, rows_a = _rows(path_a)
     comments_b, header_b, rows_b = _rows(path_b)
     if header_a != header_b:
-        return {}, [f"header differs: {header_a} vs {header_b}"]
+        return {}, [f"header differs: {header_a} vs {header_b}"], None
     if len(rows_a) != len(rows_b) or len(comments_a) != len(comments_b):
-        return {}, [f"row count differs: {len(rows_a)} vs {len(rows_b)}"]
-    # (column, row label, text a, text b); comment lines are row "#"
+        return {}, [f"row count differs: {len(rows_a)} vs {len(rows_b)}"], None
+    # (column, row's by-value, row label, text a, text b); comment lines
+    # are row "#"
     cells = [
-        (f"# {ca[0]}", "#", a, b)
+        (f"# {ca[0]}", "#", "#", a, b)
         for ca, cb in zip(comments_a, comments_b)
         for a, b in zip(ca, cb)
     ]
+    key = header_a.index(by) if by in header_a else None
     for index, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
         if len(row_a) != len(row_b):
-            return {}, ["row width differs"]
-        cells += [(column, str(index), a, b)
+            return {}, ["row width differs"], None
+        value = None if key is None else row_a[key]
+        cells += [(column, value, str(index), a, b)
                   for column, a, b in zip(header_a, row_a, row_b)]
+    by_value: dict[str, int] | None = None
+    if key is not None:
+        by_value = dict.fromkeys([value for _, value, _, _, _ in cells], 0)
     columns: dict[str, tuple[int, float]] = {}
     problems: list[str] = []
     texts: Counter[str] = Counter()
     first: dict[str, str] = {}
-    for column, row, a, b in cells:
+    for column, value, row, a, b in cells:
         if a == b:
             continue
+        if by_value is not None:
+            by_value[value] += 1
         if a in _INF_TEXTS or b in _INF_TEXTS:
             problems.append(f"inf column {column} row {row}: {a!r} vs {b!r}")
         x, y = _number(a), _number(b)
@@ -154,10 +171,10 @@ def compare_csv(
         f"non-numeric column {column}: {count} cell(s) differ, first {first[column]}"
         for column, count in texts.items()
     ]
-    return columns, problems
+    return columns, problems, by_value
 
 
-def compare_dirs(dir_a: Path, dir_b: Path) -> int:
+def compare_dirs(dir_a: Path, dir_b: Path, by: str | None = None) -> int:
     names_a = {p.relative_to(dir_a) for p in dir_a.glob("*/*.csv")}
     names_b = {p.relative_to(dir_b) for p in dir_b.glob("*/*.csv")}
     status = 0
@@ -165,7 +182,7 @@ def compare_dirs(dir_a: Path, dir_b: Path) -> int:
         print(f"{name.parent} {name.name} missing on one side")
         status = 1
     for name in sorted(names_a & names_b):
-        columns, problems = compare_csv(dir_a / name, dir_b / name)
+        columns, problems, by_value = compare_csv(dir_a / name, dir_b / name, by)
         changed = sum(count for count, _ in columns.values())
         worst = max((gap for _, gap in columns.values()), default=0.0)
         print(f"{name.parent} {name.name} {changed} {worst:.3g}")
@@ -174,6 +191,10 @@ def compare_dirs(dir_a: Path, dir_b: Path) -> int:
         for problem in problems:
             print(f"  {problem}")
             status = 1
+        if by is not None and by_value is None and not problems:
+            print(f"  no column {by}")
+        for value, count in (by_value or {}).items():
+            print(f"  by {by} {value}: {count} cell(s)")
     return status
 
 
@@ -184,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
                        help="also write the CSVs to DIR/<preset>/")
     group.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
                        type=Path, help="compare two --keep directories")
+    parser.add_argument("--by", metavar="COLUMN",
+                        help="with --compare, count changed cells per value "
+                             "of COLUMN")
     parser.add_argument("--default-scale", action="store_true",
                         help="run each preset at its default_spec size")
     parser.add_argument("--preset", action="append", choices=list(SIZES),
@@ -194,7 +218,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.default_scale or args.preset:
             parser.error("--default-scale and --preset run presets; "
                          "--compare runs none")
-        return compare_dirs(*args.compare)
+        return compare_dirs(*args.compare, args.by)
+    if args.by:
+        parser.error("--by counts what --compare reads")
     if args.keep:
         run_presets(args.keep, args.default_scale, args.preset)
         return 0
