@@ -11,27 +11,27 @@ seed that produced it, and results.csv content is a pure function of
 Every synthesized stream is an exact sum of a unit-reference desired
 component, an interference component and a noise component, the first
 two held as steering matrices times waveform rows. component_grams is
-the one covariance route: given bases that share the signal channel
-h_s, it reads the stream once, projects only the waveform rows and the
-noise and keeps, per basis and side, one Gram G of the stacked
-projected rows [soi; interferers; noise]. The signal Gram is summed
-once for all bases, and the monitor channels of every incomplete basis
-(Maximin, PAPC) are projected through one stacked projector. When a
+the one covariance route: given bases that share the signal channel h_s,
+it reads the stream once, projects only the waveform rows and the noise
+and returns one SchemeGrams: the Gram G of the stacked projected rows
+[soi; interferers; noise] over h_s, summed once for all bases, and one G
+per basis over its monitor channels, those of every incomplete basis
+(Maximin, PAPC) projected through one stacked projector. When a
 numerical test finds [h_s, h_i] unitary (MIC's complete basis), that
 basis's monitor G is the raw windows' Gram minus the signal Gram, and
-its monitor channels are never projected. SchemeGrams keeps G with the
-steering matrices and is the one place they are applied: every
-covariance is M G M^H with M = [alpha A_s, A diag(s), I], alpha the
-desired amplitude and s the interferer rows' amplitudes. The
-sweep-style presets build every scheme's G in one call per (scenario,
-trial) and, since only alpha changes across the SNR grid and only s
-across the INR levels, mix the covariance pairs of every SNR and INR
-from it and solve each INR's SNR grid as one stack; identical_delay
-mixes its stream at amplitude one. The clutter covariances the
-recursive presets score against are closed-form expectations over the
-scenario's random draws (scenario.interference_moments), not sample
-Grams: no stream is synthesized for them, and the test suite checks
-them against direct estimation on quiet streams.
+its monitor channels are never projected. SchemeGrams holds the steering
+matrices once and is the one place they are applied: every covariance is
+M G M^H with M = [alpha A_s, A diag(s), I], alpha the desired amplitude
+and s the interferer rows' amplitudes. The sweep-style presets take
+every scheme's G in one call per (scenario, trial) and, since only alpha
+changes across the SNR grid and only s across the INR levels, mix each
+INR's pairs for every SNR, the signal side once for all schemes, and
+solve each scheme's SNR grid as one stack; identical_delay mixes its
+stream at amplitude one. The clutter covariances the recursive presets
+score against are closed-form expectations over the scenario's random
+draws (scenario.interference_moments), not sample Grams: no stream is
+synthesized for them, and the test suite checks them against direct
+estimation on quiet streams.
 """
 
 from __future__ import annotations
@@ -620,25 +620,25 @@ _GRAM_BLOCK_SYMBOLS = 512
 
 @dataclass
 class SchemeGrams:
-    """Grams of one basis's projected component rows, kept in waveform
+    """Grams of one stream's projected component rows, kept in waveform
     space: the rows are [the P soi waveform rows; the D interferer
     waveform rows; the L noise rows], s_gram is their Gram over the
-    signal channel and i_gram over the monitoring channels, each divided
-    by its snapshot count. The steering matrices that carry the rows
-    onto the elements are stored next to them, and only this class
-    applies them: every covariance is M G M^H with
-    M = [alpha A_s, A diag(s), I].
+    signal channel the bases share and i_grams[b] over basis b's
+    monitoring channels, each divided by its snapshot count. The
+    steering matrices that carry the rows onto the elements are stored
+    once next to them, and only this class applies them: every
+    covariance is M G M^H with M = [alpha A_s, A diag(s), I].
 
     Mixing with amplitudes alpha and s reproduces the covariance pair
     the direct estimator would compute on a stream whose desired
     component is alpha times the reference stream's and whose
     interferer rows are s times its: one set of Grams serves a whole SNR
     grid, every INR level of a scenario and every subset of its
-    interferers.
+    interferers, for every scheme.
     """
 
     s_gram: np.ndarray
-    i_gram: np.ndarray
+    i_grams: list[np.ndarray]
     soi_steering: np.ndarray
     steering: np.ndarray
 
@@ -668,11 +668,12 @@ class SchemeGrams:
                 + alpha * (cross + cross.conj().T)
                 + 0.5 * (rest_term + rest_term.conj().T))
 
-    def covariance_pair(self, alpha, scale=1.0) -> CovariancePair:
-        """Both Grams mixed with soi amplitude alpha and interferer
-        amplitude scale (see _mixed)."""
-        return CovariancePair(r_s=self._mixed(self.s_gram, alpha, scale),
-                              r_i=self._mixed(self.i_gram, alpha, scale))
+    def covariance_pair(self, alpha, scale=1.0) -> list[CovariancePair]:
+        """One pair per basis, mixed with soi amplitude alpha and interferer
+        amplitude scale (see _mixed); every pair holds the one r_s array."""
+        r_s = self._mixed(self.s_gram, alpha, scale)
+        return [CovariancePair(r_s=r_s, r_i=self._mixed(g, alpha, scale))
+                for g in self.i_grams]
 
     def sinr_covariances(
         self, alpha, scale=1.0
@@ -696,9 +697,9 @@ def _complete(basis: ProjectionBasis) -> bool:
 
 def component_grams(
     stream: ChipStream, bases: list[ProjectionBasis], n0: int
-) -> list[SchemeGrams]:
+) -> SchemeGrams:
     """Grams of the projected soi, interferer and noise rows, one
-    SchemeGrams per basis, from one pass over the stream.
+    SchemeGrams for every basis, from one pass over the stream.
 
     Each component is a steering matrix times waveform rows (noise is
     the identity times itself) and a projection acts on the rows alone,
@@ -753,15 +754,13 @@ def component_grams(
             block[waves:] = noise
             raw_sum += gram(block[:, n0:], block[:, n0:])
     monitor_sums = iter(i_sums)
-    return [
-        SchemeGrams(
-            s_sum / windows,
-            (raw_sum - s_sum if done else next(monitor_sums))
-            / (windows * basis.num_channels),
-            stream.soi_steering, stream.steering,
-        )
-        for basis, done in zip(bases, complete)
-    ]
+    return SchemeGrams(
+        s_sum / windows,
+        [(raw_sum - s_sum if done else next(monitor_sums))
+         / (windows * basis.num_channels)
+         for basis, done in zip(bases, complete)],
+        stream.soi_steering, stream.steering,
+    )
 
 
 def _scheme_basis(spec: ExperimentSpec, scheme: str) -> ProjectionBasis:
@@ -835,11 +834,11 @@ def _solve_grid(
     scenario is served by the same stream, its interferers rescaled, and
     threshold ladders reflect the power sweep alone. One component_grams
     call builds every basis's Grams in one pass over the stream. Per
-    level, one GEVD call solves the stack of the zero-amplitude pair
-    (for gamma1) and one pair per grid SNR, all with the interference
-    scaled by s, and each weight is scored by its normalized output
-    SINR. Returns, per cell, its scenario name, INR label, config,
-    scenario hash and each scheme's GridSolution.
+    level, all pairs and the SINR covariances are mixed once, at
+    amplitude s, and one GEVD per scheme solves the quiet pair (for
+    gamma1) and one pair per grid SNR as one stack, each weight scored
+    by its normalized output SINR. Returns, per cell, its scenario name,
+    INR label, config, scenario hash and each scheme's GridSolution.
     """
     grid = np.asarray(spec.snr_grid_db, dtype=np.float64)
     cells = []
@@ -854,20 +853,20 @@ def _solve_grid(
         solved = [{scheme: [] for scheme in bases} for _ in configs]
         for trial in range(spec.trials):
             stream = synthesize(replace(reference, seed=(spec.seed, s_idx, trial)))
-            per_basis = component_grams(stream, list(bases.values()), n0)
-            for scheme, grams in zip(bases, per_basis):
-                for cell, scale in zip(solved, scales):
-                    evals, weights = solve_batch(
-                        grams.covariance_pair(quiet_and_grid, scale)
-                    )
+            grams = component_grams(stream, list(bases.values()), n0)
+            del stream
+            for cell, scale in zip(solved, scales):
+                pairs = grams.covariance_pair(quiet_and_grid, scale)
+                covariances = grams.sinr_covariances(alphas, scale)
+                for scheme, pair in zip(bases, pairs):
+                    evals, weights = solve_batch(pair)
                     sinr = normalized_sinr_from_covariances(
-                        weights[1:], *grams.sinr_covariances(alphas, scale),
+                        weights[1:], *covariances,
                         10.0 ** (grid / 10.0), reference.geometry.num_elements,
                     )
                     cell[scheme].append(
                         (evals[0, 0] - 1.0, evals[1:], weights[1:], sinr)
                     )
-            del stream
         cells += [
             (scenario.name, label, config, scenario_hash(config), {
                 scheme: GridSolution(*map(np.array, zip(*per_trial)))
@@ -1050,39 +1049,36 @@ def _recursion(
     spec: ExperimentSpec,
     builder: Callable[..., ScenarioConfig],
     n0: int,
-    cells: list[tuple[tuple[int, ...], float, list[int]]],
+    cells: list[tuple[float, list[int]]],
     bases: dict[str, ProjectionBasis],
 ) -> list[tuple[str, dict[str, np.ndarray]]]:
     """Run the recursion of every scheme over all trials of every cell.
 
-    A cell is (seed, snr_db, entries): its trial t is builder's config at
-    seed (*seed, t) and snr_db, with interferer i silent before symbol
-    entries[i], projected at window offset n0. The cells that share a
-    seed share each trial's draws: the trial is synthesized once, and
-    every such cell rebinds that stream's desired rows at its own SNR
-    (scenario.rebind_desired, bit for bit a synthesis at that SNR). The
-    (cell, trial) rows go trial-major, the cells of one seed adjacent,
-    so one (seed, trial)'s rows are consecutive and only one trial's
-    stream is held at a time, freed once its last row is rendered; the
-    rows are split into the fewest chunks of equal size that keep each
-    within _RECURSION_ROWS rows and _RECURSION_BYTES of stacks. Per row
-    and basis, the projection's x_s
-    and the monitor factor rows of its x_i (adaptive.monitor_factors)
-    fill one preallocated pair of stacks, so no stack holds the r
-    monitor channels; each scheme's adaptive.run steps the whole chunk
-    at once. Rows never mix in the recursion, so a row's weights do not
-    depend on the chunking or on which cells share its stream. Every
-    cell must share one delta = delta_scale * noise_power, else
-    ValueError. Returns per cell its scenario hash and each scheme's
-    (T, K, L) weights, w[:, k] the one that produced output k.
+    A cell is (snr_db, entries): its trial t is builder's config at seed
+    (spec.seed, 0, t) and snr_db, with interferer i silent before symbol
+    entries[i], projected at window offset n0. Every cell shares each
+    trial's draws: the trial is synthesized once, and every cell rebinds
+    that stream's desired rows at its own SNR (scenario.rebind_desired,
+    bit for bit a synthesis at that SNR). The (cell, trial) rows go
+    trial-major, so one trial's rows are consecutive and only one
+    trial's stream is held at a time, freed once its last row is
+    rendered; the rows are split into the fewest chunks of equal size
+    that keep each within _RECURSION_ROWS rows and _RECURSION_BYTES of
+    stacks. Per row and basis, the projection's x_s and the monitor
+    factor rows of its x_i (adaptive.monitor_factors) fill one
+    preallocated pair of stacks, so no stack holds the r monitor
+    channels; each scheme's adaptive.run steps the whole chunk at once.
+    Rows never mix in the recursion, so a row's weights do not depend
+    on the chunking or on the run's other cells. Every cell must
+    share one delta = delta_scale * noise_power, else ValueError.
+    Returns per cell its scenario hash and each scheme's (T, K, L)
+    weights, w[:, k] the one that produced output k.
     """
-    seeds = list(dict.fromkeys(seed for seed, _, _ in cells))
-    order = sorted(range(len(cells)), key=lambda c: seeds.index(cells[c][0]))
     rows = [
-        (builder(snr_db=snr_db, num_symbols=spec.symbols, seed=(*seed, trial)),
+        (builder(snr_db=snr_db, num_symbols=spec.symbols, seed=(spec.seed, 0, trial)),
          entries)
         for trial in range(spec.trials)
-        for seed, snr_db, entries in (cells[c] for c in order)
+        for snr_db, entries in cells
     ]
     deltas = {spec.delta_scale * config.noise_power for config, _ in rows}
     if len(deltas) != 1:
@@ -1118,8 +1114,7 @@ def _recursion(
                 [entry * config.processing_gain for entry in entries],
             )
             # free the trial's draws after its last row, before projecting
-            following = start + row + 1
-            if following == len(rows) or rows[following][0].seed != config.seed:
+            if (start + row + 1) % len(cells) == 0:
                 stream = None
             for scheme, basis in bases.items():
                 x_s, x_i = project_stream(received, basis, n0)
@@ -1131,13 +1126,13 @@ def _recursion(
             x_s, factors = (stack[: len(chunk)] for stack in stacks[scheme])
             adaptive_mod.run(x_s, factors, spec.mu, delta,
                              out=weights[scheme][start : start + len(chunk)])
-    # cell c's trial t is row t * len(cells) + order.index(c)
+    # cell c's trial t is row t * len(cells) + c
     return [
         (
-            scenario_hash(replace(rows[slot][0], seed=spec.seed)),
-            {scheme: w[slot :: len(cells)] for scheme, w in weights.items()},
+            scenario_hash(replace(rows[c][0], seed=spec.seed)),
+            {scheme: w[c :: len(cells)] for scheme, w in weights.items()},
         )
-        for slot in map(order.index, range(len(cells)))
+        for c in range(len(cells))
     ]
 
 
@@ -1158,8 +1153,7 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
     # every SNR cell of a trial shares its draws (common random numbers)
     cells = _recursion(
         spec, builder, n0,
-        [((spec.seed, 0), snr_db, [0] * (len(clutters) - 1))
-         for snr_db in spec.snr_grid_db],
+        [(snr_db, [0] * (len(clutters) - 1)) for snr_db in spec.snr_grid_db],
         bases,
     )
     for snr_db, (config_hash, weights) in zip(spec.snr_grid_db, cells):
@@ -1227,7 +1221,7 @@ def run_tracking(spec: ExperimentSpec) -> ExperimentResult:
     runs = {"staggered": entries, "control": [0] * num_interferers}
     cells = _recursion(
         spec, builder, n0,
-        [((spec.seed, 0), snr_db, run_entries) for run_entries in runs.values()],
+        [(snr_db, run_entries) for run_entries in runs.values()],
         {"MIC": _scheme_basis(spec, "MIC")},
     )
     rows: list[dict] = []
@@ -1289,7 +1283,7 @@ def run_identical_delay(spec: ExperimentSpec) -> ExperimentResult:
         # one beam per group of identical-delay desired paths
         for g_idx, n0 in enumerate(offsets):
             _, weight = solve_batch(
-                component_grams(stream, [basis], n0)[0].covariance_pair(1.0)
+                component_grams(stream, [basis], n0).covariance_pair(1.0)[0]
             )
             name = (
                 f"{variant}" if len(offsets) == 1 else f"{variant}_path{g_idx + 1}"

@@ -279,7 +279,7 @@ def sampled_clutters(
         replace(config.signal_free(), num_symbols=num_symbols, seed=seed)
     )
     basis = core.make_basis("PAPC", generate_gold_codes(1)[0])
-    waveforms = quiet.waveforms
+    waveforms = quiet.render(0, quiet.noise.shape[1])[len(config.desired) :]
     stack = []
     for k in range(len(waveforms) + 1):
         samples = quiet.steering[:, :k] @ waveforms[:k] + quiet.noise

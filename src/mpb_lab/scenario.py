@@ -216,9 +216,9 @@ class ScenarioConfig:
 class ChipStream:
     """Synthesized chip-rate array data as its exact components.
 
-    The desired signal is soi_steering (L, P) times soi_waveforms
-    (P, chips), one row per desired path; the interference is steering
-    (L, D) times waveforms (D, chips), one row per interferer, the
+    The desired signal is soi_steering (L, P) times the P soi waveform
+    rows, one per desired path; the interference is steering (L, D)
+    times the D interferer waveform rows, one per interferer, the
     interfering paths first and then the jammers, in config order. Only
     noise is an (L, chips) array: the P + D waveform rows are kept as
     rows[i], which fills out (a row of any length) with row i's chips
@@ -247,16 +247,6 @@ class ChipStream:
         for row, fill in zip(out, self.rows):
             fill(row, start)
         return out
-
-    @property
-    def soi_waveforms(self) -> np.ndarray:
-        """The (P, chips) desired rows, rendered anew on every access."""
-        return self.render(0, self.noise.shape[1])[: self.soi_steering.shape[1]]
-
-    @property
-    def waveforms(self) -> np.ndarray:
-        """The (D, chips) interferer rows, rendered anew on every access."""
-        return self.render(0, self.noise.shape[1])[self.soi_steering.shape[1] :]
 
     @property
     def samples(self) -> np.ndarray:

@@ -23,3 +23,13 @@ def code0():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260819)
+
+
+@pytest.fixture(scope="session")
+def rendered():
+    """Splits a ChipStream's whole render into (soi rows, interferer rows)."""
+    def split(stream):
+        rows = stream.render(0, stream.noise.shape[1])
+        return np.split(rows, [stream.soi_steering.shape[1]])
+
+    return split

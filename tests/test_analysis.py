@@ -301,14 +301,14 @@ class TestNormalizedSinr:
                 weights, soi, covs[1], covs[2], np.array([1.0, 0.0, 1, 1, 1, 1]), 5
             )
 
-    def test_matched_filter_hits_the_optimum(self, code0):
+    def test_matched_filter_hits_the_optimum(self, code0, rendered):
         # no interference: the matched filter reaches L*SNR, so the
         # normalized ratio is one
         snr_db = 5.0
         config = plain_config(num_symbols=10000, snr_db=snr_db)
         stream = synthesize(config)
         basis = make_basis("MIC", code0)
-        soi_s, _ = project_stream(stream.soi_steering @ stream.soi_waveforms, basis, 0)
+        soi_s, _ = project_stream(stream.soi_steering @ rendered(stream)[0], basis, 0)
         noise_s, _ = project_stream(stream.noise, basis, 0)
         weight = steering_vector(config.geometry, 0.0) / math.sqrt(8)
         y_soi = weight.conj() @ soi_s
@@ -422,12 +422,12 @@ class TestConditionCheck:
         assert report.principle1
         assert not report.principle2
 
-    def test_single_channel_cannot_span_periodic_pair(self, code0):
+    def test_single_channel_cannot_span_periodic_pair(self, code0, rendered):
         # ground-truth waveforms from the synthesizer: two periodic
         # interferers exceed the reach of any rank-one monitor
         config = periodic_noise_scenario(10.0, num_symbols=10, seed=3)
         stream = synthesize(config)
-        waveforms = stream.waveforms[:, :N].T
+        waveforms = rendered(stream)[1][:, :N].T
         papc = make_basis("PAPC", code0)
         report = condition_check(papc, waveforms, papc.h_s)
         assert not report.principle1  # chip monitor overlaps the code

@@ -61,13 +61,13 @@ class TestSegment:
         x_s, _ = project_stream(stream.samples, basis, 1)
         assert x_s.shape[1] == 1  # the offset eats the 2nd whole window
 
-    def test_alignment_offset_recovers_despreading_gain(self, code0):
+    def test_alignment_offset_recovers_despreading_gain(self, code0, rendered):
         # a path delayed by 3 chips despreads coherently only at n0 = 3
         config = soi_only_config(delay_chips=3, num_symbols=100)
         stream = synthesize(config)
         p0 = desired_path_power(config, config.desired[0])
         basis = make_basis("MIC", code0)
-        soi = stream.soi_steering @ stream.soi_waveforms
+        soi = stream.soi_steering @ rendered(stream)[0]
 
         x_aligned, _ = project_stream(soi, basis, 3)
         x_misaligned, _ = project_stream(soi, basis, 0)
@@ -159,12 +159,12 @@ class TestProject:
         _, x_i = project_stream(samples, make_basis("PAPC", code0, chip_index=7), 0)
         np.testing.assert_allclose(x_i[:, 0, 0], samples[:, 7], atol=1e-14)
 
-    def test_soi_only_block_lands_in_signal_channel(self, code0):
+    def test_soi_only_block_lands_in_signal_channel(self, code0, rendered):
         config = soi_only_config(snr_db=4.0, num_symbols=20)
         stream = synthesize(config)
         p0 = desired_path_power(config, config.desired[0])
         k = 4
-        soi = stream.soi_steering @ stream.soi_waveforms
+        soi = stream.soi_steering @ rendered(stream)[0]
         x_s, x_i = project_stream(soi, make_basis("MIC", code0), 0)
         steer = steering_vector(config.geometry, 0.0)
         expected = math.sqrt(CODE_LENGTH * p0) * stream.symbols[0][k + 1] * steer

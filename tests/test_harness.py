@@ -337,10 +337,10 @@ class TestGramFastPath:
         basis = make_basis(scheme, code, monitor_freq=0.5, chip_index=0)
         reference = five_tones_scenario(10.0, snr_db=0.0, num_symbols=400,
                                         seed=(77, 0, 0))
-        grams = component_grams(synthesize(reference), [basis], 0)[0]
+        grams = component_grams(synthesize(reference), [basis], 0)
         for snr_db in (-10.0, 0.0, 12.0):
             alpha = 10.0 ** (snr_db / 20.0)
-            fast = grams.covariance_pair(alpha)
+            [fast] = grams.covariance_pair(alpha)
             direct_stream = synthesize(replace(reference, snr_db=snr_db))
             x_s, x_i = project_stream(direct_stream.samples, basis, 0)
             direct = covariances_from_arrays(x_s, x_i)
@@ -349,18 +349,19 @@ class TestGramFastPath:
             np.testing.assert_allclose(fast.r_i, direct.r_i, rtol=1e-10,
                                        atol=1e-12)
 
-    def test_sinr_covariances_match_component_streams(self):
+    def test_sinr_covariances_match_component_streams(self, rendered):
         code = generate_gold_codes(1)[0]
         basis = make_basis("MIC", code)
         reference = five_tones_scenario(10.0, snr_db=0.0, num_symbols=300,
                                         seed=(78, 0, 0))
-        grams = component_grams(synthesize(reference), [basis], 0)[0]
+        grams = component_grams(synthesize(reference), [basis], 0)
         snr_db = 6.0
         alpha = 10.0 ** (snr_db / 20.0)
         soi_cov, int_cov, noise_cov = grams.sinr_covariances(alpha)
         stream = synthesize(replace(reference, snr_db=snr_db))
-        for cov, component in ((soi_cov, stream.soi_steering @ stream.soi_waveforms),
-                               (int_cov, stream.steering @ stream.waveforms),
+        soi, waves = rendered(stream)
+        for cov, component in ((soi_cov, stream.soi_steering @ soi),
+                               (int_cov, stream.steering @ waves),
                                (noise_cov, stream.noise)):
             x_s, _ = project_stream(component, basis, 0)
             direct = (x_s @ x_s.conj().T) / x_s.shape[1]
@@ -383,22 +384,22 @@ class TestGramFastPath:
         alphas = np.array([0.0, 0.5, 3.0])
         for scheme in ("MIC", "Maximin", "PAPC"):
             basis = make_basis(scheme, generate_gold_codes(1)[0])
-            grams = component_grams(stream, [basis], 0)[0]
+            grams = component_grams(stream, [basis], 0)
             for inr_db, (scale, direct_stream) in levels.items():
-                direct = component_grams(direct_stream, [basis], 0)[0]
+                direct = component_grams(direct_stream, [basis], 0)
                 amplitude = np.concatenate([
                     np.ones(len(reference.desired)),
-                    np.full(len(stream.waveforms), scale),
+                    np.full(stream.steering.shape[1], scale),
                     np.ones(stream.num_elements),
                 ])
                 for ours, theirs in ((grams.s_gram, direct.s_gram),
-                                     (grams.i_gram, direct.i_gram)):
+                                     (grams.i_grams[0], direct.i_grams[0])):
                     rescaled = amplitude[:, None] * ours * amplitude
                     gap = np.linalg.norm(rescaled - theirs) / np.linalg.norm(theirs)
                     assert gap <= 1e-12, (scheme, inr_db, gap)
-                fast = grams.covariance_pair(alphas, scale)
+                [fast] = grams.covariance_pair(alphas, scale)
                 for g, alpha in enumerate(alphas):
-                    pair = direct.covariance_pair(alpha)
+                    [pair] = direct.covariance_pair(alpha)
                     np.testing.assert_allclose(fast.r_s[g], pair.r_s, rtol=1e-12)
                     np.testing.assert_allclose(fast.r_i[g], pair.r_i, rtol=1e-12)
                     for ours, theirs in zip(
@@ -460,20 +461,19 @@ class TestGramFastPath:
         x_s, x_i = project_stream(stream.samples, basis, n0)
         assert x_s.shape[1] % harness._GRAM_BLOCK_SYMBOLS > 0
         direct = covariances_from_arrays(x_s, x_i)
-        fast = component_grams(stream, [basis], n0)[0].covariance_pair(1.0)
+        [fast] = component_grams(stream, [basis], n0).covariance_pair(1.0)
         np.testing.assert_allclose(fast.r_s, direct.r_s, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(fast.r_i, direct.r_i, rtol=1e-10, atol=1e-12)
 
     @staticmethod
     def _assert_matches_summed_stream(stream, bases, n0):
-        # one component_grams call; each of its entries must match
+        # one component_grams call; each of its pairs must match
         # direct estimation on the summed stream for its own basis
-        per_basis = component_grams(stream, bases, n0)
-        assert len(per_basis) == len(bases)
-        for basis, grams in zip(bases, per_basis):
+        pairs = component_grams(stream, bases, n0).covariance_pair(1.0)
+        assert len(pairs) == len(bases)
+        for basis, fast in zip(bases, pairs):
             direct = covariances_from_arrays(
                 *project_stream(stream.samples, basis, n0))
-            fast = grams.covariance_pair(1.0)
             for ours, theirs in ((fast.r_s, direct.r_s), (fast.r_i, direct.r_i)):
                 gap = np.linalg.norm(ours - theirs) / np.linalg.norm(theirs)
                 assert gap <= 1e-12, (basis.scheme, basis.num_channels, gap)
@@ -513,10 +513,39 @@ class TestGramFastPath:
         if interferers == "none":
             config = replace(config, jammers=[])
         stream = synthesize(config)
-        assert len(stream.waveforms) == (5 if interferers == "five_tones" else 0)
+        assert stream.steering.shape[1] == (5 if interferers == "five_tones" else 0)
         bases = [make_basis(scheme, generate_gold_codes(1)[0])
                  for scheme in ("MIC", "Maximin", "PAPC")]
         self._assert_matches_summed_stream(stream, bases, 4)
+
+    def test_one_call_holds_the_signal_side_once(self):
+        # one component_grams call returns one SchemeGrams with one
+        # monitor Gram per basis; its pairs hold one r_s array, mixed
+        # once, and each pair is the one a one-basis call gives: bit for
+        # bit for MIC (raw Gram minus the signal Gram) and PAPC (a unit
+        # monitor column), to roundoff for Maximin, whose channel is
+        # projected in one product with PAPC's
+        stream = synthesize(five_tones_scenario(
+            20.0, snr_db=3.0, num_symbols=harness._GRAM_BLOCK_SYMBOLS + 300,
+            seed=(89, 0, 0)))
+        bases = [make_basis(scheme, generate_gold_codes(1)[0])
+                 for scheme in ("MIC", "Maximin", "PAPC")]
+        grams = component_grams(stream, bases, 4)
+        assert isinstance(grams, harness.SchemeGrams)
+        assert len(grams.i_grams) == len(bases)
+        alphas, scale = np.array([0.0, 0.5, 3.0]), 2.0
+        pairs = grams.covariance_pair(alphas, scale)
+        assert len(pairs) == len(bases)
+        assert all(pair.r_s is pairs[0].r_s for pair in pairs)
+        for basis, pair in zip(bases, pairs):
+            [single] = component_grams(stream, [basis], 4).covariance_pair(
+                alphas, scale)
+            np.testing.assert_array_equal(pair.r_s, single.r_s)
+            if basis.scheme == "Maximin":
+                gap = np.linalg.norm(pair.r_i - single.r_i) / np.linalg.norm(single.r_i)
+                assert gap <= 1e-12, gap
+            else:
+                np.testing.assert_array_equal(pair.r_i, single.r_i)
 
     def test_bases_must_share_the_signal_channel(self):
         codes = generate_gold_codes(2)
@@ -620,7 +649,7 @@ class TestGramFastPath:
         basis = make_basis("PAPC", generate_gold_codes(1)[0])
         stream = synthesize(five_tones_scenario(
             30.0, num_symbols=3 * harness._GRAM_BLOCK_SYMBOLS, seed=(81, 0, 0)))
-        rows = len(stream.soi_waveforms) + len(stream.waveforms) + stream.num_elements
+        rows = len(stream.rows) + stream.num_elements
         raw_block = rows * harness._GRAM_BLOCK_SYMBOLS * basis.h_s.size * 16
         peak = self._peak_bytes(stream, [basis])
         assert peak < raw_block, (peak, raw_block)
@@ -655,12 +684,12 @@ class TestGramFastPath:
         quiet = synthesize(replace(base.signal_free(), num_symbols=symbols,
                                    seed=(6, 1)))
         grams = component_grams(
-            quiet, [make_basis("PAPC", generate_gold_codes(1)[0])], 0)[0]
+            quiet, [make_basis("PAPC", generate_gold_codes(1)[0])], 0)
         rows = np.arange(quiet.steering.shape[1])
         direct = sampled_clutters(base, 0, symbols, (6, 1))
         assert len(direct) == rows.size + 1
         for k, clutter in enumerate(direct):
-            mixed = grams.covariance_pair(0.0, rows < k).r_s
+            mixed = grams.covariance_pair(0.0, rows < k)[0].r_s
             gap = np.linalg.norm(mixed - clutter) / np.linalg.norm(clutter)
             assert gap <= 1e-12, (k, gap)
 
@@ -725,8 +754,9 @@ class TestRunners:
         # one synthesis per (scenario, trial) serves every INR level, and
         # one GEVD per (trial, scheme, INR level) solves the gamma1 quiet
         # pair and the whole SNR grid as one stack: the batch driver's
-        # cost is the same for every preset
-        gevds, syntheses = [], []
+        # cost is the same for every preset. Every scheme's pairs and the
+        # SINR covariances are mixed once per (trial, INR level)
+        gevds, syntheses, mixes = [], [], []
         original_gevd, original_synthesize = linalg.hermitian_gevd, harness.synthesize
 
         def counting_gevd(a, b):
@@ -737,8 +767,19 @@ class TestRunners:
             syntheses.append(config)
             return original_synthesize(config)
 
+        def counting_mix(name):
+            original = getattr(harness.SchemeGrams, name)
+
+            def counting(self, *args):
+                mixes.append(name)
+                return original(self, *args)
+
+            return counting
+
         monkeypatch.setattr(linalg, "hermitian_gevd", counting_gevd)
         monkeypatch.setattr(harness, "synthesize", counting_synthesize)
+        for name in ("covariance_pair", "sinr_covariances"):
+            monkeypatch.setattr(harness.SchemeGrams, name, counting_mix(name))
         if preset == "threshold_sweep":
             spec = tiny_sweep_spec(
                 schemes=["MIC", "PAPC"], inr_list_db=[10.0, 30.0],
@@ -753,6 +794,8 @@ class TestRunners:
         assert len(syntheses) == spec.trials * scenarios
         assert len(gevds) == spec.trials * len(spec.schemes) * scenarios * levels
         assert set(gevds) == {(len(spec.snr_grid_db) + 1, 8, 8)}
+        for name in ("covariance_pair", "sinr_covariances"):
+            assert mixes.count(name) == spec.trials * scenarios * levels, name
 
     def test_sweep_takes_every_schemes_grams_in_one_call(self, monkeypatch):
         # _solve_grid reads each (scenario, trial) stream once: one
@@ -987,7 +1030,7 @@ class TestRunners:
             spec.scenario = scenario
             assert_finite(run_preset(spec))
 
-    def test_staggered_input_matches_per_interferer_accumulation(self):
+    def test_staggered_input_matches_per_interferer_accumulation(self, rendered):
         # tracking's input: interferer i is absent before its entry chip
         # and fully present from it on. The reference accumulates each
         # interferer's own element-by-chip stream onto soi + noise from
@@ -996,12 +1039,13 @@ class TestRunners:
         stream = synthesize(config)
         total = stream.noise.shape[1]
         entries = [(i + 1) * 2 * config.processing_gain
-                   for i in range(len(stream.waveforms))]
+                   for i in range(stream.steering.shape[1])]
         assert entries[-2] == total and entries[-1] > total
         staggered = harness._staggered(stream, entries)
-        reference = stream.soi_steering @ stream.soi_waveforms + stream.noise
+        soi, waves = rendered(stream)
+        reference = stream.soi_steering @ soi + stream.noise
         streams = [np.outer(stream.steering[:, i], wave)
-                   for i, wave in enumerate(stream.waveforms)]
+                   for i, wave in enumerate(waves)]
         for start, interferer in zip(entries, streams):
             reference[:, start:] += interferer[:, start:]
         tol = 1e-12 * np.max(np.abs(reference))
@@ -1035,7 +1079,7 @@ class TestRecursionDriver:
 
     def test_chunk_boundaries_inside_cells_change_no_weight(self, monkeypatch):
         spec, bases = self.spec_and_bases()
-        cells = [((spec.seed, 0), 10.0, [0, 0]), ((spec.seed, 1), 20.0, [5, 12])]
+        cells = [(10.0, [0, 0]), (20.0, [5, 12])]
         singles = [harness._recursion(spec, convergence_scenario, 0, [cell], bases)[0]
                    for cell in cells]
         chunks = []
@@ -1052,11 +1096,11 @@ class TestRecursionDriver:
         stacked = harness._recursion(spec, convergence_scenario, 0, cells, bases)
         assert chunks == [2] * 3 * len(bases)
         assert len(stacked) == len(cells)
-        for (seed, snr_db, _), single, (config_hash, weights) in zip(
+        for (snr_db, _), single, (config_hash, weights) in zip(
             cells, singles, stacked
         ):
             config = convergence_scenario(
-                snr_db=snr_db, num_symbols=spec.symbols, seed=(*seed, 0)
+                snr_db=snr_db, num_symbols=spec.symbols, seed=(spec.seed, 0, 0)
             )
             assert config_hash == single[0]
             assert config_hash == scenario_hash(replace(config, seed=spec.seed))
@@ -1067,14 +1111,13 @@ class TestRecursionDriver:
         assert stacked[0][0] != stacked[1][0]
 
     def test_cells_sharing_a_seed_match_one_cell_runs(self, monkeypatch):
-        # cells 0 and 2 share a seed, so each of their trials is one
+        # every cell shares the run's seed, so each trial is one
         # synthesis rebound at each cell's SNR; nine (cell, trial) rows,
         # trial-major, in chunks of two put one trial's cells in
         # different chunks. Every cell's weights and hash are those of a
         # run of that cell alone.
         spec, bases = self.spec_and_bases()
-        cells = [((spec.seed, 0), 10.0, [0, 0]), ((spec.seed, 1), 20.0, [0, 0]),
-                 ((spec.seed, 0), 30.0, [5, 12])]
+        cells = [(10.0, [0, 0]), (20.0, [0, 0]), (30.0, [5, 12])]
         singles = [harness._recursion(spec, convergence_scenario, 0, [cell], bases)[0]
                    for cell in cells]
         seeds = []
@@ -1087,14 +1130,12 @@ class TestRecursionDriver:
         monkeypatch.setattr(harness, "synthesize", counting)
         monkeypatch.setattr(harness, "_RECURSION_ROWS", 2)
         stacked = harness._recursion(spec, convergence_scenario, 0, cells, bases)
-        assert sorted(seeds) == sorted(
-            (*seed, t) for seed in {cell[0] for cell in cells}
-            for t in range(spec.trials))
-        for (seed, snr_db, _), single, (config_hash, weights) in zip(
+        assert seeds == [(spec.seed, 0, t) for t in range(spec.trials)]
+        for (snr_db, _), single, (config_hash, weights) in zip(
             cells, singles, stacked
         ):
             config = convergence_scenario(
-                snr_db=snr_db, num_symbols=spec.symbols, seed=(*seed, 0)
+                snr_db=snr_db, num_symbols=spec.symbols, seed=(spec.seed, 0, 0)
             )
             assert config_hash == single[0]
             assert config_hash == scenario_hash(replace(config, seed=spec.seed))
@@ -1107,7 +1148,7 @@ class TestRecursionDriver:
         # symbol and element: MIC 10 x 30 x 11, PAPC 10 x 30 x 2 complex
         # values per row) splits six rows into three chunks
         spec, bases = self.spec_and_bases()
-        cells = [((spec.seed, 0), 10.0, [0, 0]), ((spec.seed, 1), 20.0, [5, 12])]
+        cells = [(10.0, [0, 0]), (20.0, [5, 12])]
         chunks = []
         run = harness.adaptive_mod.run
 
@@ -1135,7 +1176,7 @@ class TestRecursionDriver:
         tracemalloc.start()
         try:
             harness._recursion(spec, convergence_scenario, 0,
-                               [((spec.seed, 0), 10.0, [0, 0])], {"MIC": basis})
+                               [(10.0, [0, 0])], {"MIC": basis})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1153,7 +1194,7 @@ class TestRecursionDriver:
 
         synthesized = []
         monkeypatch.setattr(harness, "synthesize", synthesized.append)
-        cells = [((spec.seed, 0), 10.0, []), ((spec.seed, 1), 20.0, [])]
+        cells = [(10.0, []), (20.0, [])]
         with pytest.raises(ValueError, match="share one delta"):
             harness._recursion(spec, builder, 0, cells, bases)
         assert synthesized == []

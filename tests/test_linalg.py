@@ -274,17 +274,16 @@ class TestRightMatrixCertificate:
 
     def test_matches_scipy_on_sweep_pencils(self):
         # the stacks the sweeps solve: the quiet pair and 137 grid SNRs of
-        # one scheme's Grams, at the top INR level
+        # every scheme's Grams from one call, at the top INR level
         tolerance = 1e-9
         code = generate_gold_codes(1)[0]
         reference = five_tones_scenario(10.0, snr_db=0.0, num_symbols=400,
                                         seed=(91, 0, 0))
         stream = synthesize(reference)
         alphas = np.r_[0.0, 10.0 ** (np.arange(-20.0, 48.5, 0.5) / 20.0)]
-        for scheme in ("MIC", "Maximin", "PAPC"):
-            basis = make_basis(scheme, code, monitor_freq=0.5, chip_index=0)
-            grams = component_grams(stream, [basis], 0)[0]
-            pair = grams.covariance_pair(alphas, 10.0)
+        bases = [make_basis(scheme, code, monitor_freq=0.5, chip_index=0)
+                 for scheme in ("MIC", "Maximin", "PAPC")]
+        for pair in component_grams(stream, bases, 0).covariance_pair(alphas, 10.0):
             assert pair.r_s.shape == (138, 8, 8)
             ours = hermitian_gevd(pair.r_s, pair.r_i).eigenvalues
             for k in range(len(alphas)):

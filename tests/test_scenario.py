@@ -165,17 +165,16 @@ class TestGroupIdenticalDelays:
 
 
 class TestSynthesize:
-    def test_additivity_exact(self):
+    def test_additivity_exact(self, rendered):
         stream = synthesize(make_config(jammers=[
             JammerSpec(kind="tone", doa_deg=25.0, inr_db=10.0, tone_offset_hz=1e5)
         ]))
+        soi, waves = rendered(stream)
         assert stream.soi_steering.shape == (8, 1)
         assert stream.steering.shape == (8, 1)
         np.testing.assert_array_equal(
             stream.samples,
-            stream.soi_steering @ stream.soi_waveforms
-            + stream.steering @ stream.waveforms
-            + stream.noise,
+            stream.soi_steering @ soi + stream.steering @ waves + stream.noise,
         )
 
     def test_seed_reproducibility_bit_identical(self):
@@ -219,12 +218,12 @@ class TestSynthesize:
         b = synthesize(make_config(seed=2))
         assert not np.array_equal(a.samples, b.samples)
 
-    def test_single_path_component_is_analytic(self, code0):
+    def test_single_path_component_is_analytic(self, code0, rendered):
         config = make_config(snr_db=6.0)
         stream = synthesize(config)
         p0 = desired_path_power(config, config.desired[0])
         sym = stream.symbols[0]  # index 0 holds the k = -1 lead-in symbol
-        soi = stream.soi_steering @ stream.soi_waveforms
+        soi = stream.soi_steering @ rendered(stream)[0]
         n = CODE_LENGTH
         for k in (0, 3, 49):
             window = soi[:, k * n : (k + 1) * n]
@@ -233,7 +232,7 @@ class TestSynthesize:
             for l in range(config.geometry.num_elements):
                 np.testing.assert_allclose(window[l], expected, rtol=1e-12)
 
-    def test_delayed_path_uses_previous_symbol_head(self, code0):
+    def test_delayed_path_uses_previous_symbol_head(self, code0, rendered):
         config = make_config(
             desired=[PathSpec(user_index=0, doa_deg=0.0, delay_chips=3)],
             snr_db=0.0,
@@ -242,7 +241,7 @@ class TestSynthesize:
         p0 = desired_path_power(config, config.desired[0])
         sym = stream.symbols[0]
         # first three chips belong to the tail of the k = -1 symbol
-        head = (stream.soi_steering @ stream.soi_waveforms)[0, :3]
+        head = (stream.soi_steering @ rendered(stream)[0])[0, :3]
         expected = math.sqrt(p0) * sym[0] * code0.chips[-3:]
         np.testing.assert_allclose(head, expected, rtol=1e-12)
 
@@ -255,17 +254,17 @@ class TestSynthesize:
         gap = np.linalg.norm(cov - target, "fro") / np.linalg.norm(target, "fro")
         assert gap <= 0.05
 
-    def test_tone_constant_modulus(self):
+    def test_tone_constant_modulus(self, rendered):
         config = make_config(jammers=[
             JammerSpec(kind="tone", doa_deg=25.0, inr_db=13.0, tone_offset_hz=2e5)
         ])
         stream = synthesize(config)
-        wave = stream.waveforms[0]
+        wave = rendered(stream)[1][0]
         np.testing.assert_allclose(
             np.abs(wave), np.full(wave.size, np.abs(wave[0])), rtol=1e-12
         )
 
-    def test_tone_matches_per_chip_phasor(self):
+    def test_tone_matches_per_chip_phasor(self, rendered):
         # synthesis builds the row from one coarse phasor per block and
         # one fine ramp; it must equal the per-chip exp on a long stream
         # that ends in a partial block
@@ -284,19 +283,19 @@ class TestSynthesize:
         expected = math.sqrt(1e3) * np.exp(
             1j * (2.0 * np.pi * freq * np.arange(total) + phase)
         )
-        wave = synthesize(config).waveforms[0]
+        wave = rendered(synthesize(config))[1][0]
         gap = np.linalg.norm(wave - expected) / np.linalg.norm(expected)
         assert gap <= 1e-10, gap
 
-    def test_periodic_jammer_exact_period(self):
+    def test_periodic_jammer_exact_period(self, rendered):
         config = make_config(jammers=[
             JammerSpec(kind="periodic_white_noise", doa_deg=30.0, inr_db=10.0)
         ])
         stream = synthesize(config)
-        wave = stream.waveforms[0]
+        wave = rendered(stream)[1][0]
         np.testing.assert_array_equal(wave[CODE_LENGTH:], wave[:-CODE_LENGTH])
 
-    def test_waveform_seed_pins_the_period(self):
+    def test_waveform_seed_pins_the_period(self, rendered):
         def jam(seed):
             return JammerSpec(
                 kind="periodic_white_noise", doa_deg=30.0, inr_db=10.0,
@@ -305,41 +304,42 @@ class TestSynthesize:
 
         pinned_a = synthesize(make_config(seed=100, jammers=[jam(1589)]))
         pinned_b = synthesize(make_config(seed=200, jammers=[jam(1589)]))
-        np.testing.assert_array_equal(pinned_a.waveforms[0], pinned_b.waveforms[0])
+        np.testing.assert_array_equal(rendered(pinned_a)[1][0],
+                                      rendered(pinned_b)[1][0])
         free_a = synthesize(make_config(seed=100, jammers=[jam(None)]))
         free_b = synthesize(make_config(seed=200, jammers=[jam(None)]))
-        assert not np.array_equal(free_a.waveforms[0], free_b.waveforms[0])
+        assert not np.array_equal(rendered(free_a)[1][0], rendered(free_b)[1][0])
 
     @pytest.mark.parametrize(
         "builder", [periodic_noise_scenario, multipath_mai_scenario,
                     five_tones_scenario],
     )
-    def test_interferer_power_calibration(self, builder):
+    def test_interferer_power_calibration(self, builder, rendered):
         inr_db = 10.0
         config = builder(inr_db, snr_db=0.0, num_symbols=10000, seed=5)
         stream = synthesize(config)
-        for idx, wave in enumerate(stream.waveforms):
+        for idx, wave in enumerate(rendered(stream)[1]):
             measured = float(np.mean(np.abs(wave) ** 2))
             expected = config.noise_power * 10.0 ** (inr_db / 10.0)
             assert abs(measured - expected) <= 0.03 * expected, f"interferer {idx}"
 
-    def test_soi_post_despreading_snr_calibration(self, code0):
+    def test_soi_post_despreading_snr_calibration(self, code0, rendered):
         snr_db = 10.0
         config = make_config(snr_db=snr_db, num_symbols=10000)
         stream = synthesize(config)
-        soi = stream.soi_steering @ stream.soi_waveforms
+        soi = stream.soi_steering @ rendered(stream)[0]
         x_s, _ = project_stream(soi, make_basis("MIC", code0), 0)
         # per-element despread power over the per-element noise power
         measured = float(np.mean(np.abs(x_s) ** 2)) / config.noise_power
         expected = 10.0 ** (snr_db / 10.0)
         assert abs(measured - expected) <= 0.03 * expected
 
-    def test_mai_streams_use_their_own_codes(self):
+    def test_mai_streams_use_their_own_codes(self, rendered):
         config = make_config(
             mais=[PathSpec(user_index=1, doa_deg=30.0, delay_chips=0, power=4.0)],
         )
         stream = synthesize(config)
-        wave = stream.waveforms[0]
+        wave = rendered(stream)[1][0]
         chips1 = generate_gold_codes(2)[1].chips
         sym1 = stream.symbols[1]
         expected = 2.0 * sym1[1] * chips1
@@ -384,15 +384,15 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="cannot serve"):
             rebind_desired(stream, replace(target, num_symbols=61))
 
-    def test_signal_free_removes_soi_only(self):
+    def test_signal_free_removes_soi_only(self, rendered):
         config = make_config(jammers=[
             JammerSpec(kind="tone", doa_deg=25.0, inr_db=10.0, tone_offset_hz=1e5)
         ])
         quiet = synthesize(config.signal_free())
         loud = synthesize(config)
-        assert np.all(quiet.soi_waveforms == 0.0)
+        assert np.all(rendered(quiet)[0] == 0.0)
         np.testing.assert_array_equal(quiet.steering, loud.steering)
-        np.testing.assert_array_equal(quiet.waveforms, loud.waveforms)
+        np.testing.assert_array_equal(rendered(quiet)[1], rendered(loud)[1])
         np.testing.assert_array_equal(quiet.noise, loud.noise)
 
 
@@ -415,7 +415,7 @@ class TestRender:
         "tone", "tone_0hz", "periodic", "periodic_pinned", "bpsk_broadband",
         "delayed_mai", "soi",
     ])
-    def test_any_range_equals_the_whole_row(self, kind):
+    def test_any_range_equals_the_whole_row(self, kind, rendered):
         jammers = {
             "tone": [JammerSpec(kind="tone", doa_deg=25.0, inr_db=20.0,
                                 tone_offset_hz=123456.7)],
@@ -443,11 +443,10 @@ class TestRender:
             part = stream.render(start, stop)
             assert part.shape == (len(stream.rows), stop - start)
             np.testing.assert_array_equal(part[row], whole[start:stop])
+        soi, waves = rendered(stream)
         np.testing.assert_array_equal(
             stream.samples,
-            stream.soi_steering @ stream.soi_waveforms
-            + stream.steering @ stream.waveforms
-            + stream.noise,
+            stream.soi_steering @ soi + stream.steering @ waves + stream.noise,
         )
 
     def test_render_writes_into_a_given_buffer(self):
@@ -530,13 +529,13 @@ class TestInterferenceMoments:
         )
 
     @pytest.fixture(scope="class")
-    def moments(self):
+    def moments(self, rendered):
         basis = make_basis("PAPC", generate_gold_codes(1)[0])
         exact = interference_moments(self.config(0), basis.h_s, self.N0)
         sampled = np.zeros_like(exact)
         for seed in range(self.STREAMS):
             rows, _ = project_stream(
-                synthesize(self.config(seed)).waveforms, basis, self.N0)
+                rendered(synthesize(self.config(seed)))[1], basis, self.N0)
             assert rows.shape[1] == self.WINDOWS
             sampled += gram(rows, rows) / (self.WINDOWS * self.STREAMS)
         return exact, sampled
@@ -563,7 +562,7 @@ class TestInterferenceMoments:
         assert np.all(np.abs(exact[coupled]) > 0.0)
         np.testing.assert_array_equal(exact, exact.conj().T)
 
-    def test_short_unpinned_period_averages_over_its_waveforms(self):
+    def test_short_unpinned_period_averages_over_its_waveforms(self, rendered):
         # a period P < N folds the window onto P residue classes; each
         # stream's draw of the period is one snapshot of a cycle average
         # whose relative spread is at most one, so the tolerance is five
@@ -576,7 +575,7 @@ class TestInterferenceMoments:
         sampled = 0.0
         for seed in range(streams):
             stream = synthesize(replace(config, seed=seed))
-            rows, _ = project_stream(stream.waveforms, basis, 3)
+            rows, _ = project_stream(rendered(stream)[1], basis, 3)
             sampled += np.mean(np.abs(rows) ** 2) / streams
         assert abs(sampled / exact.real - 1.0) <= 5.0 / math.sqrt(streams)
 
