@@ -148,8 +148,9 @@ def solve_batch(pair: CovariancePair) -> tuple[np.ndarray, np.ndarray]:
     r_s and r_i are (L, L), or (G, L, L) stacks of G pairs solved in one
     GEVD call, giving (G, L) eigenvalues and (G, L) weights. Each weight
     has unit Euclidean norm and the standard phase convention (first
-    significant component real positive).
+    significant component real positive). Only the dominant vector is
+    back-transformed.
     """
-    result = linalg.hermitian_gevd(pair.r_s, pair.r_i)
+    result = linalg.hermitian_gevd(pair.r_s, pair.r_i, leading=1)
     weight = result.eigenvectors[..., 0]
     return result.eigenvalues, weight / np.linalg.norm(weight, axis=-1, keepdims=True)

@@ -42,7 +42,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
-from itertools import product
+from itertools import chain, product, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -568,7 +568,7 @@ def write_result(result: ExperimentResult, out_dir: str | Path) -> Path:
 
     rows = result.rows
     # every key of every row, in order of first appearance
-    columns = list(dict.fromkeys(key for row in rows for key in row))
+    columns = list(dict.fromkeys(chain.from_iterable(rows)))
     results_path = out / "results.csv"
     with results_path.open("w", newline="") as handle:
         handle.write(f"# schema={SCHEMA_VERSION}\n")
@@ -577,20 +577,16 @@ def write_result(result: ExperimentResult, out_dir: str | Path) -> Path:
             if key == "timestamp":
                 continue
             handle.write(f"# {key}={result.metadata[key]}\n")
-        writer = csv.writer(handle)
-        writer.writerow(columns)
+        csv.writer(handle).writerow(columns)
         # a column a row lacks is left empty
-        writer.writerows([_format_cell(row.get(key, "")) for key in columns]
-                         for row in rows)
+        _write_rows(handle, (map(row.get, columns, repeat("")) for row in rows))
 
     for name, gains in result.patterns.items():
         with (out / f"patterns_{name}.csv").open("w", newline="") as handle:
             handle.write(f"# schema={SCHEMA_VERSION}\n")
             handle.write(f"# preset={result.preset}\n")
-            writer = csv.writer(handle)
-            writer.writerow(["theta_deg", "gain_db"])
-            writer.writerows([_format_cell(theta), _format_cell(gain)]
-                             for theta, gain in zip(PATTERN_GRID_DEG, gains))
+            csv.writer(handle).writerow(["theta_deg", "gain_db"])
+            _write_rows(handle, zip(PATTERN_GRID_DEG, gains))
 
     with (out / "meta.txt").open("w") as handle:
         handle.write(f"schema: {SCHEMA_VERSION}\n")
@@ -604,6 +600,26 @@ def write_result(result: ExperimentResult, out_dir: str | Path) -> Path:
 def _format_cell(value) -> str:
     # .10g spells inf, -inf and nan itself
     return f"{value:.10g}" if isinstance(value, float) else str(value)
+
+
+def _write_rows(handle, rows) -> None:
+    """Write rows of cells as csv.writer writes their _format_cell texts,
+    through one %-format per signature of cell types, or csv.writer when
+    a field needs quoting (a comma, quote or line break, or a lone '')."""
+    writer = csv.writer(handle)
+    formats: dict[tuple, str] = {}
+    for cells in rows:
+        cells = tuple(cells)
+        kinds = tuple(map(type, cells))
+        if kinds not in formats:
+            formats[kinds] = ",".join(
+                "%.10g" if issubclass(kind, float) else "%s" for kind in kinds)
+        line = formats[kinds] % cells
+        if (not line or line.count(",") != len(cells) - 1
+                or '"' in line or "\r" in line or "\n" in line):
+            writer.writerow(map(_format_cell, cells))
+        else:
+            handle.write(line + "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -897,16 +913,17 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ExperimentResult:
             theory_beta = threshold_beta(bases[scheme], code)
             measured = measure_threshold(spec.snr_grid_db, g_mean)
             predicted = predicted_threshold(gamma1_mean, theory_beta, n, l)
-            for g_idx, snr_db in enumerate(spec.snr_grid_db):
+            points = zip(spec.snr_grid_db, g_mean.tolist(), lam_mean.tolist())
+            for snr_db, g, lam in points:
                 rows.append(
                     {
                         "scenario": scenario_name,
                         "scheme": scheme,
                         "inr_db": inr_label,
                         "snr_db": float(snr_db),
-                        "g_linear": float(g_mean[g_idx]),
-                        "g_db": 10.0 * math.log10(max(g_mean[g_idx], 1e-30)),
-                        "lambda1": float(lam_mean[g_idx]),
+                        "g_linear": g,
+                        "g_db": 10.0 * math.log10(max(g, 1e-30)),
+                        "lambda1": lam,
                         "gamma1": gamma1_mean,
                         "beta": beta,
                         "measured_threshold_db": measured,

@@ -101,17 +101,36 @@ def _check_right_matrix(b: np.ndarray) -> None:
         )
 
 
-def hermitian_gevd(a: np.ndarray, b: np.ndarray) -> GevdResult:
+def _inverse_lower(chol: np.ndarray) -> np.ndarray:
+    """Inverse of every lower-triangular factor of a (..., L, L) stack
+    with a real positive diagonal, by forward substitution: row i of
+    X = C^-1 is (e_i - C[i, :i] X[:i]) / C[i, i], one batched product
+    per row for the whole stack, and zero above the diagonal."""
+    inv = np.zeros_like(chol)
+    recip = 1.0 / chol.diagonal(axis1=-2, axis2=-1).real
+    for i in range(chol.shape[-1]):
+        row = (chol[..., i, None, :i] @ inv[..., :i, :i])[..., 0, :]
+        inv[..., i, :i] = row * -recip[..., i, None]
+        inv[..., i, i] = recip[..., i]
+    return inv
+
+
+def hermitian_gevd(
+    a: np.ndarray, b: np.ndarray, *, leading: int | None = None
+) -> GevdResult:
     """Solve a v = lambda b v for Hermitian a and Hermitian PD b.
 
     a and b are (L, L), or (..., L, L) stacks solved pencil by pencil in
     one call: eigenvalues are then (..., L) and eigenvectors (..., L, L),
-    each entry equal to the 2-D call on that pencil.
+    each entry equal to the 2-D call on that pencil. With leading = k
+    only the first k eigenvectors are mapped back and phase-normalized,
+    (..., L, k); every eigenvalue is still returned.
 
     Implemented by Cholesky whitening: with b = C C^H and C^-1 formed
-    once, the pencil reduces to the ordinary Hermitian eigenproblem of
-    C^-1 a C^-H, whose eigenvectors map back through C^-H. This keeps
-    the computed eigenvalues real and the eigenvectors b-orthonormal.
+    once, by forward substitution, the pencil reduces to the ordinary
+    Hermitian eigenproblem of C^-1 a C^-H, whose eigenvectors map back
+    through C^-H. This keeps the computed eigenvalues real and the
+    eigenvectors b-orthonormal.
 
     Raises SingularMatrixError when any b is not positive definite or its
     condition number exceeds MAX_CONDITION. The factor certifies most
@@ -124,6 +143,8 @@ def hermitian_gevd(a: np.ndarray, b: np.ndarray) -> GevdResult:
     a b they pass is rejected too.
     """
     a, b = _as_square_pair(a, b)
+    if leading is not None and not 1 <= leading <= a.shape[-1]:
+        raise ValueError(f"leading must lie in [1, {a.shape[-1]}], got {leading}")
     # the Hermitian part: the factor and the exact tests see one matrix
     b = 0.5 * (b + _adjoint(b))
     try:
@@ -133,7 +154,7 @@ def hermitian_gevd(a: np.ndarray, b: np.ndarray) -> GevdResult:
         raise SingularMatrixError(
             "right matrix is not positive definite: Cholesky factorization failed"
         ) from None
-    inv_chol = np.linalg.inv(chol)
+    inv_chol = _inverse_lower(chol)
     bound = np.trace(b, axis1=-2, axis2=-1).real * np.sum(
         inv_chol.real**2 + inv_chol.imag**2, axis=(-2, -1)
     )
@@ -146,7 +167,7 @@ def hermitian_gevd(a: np.ndarray, b: np.ndarray) -> GevdResult:
     whitened = 0.5 * (whitened + _adjoint(whitened))
     # eigh sorts ascending; reverse for descending
     evals, white_vecs = np.linalg.eigh(whitened)
-    vectors = inv_chol_h @ white_vecs[..., ::-1]
+    vectors = inv_chol_h @ white_vecs[..., ::-1][..., :leading]
     return GevdResult(eigenvalues=evals[..., ::-1],
                       eigenvectors=normalize_phase(vectors))
 

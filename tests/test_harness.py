@@ -6,6 +6,8 @@ synthesized streams; file outputs are checked for byte-level
 reproducibility.
 """
 
+import csv
+import io
 import math
 import os
 import re
@@ -749,6 +751,34 @@ class TestRunners:
         result = run_preset(tiny_sweep_spec())
         assert result.preset == "threshold_sweep"
 
+    def test_sweep_row_agrees_across_scheme_lists(self):
+        # one scheme's rows do not depend on the other schemes listed
+        # beyond roundoff: the monitor channels of incomplete bases are
+        # projected in one product, which rounds a column apart from a
+        # one-column product (about 1e-11 relative was measured)
+        tolerance = 1e-9
+        grid = [-10.0, 0.0, 10.0, 20.0, 30.0]
+        alone = run_threshold_sweep(tiny_sweep_spec(
+            schemes=["Maximin"], snr_grid_db=grid)).rows
+        listed = [row for row in run_threshold_sweep(tiny_sweep_spec(
+            schemes=["MIC", "Maximin", "PAPC"], snr_grid_db=grid)).rows
+            if row["scheme"] == "Maximin"]
+        assert len(alone) == len(listed) == len(grid)
+        for one, many in zip(alone, listed):
+            assert one.keys() == many.keys()
+            for key, value in one.items():
+                if not isinstance(value, float):
+                    assert value == many[key], key
+                elif math.isfinite(value) or math.isfinite(many[key]):
+                    assert math.isfinite(value) and math.isfinite(many[key]), key
+                    assert many[key] == pytest.approx(value, rel=tolerance), key
+                else:
+                    assert value == many[key], key
+        # both kinds of threshold cell were compared: the tone monitor's
+        # measured threshold is +inf here, its prediction finite
+        assert alone[0]["measured_threshold_db"] == math.inf
+        assert math.isfinite(alone[0]["predicted_threshold_db"])
+
     @pytest.mark.parametrize("preset", ["threshold_sweep", "eigencurve", "pattern"])
     def test_sweep_solves_one_gevd_per_trial_scheme_and_inr(self, monkeypatch, preset):
         # one synthesis per (scenario, trial) serves every INR level, and
@@ -759,9 +789,9 @@ class TestRunners:
         gevds, syntheses, mixes = [], [], []
         original_gevd, original_synthesize = linalg.hermitian_gevd, harness.synthesize
 
-        def counting_gevd(a, b):
+        def counting_gevd(a, b, **kwargs):
             gevds.append(np.shape(a))
-            return original_gevd(a, b)
+            return original_gevd(a, b, **kwargs)
 
         def counting_synthesize(config):
             syntheses.append(config)
@@ -1256,6 +1286,45 @@ class TestWriteResult:
             b'"a,b",-inf,,nan\r\n'
             b",inf,True,\r\n"
         )
+
+    @pytest.mark.parametrize("rows", [
+        # a column that is a float in one row, missing or an int in another
+        [{"a": 1.5, "b": "x"}, {"b": "y"}, {"a": 2, "b": "z"}, {"a": 0.1, "c": 7}],
+        [{"x": np.float64(1.0 / 3.0), "y": -0.0, "z": math.nan},
+         {"x": math.inf, "y": -math.inf, "z": True},
+         {"x": np.float32(0.25), "y": np.int64(-4), "z": None},
+         {"x": np.float64(-math.inf), "y": 1e-300, "z": 123456789012.5}],
+        # cells csv must quote, between rows it need not
+        [{"s": "plain", "t": 1.0}, {"s": "a,b", "t": 2.0},
+         {"s": 'say "hi"', "t": 3.0}, {"s": "two\nlines", "t": 4.0},
+         {"s": "cr\rend", "t": 5.0}, {"s": [1, 2], "t": 6.0},
+         {"s": "", "t": ""}, {"s": "last", "t": -0.0}],
+        # one column: an empty cell alone on its row is quoted
+        [{"only": 1.0}, {"only": ""}, {}, {"only": "v"}, {"only": -0.0}],
+    ], ids=["mixed_types", "float_kinds", "quoted_strings", "one_column"])
+    def test_rows_match_the_csv_writer_route(self, tmp_path, rows):
+        # every row as csv.writer writes the _format_cell text of its
+        # cells, byte for byte, in results.csv and a patterns file
+        def reference(header, cell_rows):
+            buffer = io.StringIO(newline="")
+            writer = csv.writer(buffer)
+            writer.writerow(header)
+            writer.writerows([harness._format_cell(cell) for cell in cells]
+                             for cells in cell_rows)
+            return buffer.getvalue().encode()
+
+        gains = np.r_[np.nan, -0.0, np.inf, np.linspace(-60.0, 3.0, 358)]
+        assert gains.size == harness.PATTERN_GRID_DEG.size
+        result = ExperimentResult(preset="pattern", rows=rows,
+                                  patterns={"p": gains}, metadata={})
+        path = write_result(result, tmp_path / "out")
+        columns = list(dict.fromkeys(key for row in rows for key in row))
+        body = path.read_bytes().split(b"\n", 2)[2]
+        assert body == reference(
+            columns, [[row.get(key, "") for key in columns] for row in rows])
+        pattern = (tmp_path / "out" / "patterns_p.csv").read_bytes()
+        assert pattern.split(b"\n", 2)[2] == reference(
+            ["theta_deg", "gain_db"], zip(harness.PATTERN_GRID_DEG, gains))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = tiny_sweep_spec()

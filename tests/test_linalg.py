@@ -17,6 +17,7 @@ from mpb_lab.linalg import (
     MAX_CONDITION,
     GevdResult,
     SingularMatrixError,
+    _inverse_lower,
     hermitian_gevd,
     normalize_phase,
     power_iteration_step,
@@ -291,6 +292,73 @@ class TestRightMatrixCertificate:
                                            eigvals_only=True)[::-1]
                 np.testing.assert_allclose(ours[k], oracle, rtol=tolerance,
                                            atol=tolerance * oracle[0])
+
+
+class TestLowerInverse:
+    """The forward-substitution inverse of the Cholesky factor against
+    numpy's LU inverse, and the leading-vector path it serves."""
+
+    @pytest.mark.parametrize("size", [1, 2, 8])
+    def test_matches_lu_inverse_on_random_factors(self, rng, size):
+        # cond(C) stays below about 1e2 here, so both inverses carry
+        # relative errors far below 1e-12
+        tolerance = 1e-12
+        b = np.stack([random_hermitian_pd(rng, size) for _ in range(20)])
+        tri = np.tril(random_block(rng, 20, size, size))
+        idx = np.arange(size)
+        tri[:, idx, idx] = 1.0 + rng.random((20, size))
+        for chol in (np.linalg.cholesky(b), tri):
+            ours = _inverse_lower(chol)
+            oracle = np.linalg.inv(chol)
+            scale = np.abs(oracle).max(axis=(-2, -1), keepdims=True)
+            assert np.all(np.abs(ours - oracle) <= tolerance * scale)
+            # exact zeros above the diagonal, the reciprocal on it
+            np.testing.assert_array_equal(np.triu(ours, 1), 0.0)
+            np.testing.assert_array_equal(ours[:, idx, idx],
+                                          1.0 / chol[:, idx, idx].real)
+
+    def test_matches_lu_inverse_near_max_condition(self, rng):
+        # cond(b) just under MAX_CONDITION puts cond(C) near 1e6: a
+        # relative error of a few eps * cond(C) ~ 1e-9 is roundoff
+        tolerance = 1e-8
+        b = np.stack([_with_spectrum(rng, np.logspace(0.0, -11.99, 8))
+                      for _ in range(5)])
+        chol = np.linalg.cholesky(0.5 * (b + b.conj().swapaxes(-1, -2)))
+        ours, oracle = _inverse_lower(chol), np.linalg.inv(chol)
+        scale = np.abs(oracle).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(ours - oracle) <= tolerance * scale)
+        hermitian_gevd(np.eye(8), b[0])  # accepted, as before
+
+    @pytest.mark.parametrize("leading", [1, 3])
+    def test_leading_vectors_equal_the_full_call(self, rng, leading):
+        a = np.stack([random_hermitian_pd(rng, 8) for _ in range(6)])
+        b = np.stack([random_hermitian_pd(rng, 8) for _ in range(6)])
+        full = hermitian_gevd(a, b)
+        lead = hermitian_gevd(a, b, leading=leading)
+        assert lead.eigenvectors.shape == (6, 8, leading)
+        np.testing.assert_array_equal(lead.eigenvalues, full.eigenvalues)
+        scale = np.abs(full.eigenvectors).max()
+        np.testing.assert_allclose(lead.eigenvectors,
+                                   full.eigenvectors[..., :leading],
+                                   rtol=0.0, atol=1e-12 * scale)
+        single = hermitian_gevd(a[0], b[0], leading=1)
+        assert single.eigenvectors.shape == (8, 1)
+        every = hermitian_gevd(a, b, leading=8)
+        np.testing.assert_array_equal(every.eigenvectors, full.eigenvectors)
+
+    def test_leading_rejects_out_of_range_and_keeps_rejections(self, rng):
+        for leading in (0, 9):
+            with pytest.raises(ValueError, match="leading must lie in"):
+                hermitian_gevd(np.eye(8), np.eye(8), leading=leading)
+        a = random_hermitian_pd(rng, 8)
+        for b in _right_matrices(rng, 8):
+            expected = _eigvalsh_rule(b)
+            if expected is None:
+                hermitian_gevd(a, b, leading=1)
+                continue
+            with pytest.raises(SingularMatrixError) as info:
+                hermitian_gevd(a, b, leading=1)
+            assert str(info.value) == expected
 
 
 class TestNormalizePhase:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,9 @@ def test_desk_bench_writes_a_loadable_report(tmp_path):
     step = report["mic_step_us_per_row_symbol"]
     assert list(step) == ["1", "8", "100"]
     assert all(us > 0.0 for us in step.values())
+    # the GEVD layer: solve_batch per pencil of a (138, 8, 8) stack
+    gevd = report["gevd_us_per_pencil"]
+    assert isinstance(gevd, float) and math.isfinite(gevd) and gevd > 0.0
 
 
 def test_desk_bench_counts_minor_faults_of_fresh_pages():

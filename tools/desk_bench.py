@@ -26,7 +26,11 @@ Before the presets, one more child times the recursion layer alone: one
 MIC ``adaptive.update_symbol`` (10 elements, 10 monitor factor rows of
 random well-conditioned snapshots) stepping a stack of 1, 8 and 100
 rows, in under a second. Its median microseconds per row·symbol at each
-size go into the report as ``mic_step_us_per_row_symbol``.
+size go into the report as ``mic_step_us_per_row_symbol``. The same
+child times the GEVD layer: ``core.solve_batch`` on a fixed random,
+well-conditioned stack of 138 pencils of 8 x 8 (a sweep's quiet pair
+and 137-point grid), reported as ``gevd_us_per_pencil``, the median
+microseconds per pencil.
 
 The script writes ``BENCH_<label>.json`` at the repository root (or in
 ``--out-dir``): the label, the time it was written, the git HEAD
@@ -34,8 +38,8 @@ The script writes ``BENCH_<label>.json`` at the repository root (or in
 and CPU counts, and per preset the runs' ``wall_s`` and
 ``peak_rss_mb`` lists, their medians and ``peak_rss_source``, the
 source of the peaks (``VmHWM`` or ``ru_maxrss``), and the runs'
-``minor_faults`` with their median, plus the recursion step's
-figures. Run it in two checkouts on the same machine and compare the
+``minor_faults`` with their median, plus the recursion step's and the
+GEVD's figures. Run it in two checkouts on the same machine and compare the
 medians. Per-stage times are not recorded here; they join once runs
 write them next to their results.
 
@@ -44,8 +48,8 @@ shared desk machine). ``--against DIR --pairs N`` measures a change
 against another checkout instead: every pair runs a preset once in this
 checkout and once in DIR, back to back, the first of the two
 alternating from pair to pair. DIR's runs use DIR's ``src/`` and this
-script. The report adds DIR, its git HEAD, its recursion step figures
-and its runs per preset (run i of each side is pair i), and per preset
+script. The report adds DIR, its git HEAD, its recursion step and
+GEVD figures and its runs per preset (run i of each side is pair i), and per preset
 and metric the pairs this checkout won (a lower value; ties count for
 neither side) and both medians, which are also printed, one line per
 preset.
@@ -80,9 +84,11 @@ PRESETS = (
     "tracking",
     "identical_delay",
 )
-# the recursion-step child's name, and the stack sizes (rows) it times
+# the layer-timing child's name, the stack sizes (rows) it times the
+# recursion step at, and the shape of the pencil stack it solves
 STEP = "update_symbol"
 STEP_ROWS = (1, 8, 100)
+GEVD_STACK = (138, 8, 8)
 
 
 def peak_rss(status: str = "/proc/self/status") -> tuple[float, str]:
@@ -129,12 +135,15 @@ def child(preset: str) -> int:
 
 def step_child() -> int:
     """Time one MIC adaptive.update_symbol (10 elements, 10 factor rows)
-    at every STEP_ROWS stack size on fixed random snapshots and print
-    {rows: median us per row·symbol} over 5 samples of about 400
-    row·symbols each, after one warm-up step."""
+    at every STEP_ROWS stack size on fixed random snapshots, and
+    core.solve_batch on a fixed GEVD_STACK of random well-conditioned
+    pencils, and print {"mic_step_us_per_row_symbol": {rows: median us
+    per row·symbol}, "gevd_us_per_pencil": median us per pencil}, each
+    over 5 samples (of about 400 row·symbols, of 10 calls) after one
+    warm-up call."""
     import numpy as np
 
-    from mpb_lab import adaptive
+    from mpb_lab import adaptive, core
 
     rng = np.random.default_rng(0)
     figures = {}
@@ -152,7 +161,21 @@ def step_child() -> int:
                 adaptive.update_symbol(state, x_i[..., 0], factor)
             samples.append((time.perf_counter() - start) * 1e6 / (calls * rows))
         figures[str(rows)] = statistics.median(samples)
-    print(json.dumps(figures))
+    count, size, _ = GEVD_STACK
+    r_s, r_i = (m @ m.conj().swapaxes(-1, -2) / (2 * size) + np.eye(size)
+                for m in (rng.standard_normal((count, size, 2 * size))
+                          + 1j * rng.standard_normal((count, size, 2 * size))
+                          for _ in range(2)))
+    pair = core.CovariancePair(r_s, r_i)
+    core.solve_batch(pair)
+    samples = []
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(10):
+            core.solve_batch(pair)
+        samples.append((time.perf_counter() - start) * 1e6 / (10 * count))
+    print(json.dumps({"mic_step_us_per_row_symbol": figures,
+                      "gevd_us_per_pencil": statistics.median(samples)}))
     return 0
 
 
@@ -219,8 +242,10 @@ def bench(label: str, presets: list[str], repeat: int, out_dir: Path,
     steps = {side: run_child(STEP, root) for side, root in roots.items()}
     for side, figures in steps.items():
         print(f"{STEP} ({side}): " + ", ".join(
-            f"{rows} rows {us:.2f}" for rows, us in figures.items())
-            + " us per row-symbol", file=sys.stderr)
+            f"{rows} rows {us:.2f}"
+            for rows, us in figures["mic_step_us_per_row_symbol"].items())
+            + f" us per row-symbol; solve_batch {figures['gevd_us_per_pencil']:.2f}"
+            " us per pencil", file=sys.stderr)
     runs = {side: {preset: [] for preset in presets} for side in roots}
     for count in range(repeat):
         for preset in presets:
@@ -241,7 +266,7 @@ def bench(label: str, presets: list[str], repeat: int, out_dir: Path,
         "blas_threads": 1,
         "nproc": os.cpu_count(),
         "affinity_cpus": len(os.sched_getaffinity(0)),
-        "mic_step_us_per_row_symbol": steps["this"],
+        **steps["this"],
         "presets": {preset: summary(samples)
                     for preset, samples in runs["this"].items()},
     }
@@ -251,7 +276,7 @@ def bench(label: str, presets: list[str], repeat: int, out_dir: Path,
         report["against"] = {
             "dir": str(against),
             "git_head": git_head(against),
-            "mic_step_us_per_row_symbol": steps["against"],
+            **steps["against"],
             "presets": {preset: summary(samples)
                         for preset, samples in runs["against"].items()},
             "wins": tallies,
