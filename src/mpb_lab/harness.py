@@ -10,8 +10,9 @@ seed that produced it, and results.csv content is a pure function of
 
 Every synthesized stream is an exact sum of a unit-reference desired
 component, an interference component and a noise component, the first
-two held as steering matrices times waveform rows. component_grams is
-the one covariance route: given bases that share the signal channel h_s,
+two held as steering matrices times waveform rows, and one component
+route serves all six presets. component_grams is the one covariance
+route: given bases that share the signal channel h_s,
 it reads the stream once, projects only the waveform rows and the noise
 and returns one SchemeGrams: the Gram G of the stacked projected rows
 [soi; interferers; noise] over h_s, summed once for all bases, and one G
@@ -20,14 +21,17 @@ per basis over its monitor channels, those of every incomplete basis
 numerical test finds [h_s, h_i] unitary (MIC's complete basis), that
 basis's monitor G is the raw windows' Gram minus the signal Gram, and
 its monitor channels are never projected. SchemeGrams holds the steering
-matrices once and is the one place they are applied: every covariance is
+matrices once and is the one place they meet a Gram: every covariance is
 M G M^H with M = [alpha A_s, A diag(s), I], alpha the desired amplitude
 and s the interferer rows' amplitudes. The sweep-style presets take
 every scheme's G in one call per (scenario, trial) and, since only alpha
 changes across the SNR grid and only s across the INR levels, mix each
 INR's pairs for every SNR, the signal side once for all schemes, and
 solve each scheme's SNR grid as one stack; identical_delay mixes its
-stream at amplitude one. The clutter covariances the recursive presets
+stream at amplitude one. The recursive presets take the same component
+route one step earlier: _recursion projects each trial's rows and noise
+and mixes every cell's snapshots with M, so no preset projects a
+received stream. The clutter covariances the recursive presets
 score against are closed-form expectations over the scenario's random
 draws (scenario.interference_moments), not sample Grams: no stream is
 synthesized for them, and the test suite checks them against direct
@@ -79,7 +83,6 @@ from .scenario import (
     generate_gold_codes,
     group_identical_delays,
     interference_moments,
-    rebind_desired,
     steering_vector,
     synthesize,
 )
@@ -642,7 +645,7 @@ class SchemeGrams:
     signal channel the bases share and i_grams[b] over basis b's
     monitoring channels, each divided by its snapshot count. The
     steering matrices that carry the rows onto the elements are stored
-    once next to them, and only this class applies them: every
+    once next to them, and only this class applies them to Grams: every
     covariance is M G M^H with M = [alpha A_s, A diag(s), I].
 
     Mixing with amplitudes alpha and s reproduces the covariance pair
@@ -1031,21 +1034,6 @@ def _clutters(base: ScenarioConfig, n0: int) -> np.ndarray:
     return 0.5 * (stack + stack.conj().swapaxes(-1, -2))
 
 
-def _silenced(fill: Callable, entry: int, out: np.ndarray, start: int) -> None:
-    """A ChipStream row's fill with every chip before entry set to zero."""
-    fill(out, start)
-    out[: max(entry - start, 0)] = 0.0
-
-
-def _staggered(stream: ChipStream, entries: list[int]) -> np.ndarray:
-    """The stream's samples with interferer i silent before chip entries[i]."""
-    rows = list(stream.rows)
-    p = stream.soi_steering.shape[1]
-    for i, entry in enumerate(entries):
-        rows[p + i] = partial(_silenced, rows[p + i], entry)
-    return replace(stream, rows=tuple(rows)).samples
-
-
 # (cell, trial) rows stepped by one adaptive.run call, at most
 # _RECURSION_ROWS and at most _RECURSION_BYTES of input stacks: per row
 # and basis, x_s and the monitor factor rows, 16 K L (1 + m) bytes
@@ -1053,13 +1041,26 @@ def _staggered(stream: ChipStream, entries: list[int]) -> np.ndarray:
 # update_symbol (10 elements, one rank-10 inverse update) costs about
 # 8.5-10.5 us per row at 64-512 rows, 14-17 us at 8 and 55-80 us at 1
 # (fixed call overhead), one BLAS thread, so every chunk adds a fixed
-# cost per symbol; building a MIC row's inputs costs about 3 ms per 450
-# symbols (projection 1.2 ms, monitor Grams 1.0 ms, Cholesky 0.6 ms).
+# cost per symbol; building a MIC row's inputs costs about 2.1 ms per
+# 450 symbols (mixing 0.8 ms, monitor Grams 1.0 ms, Cholesky 0.35 ms).
 # A default tracking row holds 792 kB: its 400 rows go in 4 chunks of
-# 100 (79 MB of stacks), with a desk peak of 153 MB; at 256 MiB the row
+# 100 (79 MB of stacks), with a desk peak of 149 MB; at 256 MiB the row
 # cap alone would give 2 chunks of 200 and twice the stacks.
 _RECURSION_ROWS = 256
 _RECURSION_BYTES = 80 * 2**20
+
+
+def _mix(sides, mixings: np.ndarray, edges: list[int], outs) -> None:
+    """One cell's snapshots from its trial's projections: per side, the
+    (rows, noise) projections flattened to one column per window and
+    channel, out = mixings[j] rows + noise over windows edges[j] to
+    edges[j + 1], written into outs (x_s, then x_i)."""
+    for (rows, noise), out in zip(sides, outs):
+        width = out.shape[1] // edges[-1]
+        for mixing, a, b in zip(mixings, edges, edges[1:]):
+            span = slice(a * width, b * width)
+            np.matmul(mixing, rows[:, span], out=out[:, span])
+            out[:, span] += noise[:, span]
 
 
 def _recursion(
@@ -1072,84 +1073,98 @@ def _recursion(
     """Run the recursion of every scheme over all trials of every cell.
 
     A cell is (snr_db, entries): its trial t is builder's config at seed
-    (spec.seed, 0, t) and snr_db, with interferer i silent before symbol
-    entries[i], projected at window offset n0. Every cell shares each
-    trial's draws: the trial is synthesized once, and every cell rebinds
-    that stream's desired rows at its own SNR (scenario.rebind_desired,
-    bit for bit a synthesis at that SNR). The (cell, trial) rows go
-    trial-major, so one trial's rows are consecutive and only one
-    trial's stream is held at a time, freed once its last row is
-    rendered; the rows are split into the fewest chunks of equal size
-    that keep each within _RECURSION_ROWS rows and _RECURSION_BYTES of
-    stacks. Per row and basis, the projection's x_s and the monitor
-    factor rows of its x_i (adaptive.monitor_factors) fill one
-    preallocated pair of stacks, so no stack holds the r monitor
-    channels; each scheme's adaptive.run steps the whole chunk at once.
-    Rows never mix in the recursion, so a row's weights do not depend
-    on the chunking or on the run's other cells. Every cell must
-    share one delta = delta_scale * noise_power, else ValueError.
-    Returns per cell its scenario hash and each scheme's (T, K, L)
-    weights, w[:, k] the one that produced output k.
+    (spec.seed, 0, t) and snr_db, projected at window offset n0, with
+    interferer i absent from the windows k < entries[i] (window k starts
+    at chip k N + n0; one beyond len(entries) is always present). Each
+    trial is synthesized once, at 0 dB with the first cell's config, and
+    its rendered [soi; interferer] rows and its noise are projected once
+    per basis. Projection is linear, so each cell's x_s and x_i are mixed
+    from them (_mix) as SchemeGrams mixes Grams: M (projected rows) +
+    (projected noise), M = [alpha A_s, A diag(on)], alpha =
+    10^(snr_db / 20), on the 0/1 mask of the interferers present, one
+    product per stretch of windows between entries. A cell thus agrees
+    with a projection of a synthesis at its SNR to roundoff, whatever
+    the other cells. The (cell, trial) rows go trial-major, each trial's
+    projections kept until the next's replace them, and are split into
+    the fewest chunks of equal size that keep each within
+    _RECURSION_ROWS rows and _RECURSION_BYTES of stacks. Per row and
+    basis, x_s and the monitor factor rows of x_i
+    (adaptive.monitor_factors) fill one preallocated pair of stacks, x_i
+    one reused buffer, so no stack holds the r monitor channels; each
+    scheme's adaptive.run steps the whole chunk at once. Rows never mix
+    in the recursion, so a row's weights do not depend on the chunking.
+    Every cell must share one delta = delta_scale * noise_power, else
+    ValueError. Returns per cell its scenario hash and each scheme's
+    (T, K, L) weights, w[:, k] the one that produced output k.
     """
-    rows = [
-        (builder(snr_db=snr_db, num_symbols=spec.symbols, seed=(spec.seed, 0, trial)),
-         entries)
-        for trial in range(spec.trials)
-        for snr_db, entries in cells
-    ]
-    deltas = {spec.delta_scale * config.noise_power for config, _ in rows}
+    configs = [builder(snr_db=snr_db, num_symbols=spec.symbols, seed=spec.seed)
+               for snr_db, _ in cells]
+    deltas = {spec.delta_scale * config.noise_power for config in configs}
     if len(deltas) != 1:
         raise ValueError(
             f"recursion cells must share one delta, got {sorted(deltas)}"
         )
     (delta,) = deltas
-    config = rows[0][0]
-    n = config.processing_gain
-    elements = config.geometry.num_elements
-    symbols = (config.num_symbols * n - n0) // n
+    reference = replace(configs[0], snr_db=0.0)
+    n = reference.processing_gain
+    elements = reference.geometry.num_elements
+    symbols = (reference.num_symbols * n - n0) // n
     ranks = {scheme: min(elements, basis.num_channels)
              for scheme, basis in bases.items()}
+    rows = list(product(range(spec.trials), cells))
     row_bytes = sum(16 * symbols * elements * (1 + m) for m in ranks.values())
     most = max(1, min(_RECURSION_ROWS, _RECURSION_BYTES // max(row_bytes, 1)))
     chunks = -(-len(rows) // most)
     size = -(-len(rows) // chunks)
     stacks = {
         scheme: (np.empty((size, elements, symbols), dtype=np.complex128),
-                 np.empty((size, symbols, m, elements), dtype=np.complex128))
+                 np.empty((size, symbols, m, elements), dtype=np.complex128),
+                 np.empty((elements, symbols * bases[scheme].num_channels),
+                          dtype=np.complex128))
         for scheme, m in ranks.items()
     }
     weights = {scheme: np.empty((len(rows), symbols, elements), dtype=np.complex128)
                for scheme in bases}
-    stream = None
     for start in range(0, len(rows), size):
         chunk = rows[start : start + size]
-        for row, (config, entries) in enumerate(chunk):
-            if stream is None:
-                stream = synthesize(config)
-            received = _staggered(
-                rebind_desired(stream, config),
-                [entry * config.processing_gain for entry in entries],
-            )
-            # free the trial's draws after its last row, before projecting
-            if (start + row + 1) % len(cells) == 0:
-                stream = None
-            for scheme, basis in bases.items():
-                x_s, x_i = project_stream(received, basis, n0)
-                stacks[scheme][0][row] = x_s
-                stacks[scheme][1][row] = adaptive_mod.monitor_factors(
-                    x_i.swapaxes(0, 1)
+        for row, (trial, (snr_db, entries)) in enumerate(chunk):
+            if (start + row) % len(cells) == 0:
+                stream = synthesize(replace(reference, seed=(spec.seed, 0, trial)))
+                waves = stream.render(0, stream.noise.shape[1])
+                steering = np.concatenate([stream.soi_steering, stream.steering], axis=1)
+                p = stream.soi_steering.shape[1]
+                projected = {scheme: [
+                    tuple(x.reshape(len(x), -1) for x in pair) for pair in zip(
+                        project_stream(waves, basis, n0),
+                        project_stream(stream.noise, basis, n0))
+                ] for scheme, basis in bases.items()}
+                del stream, waves
+            edges = sorted({0, symbols, *(min(entry, symbols) for entry in entries)})
+            gains = np.ones((len(edges) - 1, steering.shape[1]))
+            gains[:, :p] = 10.0 ** (snr_db / 20.0)
+            gains[:, p : p + len(entries)] = np.greater_equal.outer(edges[:-1], entries)
+            mixings = steering * gains[:, None]
+            for scheme, (x_s, factors, x_i) in stacks.items():
+                _mix(projected[scheme], mixings, edges, (x_s[row], x_i))
+                factors[row] = adaptive_mod.monitor_factors(
+                    x_i.reshape(elements, symbols, -1).swapaxes(0, 1)
                 )
+        # free a finished trial's projections before the stacks are stepped,
+        # the run's peak; within a chunk the next trial's replace them, as
+        # freed first their pages go back to the system and fault afresh
+        if (start + len(chunk)) % len(cells) == 0:
+            projected = None
         for scheme in bases:
-            x_s, factors = (stack[: len(chunk)] for stack in stacks[scheme])
+            x_s, factors = (stack[: len(chunk)] for stack in stacks[scheme][:2])
             adaptive_mod.run(x_s, factors, spec.mu, delta,
                              out=weights[scheme][start : start + len(chunk)])
     # cell c's trial t is row t * len(cells) + c
     return [
         (
-            scenario_hash(replace(rows[c][0], seed=spec.seed)),
+            scenario_hash(config),
             {scheme: w[c :: len(cells)] for scheme, w in weights.items()},
         )
-        for c in range(len(cells))
+        for c, config in enumerate(configs)
     ]
 
 

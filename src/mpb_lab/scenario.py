@@ -250,7 +250,9 @@ class ChipStream:
 
     @property
     def samples(self) -> np.ndarray:
-        """The received (L, chips) stream, built anew on every access."""
+        """The received (L, chips) stream, built anew on every access: a
+        second route, read by oracles, the tests and the benchmark's
+        tracer; the runners project the rendered rows and the noise."""
         rows = self.render(0, self.noise.shape[1])
         p = self.soi_steering.shape[1]
         out = self.steering @ rows[p:]
@@ -431,20 +433,6 @@ def _steering(geometry: ArrayGeometry, sources: list) -> np.ndarray:
     return out
 
 
-def _desired_rows(config: ScenarioConfig, symbols: np.ndarray) -> list[Callable]:
-    """The rows of config's desired paths at its SNR over the desired
-    user's symbols (k = -1..K-1): synthesize's and rebind_desired's one
-    binding of them."""
-    chips = generate_gold_codes(1)[0].chips
-    return [
-        functools.partial(
-            _path, amplitude=math.sqrt(desired_path_power(config, p)),
-            symbols=symbols, chips=chips, delay=p.delay_chips,
-        )
-        for p in config.desired
-    ]
-
-
 def synthesize(config: ScenarioConfig) -> ChipStream:
     """Generate one chip-rate array stream and its exact decomposition.
 
@@ -467,14 +455,14 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
         for u in user_indices
     }
 
-    rows = _desired_rows(config, symbols[0])
-    rows += [
-        functools.partial(
-            _path, amplitude=math.sqrt(p.power), symbols=symbols[p.user_index],
-            chips=codes[p.user_index].chips, delay=p.delay_chips,
+    def path(amplitude: float, spec: PathSpec) -> Callable:
+        return functools.partial(
+            _path, amplitude=amplitude, symbols=symbols[spec.user_index],
+            chips=codes[spec.user_index].chips, delay=spec.delay_chips,
         )
-        for p in config.mais
-    ]
+
+    rows = [path(math.sqrt(desired_path_power(config, p)), p) for p in config.desired]
+    rows += [path(math.sqrt(p.power), p) for p in config.mais]
     for jam in config.jammers:
         amplitude = _jammer_amplitude(config, jam)
         if jam.kind == "tone":
@@ -515,30 +503,6 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
         rows=tuple(rows),
         noise=noise,
         symbols=symbols,
-    )
-
-
-def rebind_desired(stream: ChipStream, config: ScenarioConfig) -> ChipStream:
-    """stream with its desired rows and their steering bound anew to
-    config's desired paths and SNR, over the desired user's symbols the
-    stream drew; every interferer row and the noise array are shared.
-
-    No draw depends on the desired paths or the SNR, so when stream was
-    synthesized from a config that differs from config in those alone,
-    the result equals synthesize(config) bit for bit with no second draw.
-    """
-    config.validate()
-    chips = config.num_symbols * config.processing_gain
-    if stream.noise.shape != (config.geometry.num_elements, chips):
-        raise ValueError(
-            f"stream of shape {stream.noise.shape} cannot serve a config of "
-            f"{config.geometry.num_elements} elements and {chips} chips"
-        )
-    p = stream.soi_steering.shape[1]
-    return replace(
-        stream,
-        soi_steering=_steering(config.geometry, config.desired),
-        rows=(*_desired_rows(config, stream.symbols[0]), *stream.rows[p:]),
     )
 
 

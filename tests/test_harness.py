@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,11 @@ from mpb_lab.harness import (
     scenario_hash,
     write_result,
 )
-from mpb_lab.oracles import covariances_from_arrays, sampled_clutters
+from mpb_lab.oracles import (
+    covariances_from_arrays,
+    direct_projection,
+    sampled_clutters,
+)
 from mpb_lab.presets import (
     SWEEP_SCENARIOS,
     convergence_scenario,
@@ -1020,32 +1025,44 @@ class TestRunners:
         self, preset, monkeypatch
     ):
         # each trial is synthesized once for every SNR cell (convergence)
-        # or both runs (tracking), and the clutter of every SNR or
-        # interferer count is closed-form: no quiet stream, no component
-        # Grams
-        calls, grams = [], []
+        # or both runs (tracking), and its rows and its noise are each
+        # projected once per basis, for one SNR cell as for three; the
+        # clutter of every SNR or interferer count is closed-form: no
+        # quiet stream, no component Grams
+        calls, projections, grams = [], [], []
         original, original_grams = harness.synthesize, harness.component_grams
+        original_projection = harness.project_stream
 
         def counting(config):
             calls.append(config)
             return original(config)
+
+        def counting_projection(*args):
+            projections.append(args)
+            return original_projection(*args)
 
         def counting_grams(*args):
             grams.append(args)
             return original_grams(*args)
 
         monkeypatch.setattr(harness, "synthesize", counting)
+        monkeypatch.setattr(harness, "project_stream", counting_projection)
         monkeypatch.setattr(harness, "component_grams", counting_grams)
-        spec = default_spec(preset)
-        spec.trials = 2
-        if preset == "convergence":
-            spec.symbols, spec.snr_grid_db = 40, [10.0, 20.0]
-            run_convergence(spec)
-        else:
-            spec.symbols, spec.entry_interval = 120, 40
-            run_tracking(spec)
-        assert len(calls) == spec.trials
-        assert not any(math.isinf(c.snr_db) for c in calls)
+        grids = [[20.0], [10.0, 20.0, 30.0]] if preset == "convergence" else [[20.0]]
+        for grid in grids:
+            calls.clear()
+            projections.clear()
+            spec = default_spec(preset)
+            spec.trials, spec.snr_grid_db = 2, grid
+            if preset == "convergence":
+                spec.symbols = 40
+                run_convergence(spec)
+            else:
+                spec.symbols, spec.entry_interval = 120, 40
+                run_tracking(spec)
+            assert len(calls) == spec.trials
+            assert len(projections) == 2 * len(spec.schemes) * spec.trials
+            assert not any(math.isinf(c.snr_db) for c in calls)
         assert not grams
 
     def test_interferer_free_custom_scenario(self):
@@ -1060,33 +1077,56 @@ class TestRunners:
             spec.scenario = scenario
             assert_finite(run_preset(spec))
 
-    def test_staggered_input_matches_per_interferer_accumulation(self, rendered):
-        # tracking's input: interferer i is absent before its entry chip
-        # and fully present from it on. The reference accumulates each
-        # interferer's own element-by-chip stream onto soi + noise from
-        # its entry on; the last two entries lie at or past the stream's end.
-        config = tracking_scenario(num_symbols=12, seed=(5, 0, 0))
-        stream = synthesize(config)
-        total = stream.noise.shape[1]
-        entries = [(i + 1) * 2 * config.processing_gain
-                   for i in range(stream.steering.shape[1])]
-        assert entries[-2] == total and entries[-1] > total
-        staggered = harness._staggered(stream, entries)
-        soi, waves = rendered(stream)
-        reference = stream.soi_steering @ soi + stream.noise
-        streams = [np.outer(stream.steering[:, i], wave)
-                   for i, wave in enumerate(waves)]
-        for start, interferer in zip(entries, streams):
-            reference[:, start:] += interferer[:, start:]
-        tol = 1e-12 * np.max(np.abs(reference))
-        np.testing.assert_allclose(staggered, reference, rtol=0, atol=tol)
-        for i, (start, interferer) in enumerate(zip(entries, streams)):
-            never = [*entries[:i], total, *entries[i + 1:]]
-            alone = staggered - harness._staggered(stream, never)
-            np.testing.assert_allclose(alone[:, :start], 0.0, rtol=0, atol=tol)
-            np.testing.assert_allclose(
-                alone[:, start:], interferer[:, start:], rtol=0, atol=tol
-            )
+    @pytest.mark.parametrize("delay_chips", [0, 5])
+    def test_recursion_inputs_match_a_direct_projection(
+        self, delay_chips, monkeypatch, rendered
+    ):
+        # _recursion mixes every cell's x_s and x_i from one projection of
+        # each trial's rows and noise. The reference assembles each cell's
+        # stream in chips: the desired rows rendered at the cell's SNR,
+        # interferer i zeroed in the windows k < entries[i] (windows start
+        # at the desired path's delay n0; the last two entries lie at or
+        # past the stream's end), plus the noise, projected window by
+        # window. The cells are a staggered one and an unstaggered one at
+        # another SNR, each held to 1e-12 of its largest snapshot.
+        scenario = tracking_scenario(num_symbols=12)
+        scenario = replace(scenario, desired=[
+            replace(scenario.desired[0], delay_chips=delay_chips)])
+        builder = partial(replace, scenario)
+        spec = default_spec("tracking")
+        spec.symbols, spec.trials = 12, 2
+        basis = harness._scheme_basis(spec, "MIC")
+        n = scenario.processing_gain
+        cells = [(20.0, [2 * (i + 1) for i in range(len(scenario.mais))]),
+                 (5.0, [0] * len(scenario.mais))]
+        signal, monitor = [], []
+        run, factors = harness.adaptive_mod.run, harness.adaptive_mod.monitor_factors
+
+        def recording_run(x_s, *args, **kwargs):
+            signal.extend(x.copy() for x in x_s)
+            return run(x_s, *args, **kwargs)
+
+        def recording_factors(x_i):
+            monitor.append(x_i.swapaxes(0, 1).copy())
+            return factors(x_i)
+
+        monkeypatch.setattr(harness.adaptive_mod, "run", recording_run)
+        monkeypatch.setattr(harness.adaptive_mod, "monitor_factors", recording_factors)
+        harness._recursion(spec, builder, delay_chips, cells, {"MIC": basis})
+        assert len(signal) == len(monitor) == spec.trials * len(cells)
+        rows = [(trial, cell) for trial in range(spec.trials) for cell in cells]
+        for (trial, (snr_db, entries)), x_s, x_i in zip(rows, signal, monitor):
+            stream = synthesize(builder(snr_db=snr_db, num_symbols=spec.symbols,
+                                        seed=(spec.seed, 0, trial)))
+            soi, waves = rendered(stream)
+            for wave, entry in zip(waves, entries):
+                wave[: entry * n + delay_chips] = 0.0
+            received = (stream.soi_steering @ soi + stream.steering @ waves
+                        + stream.noise)
+            expected = direct_projection(received, basis, delay_chips)
+            for got, want in zip((x_s, x_i), expected):
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-12 * np.max(np.abs(want)))
 
     def test_identical_delay_smoke(self):
         spec = default_spec("identical_delay")
