@@ -19,8 +19,10 @@ stream before the recursion starts (monitor_factors): with r <= L its
 rows are the r monitoring snapshots over sqrt(r), no decomposition
 needed; with r > L they are the columns of the Cholesky factor of the
 L x L monitor Gram over r, one batched factorization for all symbols.
-Output k is produced by the weight held before symbol k's update, the
-weight that the data of symbol k could not influence:
+The recursion starts from R_S = delta I, P = I/delta and w = e1, and
+update_symbol is one pure step of it; run holds the state and returns
+only the weights. Output k is produced by the weight held before symbol
+k's update, the weight that the data of symbol k could not influence:
 y_o[k] = w[k]^H x_s[k].
 
 Every array carries a leading trial axis: independent Monte-Carlo
@@ -31,53 +33,19 @@ the same code with T = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 
 
-@dataclass
-class AdaptiveState:
-    """Single-owner mutable solver state of T trials: r_s and p are
-    (T, L, L), w is (T, L)."""
-
-    r_s: np.ndarray
-    p: np.ndarray
-    w: np.ndarray
-    mu: float
-
-
-@dataclass
-class AdaptiveOutput:
-    """Per-trial, per-symbol record of a run over K symbols.
-
-    w is (T, K, L) with w[:, k] the weight held before symbol k, the
-    one that produces output k (e1 at k = 0); p_asymmetry is (T, K), the
-    relative Hermitian-symmetry error of the inverse matrix measured
-    just before each per-symbol re-symmetrization.
-    """
-
-    w: np.ndarray
-    p_asymmetry: np.ndarray
-
-
-def init(num_trials: int, num_elements: int, mu: float, delta: float) -> AdaptiveState:
-    """Fresh state: R_S = delta I, P = I/delta, w = first basis vector."""
-    if num_trials < 1 or num_elements < 1:
-        raise ValueError(
-            f"num_trials and num_elements must be >= 1, got {num_trials}, {num_elements}"
-        )
+def check_settings(mu: float, delta: float) -> None:
+    """Reject a forgetting factor outside (0, 1) or a delta that is not
+    positive, with a ValueError naming which."""
     if not 0.0 < mu < 1.0:
         raise ValueError(f"forgetting factor must lie in (0, 1), got {mu}")
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    eye = np.broadcast_to(np.eye(num_elements, dtype=np.complex128),
-                          (num_trials, num_elements, num_elements))
-    w = np.zeros((num_trials, num_elements), dtype=np.complex128)
-    w[:, 0] = 1.0
-    return AdaptiveState(r_s=delta * eye, p=(1.0 / delta) * eye, w=w, mu=mu)
 
 
 def monitor_factors(x_i: np.ndarray) -> np.ndarray:
@@ -104,37 +72,33 @@ def monitor_factors(x_i: np.ndarray) -> np.ndarray:
 
 
 def update_symbol(
-    state: AdaptiveState, x_s: np.ndarray, factor: np.ndarray
-) -> np.ndarray:
-    """Advance all T trials by one symbol's snapshots.
+    r_s: np.ndarray,
+    p: np.ndarray,
+    w: np.ndarray,
+    x_s: np.ndarray,
+    factor: np.ndarray,
+    mu: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One symbol's step of all T trials: (r_s, p, w) -> the next ones.
 
-    x_s is the (T, L) signal snapshot and factor the (T, m, L) rows f_t
-    of the symbol's monitor factor, sum_t f_t f_t^H = x_i x_i^H / r
-    (monitor_factors); with the full code-orthogonal basis r = N-1 this
-    is the per-symbol recursion of the multi-channel scheme, and with a
-    single channel it reduces to classic exponentially weighted RLS on
-    that channel. P takes the whole increment in one
-    linalg.rank_one_inverse_update call: the (T, m, L) block when m > 1,
-    the (T, L) row when m = 1, which keeps the scalar rank-one
-    arithmetic. Returns the (T,) P asymmetries. The inputs are taken as
-    given: run checks them before any symbol.
+    r_s and p are the (T, L, L) signal covariance and monitor inverse,
+    w the (T, L) weight, x_s the (T, L) signal snapshot and factor the
+    (T, m, L) rows f_t of the symbol's monitor factor, sum_t f_t f_t^H
+    = x_i x_i^H / r (monitor_factors); with the full code-orthogonal
+    basis r = N-1 this is the per-symbol recursion of the multi-channel
+    scheme, and with a single channel it reduces to classic
+    exponentially weighted RLS on that channel. P takes the whole
+    increment in one linalg.rank_one_inverse_update call: the (T, m, L)
+    block when m > 1, the (T, L) row when m = 1, which keeps the scalar
+    rank-one arithmetic. The inputs are taken as given and not modified:
+    run checks them before any symbol.
     """
-    r_s = state.mu * state.r_s + x_s[:, :, None] * x_s[:, None, :].conj()
-
+    r_s = mu * r_s + x_s[:, :, None] * x_s[:, None, :].conj()
     if factor.shape[-2] == 1:
         factor = factor[..., 0, :]
-    _, p = linalg.rank_one_inverse_update(state.p, factor, state.mu)
-
-    p_h = p.conj().swapaxes(-1, -2)
-    asym = np.max(np.abs(p - p_h), axis=(-2, -1)) / np.maximum(
-        np.max(np.abs(p), axis=(-2, -1)), 1e-300
-    )
-    p = 0.5 * (p + p_h)
-
-    state.w = linalg.power_iteration_step(p, r_s, state.w)
-    state.r_s = r_s
-    state.p = p
-    return asym
+    _, p = linalg.rank_one_inverse_update(p, factor, mu)
+    p = 0.5 * (p + p.conj().swapaxes(-1, -2))
+    return r_s, p, linalg.power_iteration_step(p, r_s, w)
 
 
 def run(
@@ -143,7 +107,7 @@ def run(
     mu: float,
     delta: float,
     out: np.ndarray | None = None,
-) -> AdaptiveOutput:
+) -> np.ndarray:
     """Drive the recursion over every symbol of T trials' inputs.
 
     x_s is the (T, L, K) stack of signal snapshots (core.project_stream's
@@ -151,10 +115,11 @@ def run(
     factor rows of every trial and symbol (monitor_factors of the
     snapshots); the monitoring channels behind them choose the scheme
     (all N-1 code-orthogonal channels for MIC, one channel for
-    single-channel RLS). Shapes and finiteness are checked before any
-    symbol is processed. The (T, K, L) weights, w[:, k] the one that
-    produces output k, are written into out when it is given (a
-    caller's preallocated block), else into a new array.
+    single-channel RLS). Shapes, finiteness and the settings
+    (check_settings) are checked before any symbol is processed. Returns
+    the (T, K, L) weights, w[:, k] the one that produces output k (e1 at
+    k = 0): out when it is given (a caller's preallocated block, filled
+    in place), else a new array.
     """
     x_s = np.asarray(x_s, dtype=np.complex128)
     factors = np.asarray(factors, dtype=np.complex128)
@@ -176,9 +141,15 @@ def run(
     w = np.empty(shape, dtype=np.complex128) if out is None else out
     if w.shape != shape or w.dtype != np.complex128:
         raise ValueError(f"out must be complex128 {shape}, got {w.dtype} {w.shape}")
-    state = init(trials, elements, mu, delta)
-    asym = np.empty((trials, symbols))
+    if trials < 1 or elements < 1:
+        raise ValueError(
+            f"num_trials and num_elements must be >= 1, got {trials}, {elements}"
+        )
+    check_settings(mu, delta)
+    eye = np.broadcast_to(np.eye(elements, dtype=np.complex128),
+                          (trials, elements, elements))
+    r_s, p, w_k = delta * eye, (1.0 / delta) * eye, eye[:, 0]
     for k in range(symbols):
-        w[:, k] = state.w
-        asym[:, k] = update_symbol(state, x_s[:, :, k], factors[:, k])
-    return AdaptiveOutput(w=w, p_asymmetry=asym)
+        w[:, k] = w_k
+        r_s, p, w_k = update_symbol(r_s, p, w_k, x_s[:, :, k], factors[:, k], mu)
+    return w

@@ -83,6 +83,7 @@ from .scenario import (
     generate_gold_codes,
     group_identical_delays,
     interference_moments,
+    steering_matrix,
     steering_vector,
     synthesize,
 )
@@ -183,7 +184,7 @@ class ExperimentSpec:
         for key, mu, delta in (("mu", self.mu, 1.0),
                                ("delta_scale", 0.5, self.delta_scale)):
             try:
-                adaptive_mod.init(1, 1, mu, delta)
+                adaptive_mod.check_settings(mu, delta)
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
         if self.scenario is not None:
@@ -1022,10 +1023,7 @@ def _clutters(base: ScenarioConfig, n0: int) -> np.ndarray:
     """
     h_s = make_basis("PAPC", generate_gold_codes(1)[0]).h_s
     moments = interference_moments(base, h_s, n0)
-    steering = np.zeros((base.geometry.num_elements, len(moments)),
-                        dtype=np.complex128)
-    for column, source in zip(steering.T, [*base.mais, *base.jammers]):
-        column[:] = steering_vector(base.geometry, source.doa_deg)
+    steering = steering_matrix(base.geometry, [*base.mais, *base.jammers])
     noise = base.noise_power * np.vdot(h_s, h_s).real * np.eye(len(steering))
     stack = np.stack([
         noise + steering[:, :k] @ moments[:k, :k] @ steering[:, :k].conj().T
@@ -1093,19 +1091,17 @@ def _recursion(
     one reused buffer, so no stack holds the r monitor channels; each
     scheme's adaptive.run steps the whole chunk at once. Rows never mix
     in the recursion, so a row's weights do not depend on the chunking.
-    Every cell must share one delta = delta_scale * noise_power, else
-    ValueError. Returns per cell its scenario hash and each scheme's
+    Configs differing in more than snr_db (their own delta = delta_scale
+    * noise_power, say, or interferers) are a ValueError before any
+    synthesis. Returns per cell its scenario hash and each scheme's
     (T, K, L) weights, w[:, k] the one that produced output k.
     """
     configs = [builder(snr_db=snr_db, num_symbols=spec.symbols, seed=spec.seed)
                for snr_db, _ in cells]
-    deltas = {spec.delta_scale * config.noise_power for config in configs}
-    if len(deltas) != 1:
-        raise ValueError(
-            f"recursion cells must share one delta, got {sorted(deltas)}"
-        )
-    (delta,) = deltas
     reference = replace(configs[0], snr_db=0.0)
+    if any(replace(config, snr_db=0.0) != reference for config in configs):
+        raise ValueError("recursion cells must share one config but for snr_db")
+    delta = spec.delta_scale * reference.noise_power
     n = reference.processing_gain
     elements = reference.geometry.num_elements
     symbols = (reference.num_symbols * n - n0) // n

@@ -425,7 +425,7 @@ def _unit_period(rng: np.random.Generator, period: int) -> np.ndarray:
     return seg
 
 
-def _steering(geometry: ArrayGeometry, sources: list) -> np.ndarray:
+def steering_matrix(geometry: ArrayGeometry, sources: list) -> np.ndarray:
     """(L, len(sources)) matrix of the sources' array responses."""
     out = np.empty((geometry.num_elements, len(sources)), dtype=np.complex128)
     for column, source in zip(out.T, sources):
@@ -498,8 +498,8 @@ def synthesize(config: ScenarioConfig) -> ChipStream:
         for row in part:
             np.multiply(rng.standard_normal(out=draws), sigma, out=row)
     return ChipStream(
-        soi_steering=_steering(config.geometry, config.desired),
-        steering=_steering(config.geometry, [*config.mais, *config.jammers]),
+        soi_steering=steering_matrix(config.geometry, config.desired),
+        steering=steering_matrix(config.geometry, [*config.mais, *config.jammers]),
         rows=tuple(rows),
         noise=noise,
         symbols=symbols,

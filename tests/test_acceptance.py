@@ -273,9 +273,9 @@ def test_criterion_06_recursion_reaches_batch_solution(code0, announce):
     stream = synthesize(config)
     x_s, x_i = project_stream(stream.samples, make_basis("MIC", code0), 0)
     factors = adaptive.monitor_factors(x_i.swapaxes(0, 1))
-    out = adaptive.run(x_s[None], factors[None], mu=0.999, delta=1e-3)
+    w = adaptive.run(x_s[None], factors[None], mu=0.999, delta=1e-3)
     _, batch_weight = solve_batch(oracles.covariances_from_arrays(x_s, x_i))
-    angle = subspace_angle(out.w[0, -1], batch_weight)
+    angle = subspace_angle(w[0, -1], batch_weight)
     ok = angle <= 0.05
     announce(
         6, ok,

@@ -1,4 +1,4 @@
-"""Recursive beamformer state machine.
+"""Recursive beamformer: its pure step and its driver.
 
 The monitor factor rows are checked against the Gram they factor, the
 inverse-matrix recursion symbol by symbol against a dense
@@ -54,9 +54,18 @@ def projected(code, num_symbols, seed=4, basis=None):
     return x_s[None], x_i[None]
 
 
-def step(state, x_s, x_i):
+def initial(num_trials, num_elements, delta):
+    """run's starting state (r_s, p, w): delta I, I/delta and e1."""
+    eye = np.broadcast_to(np.eye(num_elements, dtype=complex),
+                          (num_trials, num_elements, num_elements))
+    w = np.zeros((num_trials, num_elements), dtype=complex)
+    w[:, 0] = 1.0
+    return delta * eye, (1.0 / delta) * eye, w
+
+
+def step(state, x_s, x_i, mu):
     """update_symbol on one symbol's (T, L) and (T, L, r) snapshots."""
-    return adaptive.update_symbol(state, x_s, adaptive.monitor_factors(x_i))
+    return adaptive.update_symbol(*state, x_s, adaptive.monitor_factors(x_i), mu)
 
 
 class TestFactors:
@@ -113,54 +122,70 @@ class TestFactors:
 
 
 class TestInit:
-    def test_initial_state_values(self):
-        state = adaptive.init(3, 8, mu=0.99, delta=1e-3)
-        eye = np.broadcast_to(np.eye(8), (3, 8, 8))
-        np.testing.assert_allclose(state.r_s, 1e-3 * eye, atol=1e-18)
-        np.testing.assert_allclose(state.p, 1e3 * eye, atol=1e-9)
-        expected_w = np.zeros((3, 8), dtype=complex)
-        expected_w[:, 0] = 1.0
-        np.testing.assert_array_equal(state.w, expected_w)
-        np.testing.assert_allclose(state.r_s @ state.p, eye, atol=1e-12)
+    """run's initial state and the rule on its settings."""
+
+    def test_initial_state_values(self, rng):
+        # output 0 comes from e1, output 1 from one pure step of
+        # R_S = delta I, P = I/delta, w = e1
+        x_s, factors = random_stream(rng, 3, 8, 2, 4)
+        w = adaptive.run(x_s, factors, mu=0.99, delta=1e-3)
+        np.testing.assert_array_equal(w[:, 0], np.broadcast_to(np.eye(8)[0], (3, 8)))
+        state = initial(3, 8, 1e-3)
+        np.testing.assert_allclose(state[0] @ state[1],
+                                   np.broadcast_to(np.eye(8), (3, 8, 8)), atol=1e-12)
+        _, _, w1 = adaptive.update_symbol(*state, x_s[:, :, 0], factors[:, 0], 0.99)
+        np.testing.assert_array_equal(w[:, 1], w1)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="num_elements"):
-            adaptive.init(1, 0, mu=0.99, delta=1e-3)
-        with pytest.raises(ValueError, match="num_trials"):
-            adaptive.init(0, 4, mu=0.99, delta=1e-3)
+        assert adaptive.check_settings(0.99, 1e-3) is None
         with pytest.raises(ValueError, match="forgetting factor"):
-            adaptive.init(1, 4, mu=1.0, delta=1e-3)
+            adaptive.check_settings(1.0, 1e-3)
         with pytest.raises(ValueError, match="forgetting factor"):
-            adaptive.init(1, 4, mu=0.0, delta=1e-3)
+            adaptive.check_settings(0.0, 1e-3)
         with pytest.raises(ValueError, match="delta"):
-            adaptive.init(1, 4, mu=0.99, delta=0.0)
+            adaptive.check_settings(0.99, 0.0)
+        # run applies the same rule, and needs a trial and an element
+        x_s, factors = np.ones((1, 4, 3), dtype=complex), np.ones((1, 3, 1, 4))
+        with pytest.raises(ValueError, match="forgetting factor"):
+            adaptive.run(x_s, factors, mu=1.0, delta=1e-3)
+        with pytest.raises(ValueError, match="delta"):
+            adaptive.run(x_s, factors, mu=0.99, delta=0.0)
+        with pytest.raises(ValueError, match="num_elements"):
+            adaptive.run(x_s[:, :0], factors[..., :0], mu=0.99, delta=1e-3)
+        with pytest.raises(ValueError, match="num_trials"):
+            adaptive.run(x_s[:0], factors[:0], mu=0.99, delta=1e-3)
 
 
 class TestUpdateSymbol:
     def test_output_uses_pre_update_weight(self, rng):
-        # the update moves the weight away from e1, the one that produces
-        # output 0, and returns only the per-trial P asymmetry
-        state = adaptive.init(2, 6, mu=0.95, delta=1e-2)
-        asym = step(state, *random_snapshot(rng))
-        assert asym.shape == (2,) and np.all(asym >= 0.0)
-        assert not np.array_equal(state.w[0], np.eye(6)[0])
+        # the step returns the next (r_s, p, w), leaves its inputs as
+        # they were, and moves the weight away from e1, the one that
+        # produces output 0
+        x_s, x_i = random_snapshot(rng)
+        inputs = (*initial(2, 6, 1e-2), x_s, adaptive.monitor_factors(x_i))
+        copies = [a.copy() for a in inputs]
+        r_s, p, w = adaptive.update_symbol(*inputs, 0.95)
+        assert r_s.shape == p.shape == (2, 6, 6) and w.shape == (2, 6)
+        for before, after in zip(copies, inputs):
+            np.testing.assert_array_equal(before, after)
+        assert not np.array_equal(w[0], np.eye(6)[0])
 
     def test_zero_monitor_symbols_scale_inverse_once(self):
         # all-zero monitoring snapshots leave only the forgetting factor,
         # applied exactly once per symbol: P -> P / mu
         mu = 0.9
-        state = adaptive.init(2, 4, mu=mu, delta=1.0)
+        state = initial(2, 4, 1.0)
         x_s = np.zeros((2, 4), dtype=complex)
         x_i = np.zeros((2, 4, 3), dtype=complex)
         eye = np.broadcast_to(np.eye(4), (2, 4, 4))
-        step(state, x_s, x_i)
-        np.testing.assert_allclose(state.p, eye / mu, atol=1e-12)
-        step(state, x_s, x_i)
-        np.testing.assert_allclose(state.p, eye / mu**2, atol=1e-12)
+        state = step(state, x_s, x_i, mu)
+        np.testing.assert_allclose(state[1], eye / mu, atol=1e-12)
+        state = step(state, x_s, x_i, mu)
+        np.testing.assert_allclose(state[1], eye / mu**2, atol=1e-12)
         # with r > L the factor rows come from a Cholesky factor of the
         # monitor Gram, which zero snapshots do not have: rejected
         with pytest.raises(ValueError, match="recursion input"):
-            step(state, x_s, np.zeros((2, 4, 5), dtype=complex))
+            step(state, x_s, np.zeros((2, 4, 5), dtype=complex), mu)
 
     @pytest.mark.parametrize(
         "num_elements, channels", [(6, 3), (6, 9), (10, 30)],
@@ -170,16 +195,16 @@ class TestUpdateSymbol:
         # the factored update adds exactly x_i x_i^H / r, whatever the rank
         mu, delta = 0.97, 1e-2
         trials = 3
-        state = adaptive.init(trials, num_elements, mu, delta)
+        state = initial(trials, num_elements, delta)
         dense = delta * np.broadcast_to(np.eye(num_elements, dtype=complex),
                                         (trials, num_elements, num_elements))
         for k in range(200):
             x_s, x_i = random_snapshot(rng, trials, num_elements, channels)
-            step(state, x_s, x_i)
+            state = step(state, x_s, x_i, mu)
             x_hat = x_i / np.sqrt(channels)
             dense = mu * dense + x_hat @ x_hat.conj().swapaxes(-1, -2)
             np.testing.assert_allclose(
-                state.p, np.linalg.inv(dense), atol=1e-8, rtol=1e-8
+                state[1], np.linalg.inv(dense), atol=1e-8, rtol=1e-8
             )
 
     @pytest.mark.parametrize("num_elements, channels",
@@ -197,27 +222,22 @@ class TestUpdateSymbol:
             return inverse_update(p, x, mu)
 
         monkeypatch.setattr(linalg, "rank_one_inverse_update", spy)
-        state = adaptive.init(2, num_elements, mu=0.9, delta=1e-2)
+        state = initial(2, num_elements, 1e-2)
         for k in range(3):
-            step(state, *random_snapshot(rng, 2, num_elements, channels))
+            state = step(state, *random_snapshot(rng, 2, num_elements, channels), 0.9)
         m = min(num_elements, channels)
         shape = (2, m, num_elements) if m > 1 else (2, num_elements)
         assert calls == 3 * [(shape, 0.9)]
 
     def test_signal_covariance_recursion(self, rng):
         mu, delta = 0.9, 1e-3
-        state = adaptive.init(2, 5, mu, delta)
+        state = initial(2, 5, delta)
         dense = delta * np.broadcast_to(np.eye(5, dtype=complex), (2, 5, 5))
         for k in range(50):
             x_s, x_i = random_snapshot(rng, 2, 5, 2)
-            step(state, x_s, x_i)
+            state = step(state, x_s, x_i, mu)
             dense = mu * dense + x_s[:, :, None] * x_s[:, None, :].conj()
-            np.testing.assert_allclose(state.r_s, dense, atol=1e-10)
-
-    def test_asymmetry_diagnostic_stays_tiny(self, rng):
-        out = adaptive.run(*random_stream(rng, 3, 6, 500, 4), mu=0.98, delta=1e-3)
-        assert out.p_asymmetry.shape == (3, 500)
-        assert np.max(out.p_asymmetry) <= 1e-10
+            np.testing.assert_allclose(state[0], dense, atol=1e-10)
 
     def test_non_finite_snapshot_leaves_state_untouched(self, rng, monkeypatch):
         # run checks every snapshot before the first symbol is processed
@@ -249,15 +269,24 @@ class TestUpdateSymbol:
             adaptive.run(x_s[:, :, :0], np.zeros((2, 0, 2, 4), dtype=complex),
                          0.95, 1e-2)
 
-    def test_symbol_count_and_output_index(self, rng):
+    def test_symbol_count_and_output_index(self, rng, monkeypatch):
+        # one step per symbol, each given symbol k's snapshot and factor
+        # rows, and one (T, L) weight per symbol
         x_s, factors = random_stream(rng, 3, 4, 5, 2)
-        out = adaptive.run(x_s, factors, mu=0.95, delta=1e-2)
-        assert out.p_asymmetry.shape == (3, 5)
-        assert out.w.shape == (3, 5, 4)
-        state = adaptive.init(3, 4, mu=0.95, delta=1e-2)
-        for k in range(5):
-            asym = adaptive.update_symbol(state, x_s[:, :, k], factors[:, k])
-            np.testing.assert_array_equal(asym, out.p_asymmetry[:, k])
+        seen = []
+        update_symbol = adaptive.update_symbol
+
+        def spy(r_s, p, w, x, factor, mu):
+            seen.append((x, factor))
+            return update_symbol(r_s, p, w, x, factor, mu)
+
+        monkeypatch.setattr(adaptive, "update_symbol", spy)
+        w = adaptive.run(x_s, factors, mu=0.95, delta=1e-2)
+        assert w.shape == (3, 5, 4)
+        assert len(seen) == 5
+        for k, (x, factor) in enumerate(seen):
+            np.testing.assert_array_equal(x, x_s[:, :, k])
+            np.testing.assert_array_equal(factor, factors[:, k])
 
 
 class TestRun:
@@ -265,19 +294,17 @@ class TestRun:
         x_s, x_i = projected(code0, 60)
         a = adaptive.run(x_s, factored(x_i), mu=0.99, delta=1e-3)
         b = adaptive.run(x_s, factored(x_i), mu=0.99, delta=1e-3)
-        assert a.w.shape == (1, 60, 10)
-        np.testing.assert_array_equal(a.w, b.w)
-        np.testing.assert_array_equal(a.p_asymmetry, b.p_asymmetry)
+        assert a.shape == (1, 60, 10)
+        np.testing.assert_array_equal(a, b)
 
     def test_weight_is_the_one_that_produced_the_output(self, rng):
         # w[:, k] is the weight held before symbol k's update: e1 at k = 0
         x_s, factors = random_stream(rng, 2, 4, 6, 3)
-        out = adaptive.run(x_s, factors, mu=0.95, delta=1e-2)
-        state = adaptive.init(2, 4, mu=0.95, delta=1e-2)
-        np.testing.assert_array_equal(state.w, np.broadcast_to(np.eye(4)[0], (2, 4)))
+        w = adaptive.run(x_s, factors, mu=0.95, delta=1e-2)
+        state = initial(2, 4, 1e-2)
         for k in range(6):
-            np.testing.assert_array_equal(out.w[:, k], state.w)
-            adaptive.update_symbol(state, x_s[:, :, k], factors[:, k])
+            np.testing.assert_array_equal(w[:, k], state[2])
+            state = adaptive.update_symbol(*state, x_s[:, :, k], factors[:, k], 0.95)
 
     def test_stacked_trials_equal_single_trial_runs(self, code0):
         singles = [projected(code0, 40, seed=seed) for seed in range(4)]
@@ -288,19 +315,17 @@ class TestRun:
         )
         for t, (x_s, x_i) in enumerate(singles):
             single = adaptive.run(x_s, factored(x_i), mu=0.99, delta=1e-3)
-            np.testing.assert_array_equal(stacked.w[t], single.w[0])
-            np.testing.assert_array_equal(stacked.p_asymmetry[t],
-                                          single.p_asymmetry[0])
+            np.testing.assert_array_equal(stacked[t], single[0])
 
     def test_weights_written_into_a_caller_block(self, rng):
-        # out is filled in place and is the returned w; a block of the
-        # wrong shape or dtype is rejected before any symbol
+        # out is filled in place and returned; a block of the wrong
+        # shape or dtype is rejected before any symbol
         x_s, factors = random_stream(rng, 2, 4, 6, 3)
         block = np.zeros((4, 6, 4), dtype=complex)
-        out = adaptive.run(x_s, factors, mu=0.95, delta=1e-2, out=block[1:3])
-        assert np.shares_memory(out.w, block)
+        out = block[1:3]
+        assert adaptive.run(x_s, factors, mu=0.95, delta=1e-2, out=out) is out
         np.testing.assert_array_equal(
-            block[1:3], adaptive.run(x_s, factors, mu=0.95, delta=1e-2).w
+            block[1:3], adaptive.run(x_s, factors, mu=0.95, delta=1e-2)
         )
         assert not block[0].any() and not block[3].any()
         for bad in (block, block[1:3].real.copy(), block[1:3, :, :3]):
@@ -310,15 +335,15 @@ class TestRun:
     def test_explicit_single_channel_basis(self, code0):
         x_s, x_i = projected(code0, 40, basis=make_basis("PAPC", code0, chip_index=0))
         assert x_i.shape[-1] == 1
-        out = adaptive.run(x_s, factored(x_i), mu=0.99, delta=1e-3)
-        assert out.w.shape == (1, 40, 10)
-        assert np.all(np.isfinite(out.w))
+        w = adaptive.run(x_s, factored(x_i), mu=0.99, delta=1e-3)
+        assert w.shape == (1, 40, 10)
+        assert np.all(np.isfinite(w))
 
     def test_converges_to_batch_weight(self, code0):
         # with mu near one the recursion must land on the batch
         # generalized-eigenvector solution of the same data
         x_s, x_i = projected(code0, 500, seed=0)
-        out = adaptive.run(x_s, factored(x_i), mu=0.999, delta=1e-3)
+        w = adaptive.run(x_s, factored(x_i), mu=0.999, delta=1e-3)
         _, batch_weight = solve_batch(covariances_from_arrays(x_s[0], x_i[0]))
-        angle = subspace_angle(out.w[0, -1], batch_weight)
+        angle = subspace_angle(w[0, -1], batch_weight)
         assert angle <= 0.05

@@ -1138,6 +1138,12 @@ class TestRunners:
         assert len(result.rows) == 3
 
 
+def _noise_following_snr(snr_db, **kwargs):
+    """convergence_scenario with a noise power that follows the SNR."""
+    config = convergence_scenario(snr_db=snr_db, **kwargs)
+    return replace(config, noise_power=10.0 ** (snr_db / 20.0))
+
+
 class TestRecursionDriver:
     """harness._recursion steps every cell's trials as one trial stack."""
 
@@ -1252,20 +1258,19 @@ class TestRecursionDriver:
             tracemalloc.stop()
         assert peak < channel_stack, (peak, channel_stack)
 
-    def test_cells_must_share_one_delta(self, monkeypatch):
-        # a scenario whose noise power follows the cell's SNR gives each
-        # cell its own delta = delta_scale * noise_power: rejected before
-        # any trial is synthesized, never run at one cell's delta
+    @pytest.mark.parametrize("builder", [_noise_following_snr, tracking_scenario],
+                             ids=["noise_power", "interferer_powers"])
+    def test_cells_must_share_one_delta(self, monkeypatch, builder):
+        # cells whose configs differ in more than snr_db are rejected
+        # before any trial is synthesized, never run on the first cell's
+        # config: a noise power that follows the SNR (so each cell has
+        # its own delta = delta_scale * noise_power), or interferer
+        # powers that do (tracking_scenario's)
         spec, bases = self.spec_and_bases()
-
-        def builder(snr_db, **kwargs):
-            config = convergence_scenario(snr_db=snr_db, **kwargs)
-            return replace(config, noise_power=10.0 ** (snr_db / 20.0))
-
         synthesized = []
         monkeypatch.setattr(harness, "synthesize", synthesized.append)
         cells = [(10.0, []), (20.0, [])]
-        with pytest.raises(ValueError, match="share one delta"):
+        with pytest.raises(ValueError, match="share one config but for snr_db"):
             harness._recursion(spec, builder, 0, cells, bases)
         assert synthesized == []
 

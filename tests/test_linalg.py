@@ -549,6 +549,27 @@ class TestBlockInverseUpdate:
         direct = np.linalg.inv(dense)
         assert np.linalg.norm(p - direct) / np.linalg.norm(direct) <= 1e-8
 
+    def test_output_stays_hermitian_over_mic_steps(self):
+        # the recursion's symmetry drift: over 500 MIC-shaped steps (10
+        # elements, 30 monitor channels, so 10 Cholesky factor rows per
+        # symbol) every output, before the recursion re-symmetrizes it,
+        # is Hermitian to 1e-10 of its largest entry, in every trial
+        rng = np.random.default_rng(2)
+        trials, size, channels, mu, delta = 3, 10, 30, 0.98, 1e-3
+        p = np.broadcast_to(np.eye(size, dtype=complex) / delta,
+                            (trials, size, size))
+        worst = 0.0
+        for _ in range(500):
+            x_i = random_block(rng, trials, size, channels)
+            block = np.linalg.cholesky(
+                x_i @ x_i.conj().swapaxes(-1, -2) / channels).swapaxes(-1, -2)
+            _, p = rank_one_inverse_update(p, block, mu)
+            p_h = p.conj().swapaxes(-1, -2)
+            asymmetry = np.abs(p - p_h).max(axis=(-2, -1)) / np.abs(p).max(axis=(-2, -1))
+            worst = max(worst, asymmetry.max())
+            p = 0.5 * (p + p_h)
+        assert worst <= 1e-10, worst
+
 
 class TestPowerIterationStep:
     def test_identity_matrices_normalize(self, rng):

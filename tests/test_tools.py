@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mpb_lab
 from mpb_lab import harness
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -219,3 +220,35 @@ def test_preset_digests_compare_counts_changed_cells_by_column(tmp_path):
         capture_output=True, text=True,
     )
     assert done.returncode == 2 and "--compare" in done.stderr
+
+
+def test_src_size_counts_lines_by_kind():
+    # docstring lines by ast, code lines by token (a string spanning
+    # lines counts on each), comment lines only where nothing else is
+    text = ('"""Doc\nstring."""\n\n# a comment\nx = 1  # trailing\n'
+            's = """two\nlines"""\n')
+    assert _load_tool("src_size").count(text) == {
+        "total": 7, "code": 3, "docstring": 2, "comment": 1}
+
+
+def test_src_size_reports_both_checkouts():
+    # this checkout against itself: one block each, every module of the
+    # package, a total that sums them, and the exported-name count
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "src_size.py"), "--against", str(TOOLS.parent)],
+        check=True, capture_output=True, text=True,
+    )
+    lines = done.stdout.splitlines()
+    split = lines.index(f"# {TOOLS.parent}")
+    this, against = lines[1:split], lines[split + 1:]
+    assert lines[0] == "# this checkout" and this == against
+    assert this[0] == "module total code docstring comment"
+    rows = {name: [int(v) for v in values]
+            for name, *values in (line.split() for line in this[1:-1])}
+    package = TOOLS.parent / "src" / "mpb_lab"
+    assert set(rows) - {"total"} == {path.stem for path in package.glob("*.py")}
+    total = rows.pop("total")
+    assert total == [sum(column) for column in zip(*rows.values())]
+    assert all(code + doc + comment <= size
+               for size, code, doc, comment in rows.values())
+    assert this[-1] == f"__all__ {len(mpb_lab.__all__)}"

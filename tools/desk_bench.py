@@ -22,11 +22,13 @@ peak. ``--repeat N`` runs every preset N times,
 round-robin, and records every run with the median. Children inherit
 the CPU affinity, so ``taskset`` pins them all.
 
-Before the presets, one more child times the recursion layer alone: one
-MIC ``adaptive.update_symbol`` (10 elements, 10 monitor factor rows of
-random well-conditioned snapshots) stepping a stack of 1, 8 and 100
-rows, in under a second. Its median microseconds per row·symbol at each
-size go into the report as ``mic_step_us_per_row_symbol``. The same
+Before the presets, one more child times the recursion layer alone:
+``adaptive.run``, the recursion's stable entry point, on a MIC stack (10
+elements, 10 monitor factor rows of random well-conditioned snapshots
+per symbol) of 10 symbols and 1, 8 and 100 rows, in under a second. Its
+median microseconds per row·symbol at each size go into the report as
+``mic_step_us_per_row_symbol``; the figure includes ``run``'s checks of
+its inputs and settings before the first symbol. The same
 child times the GEVD layer: ``core.solve_batch`` on a fixed random,
 well-conditioned stack of 138 pencils of 8 x 8 (a sweep's quiet pair
 and 137-point grid), reported as ``gevd_us_per_pencil``, the median
@@ -84,10 +86,12 @@ PRESETS = (
     "tracking",
     "identical_delay",
 )
-# the layer-timing child's name, the stack sizes (rows) it times the
-# recursion step at, and the shape of the pencil stack it solves
-STEP = "update_symbol"
+# the layer-timing child's name, the stack sizes (rows) and symbol
+# count it times the recursion at, and the shape of the pencil stack it
+# solves
+STEP = "recursion"
 STEP_ROWS = (1, 8, 100)
+STEP_SYMBOLS = 10
 GEVD_STACK = (138, 8, 8)
 
 
@@ -134,13 +138,13 @@ def child(preset: str) -> int:
 
 
 def step_child() -> int:
-    """Time one MIC adaptive.update_symbol (10 elements, 10 factor rows)
-    at every STEP_ROWS stack size on fixed random snapshots, and
-    core.solve_batch on a fixed GEVD_STACK of random well-conditioned
-    pencils, and print {"mic_step_us_per_row_symbol": {rows: median us
-    per row·symbol}, "gevd_us_per_pencil": median us per pencil}, each
-    over 5 samples (of about 400 row·symbols, of 10 calls) after one
-    warm-up call."""
+    """Time adaptive.run on a MIC stack (10 elements, 10 factor rows per
+    symbol, STEP_SYMBOLS symbols) at every STEP_ROWS stack size on fixed
+    random snapshots, and core.solve_batch on a fixed GEVD_STACK of
+    random well-conditioned pencils, and print
+    {"mic_step_us_per_row_symbol": {rows: median us per row·symbol},
+    "gevd_us_per_pencil": median us per pencil}, each over 5 samples (of
+    at least 400 row·symbols, of 10 calls) after one warm-up call."""
     import numpy as np
 
     from mpb_lab import adaptive, core
@@ -148,18 +152,19 @@ def step_child() -> int:
     rng = np.random.default_rng(0)
     figures = {}
     for rows in STEP_ROWS:
-        shape = (rows, 10, 30)
+        shape = (rows, STEP_SYMBOLS, 10, 30)
         x_i = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        factor = adaptive.monitor_factors(x_i)
-        state = adaptive.init(rows, 10, mu=0.95, delta=1e-2)
-        adaptive.update_symbol(state, x_i[..., 0], factor)
-        calls = -(-400 // rows)
+        factors = adaptive.monitor_factors(x_i)
+        x_s = np.ascontiguousarray(x_i[..., 0].swapaxes(1, 2))
+        adaptive.run(x_s, factors, mu=0.95, delta=1e-2)
+        calls = -(-400 // (rows * STEP_SYMBOLS))
         samples = []
         for _ in range(5):
             start = time.perf_counter()
             for _ in range(calls):
-                adaptive.update_symbol(state, x_i[..., 0], factor)
-            samples.append((time.perf_counter() - start) * 1e6 / (calls * rows))
+                adaptive.run(x_s, factors, mu=0.95, delta=1e-2)
+            samples.append((time.perf_counter() - start) * 1e6
+                           / (calls * rows * STEP_SYMBOLS))
         figures[str(rows)] = statistics.median(samples)
     count, size, _ = GEVD_STACK
     r_s, r_i = (m @ m.conj().swapaxes(-1, -2) / (2 * size) + np.eye(size)
